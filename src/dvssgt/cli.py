@@ -7,9 +7,7 @@ import copy
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +16,6 @@ from . import algo, charts, graph as graph_mod, metrics, oracle, theory
 
 EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGENCE = 3
-
-WORKERS_ENV = "DVSSGT_WORKERS"
 
 ALGORITHMS = ("dvss-sgt", "d-sgt", "d-sgd")
 
@@ -146,13 +142,6 @@ def _stop_from(cfg):
     return algo.StopRule(kind, stop[kind])
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
                    record_noise=False, deterministic=False):
     """Run all sample paths of one algorithm and aggregate the traces."""
@@ -166,18 +155,9 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
         schedule = algo.constant_schedule(cfg.get("baseline_batch", 1))
     stop = _stop_from(cfg)
     seed = cfg.get("seed", 0)
-    paths = cfg["paths"]
-
-    def one(path):
-        return algo.run_path(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                             stop, seed, path=path, record_noise=record_noise)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(one, range(paths)))
-    else:
-        traces = [one(path) for path in range(paths)]
+    traces = [algo.run_path(problem, mix, g, algorithm, cfg["alpha"], schedule,
+                            stop, seed, path=path, record_noise=record_noise)
+              for path in range(cfg["paths"])]
 
     emp_nu = oracle.empirical_noise_level(problem, traces[0].x0, seed=seed)
     result = metrics.aggregate(traces, algorithm=algorithm, config=cfg,

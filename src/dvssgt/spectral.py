@@ -1,15 +1,7 @@
-"""Eigenvalue routines for small dense matrices.
-
-Everything here is power iteration based so the numerical core stays
-self-contained; the closed-form cubic solver doubles as a fallback for
-the Perron root when iteration stalls.
-"""
+"""Eigenvalue helpers for small dense matrices, backed by LAPACK (numpy.linalg)."""
 from __future__ import annotations
 
 import numpy as np
-
-SYM_TOL = 1e-10
-SYM_MAX_ITERS = 100_000
 
 
 def _require_symmetric(M, tol=1e-9):
@@ -19,120 +11,26 @@ def _require_symmetric(M, tol=1e-9):
         raise ValueError("matrix is not symmetric")
 
 
-def spectral_radius_sym(M, tol=SYM_TOL, max_iters=SYM_MAX_ITERS):
-    """Largest |eigenvalue| of a symmetric matrix.
-
-    Power iteration on M^2, which is PSD, so the estimate converges even
-    when +lam and -lam are both extremal (e.g. A - I of a bipartite-ish
-    mixing matrix).
-    """
+def spectral_radius_sym(M):
+    """Largest |eigenvalue| of a symmetric matrix."""
     M = np.asarray(M, dtype=float)
     _require_symmetric(M)
-    n = M.shape[0]
-    # fixed deterministic start with energy in every coordinate
-    x = np.ones(n) + 1e-3 * np.cos(1.0 + np.arange(n))
-    x /= np.linalg.norm(x)
-    M2 = M @ M
-    lam2 = 0.0
-    for _ in range(max_iters):
-        y = M2 @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        lam2_new = float(x @ y)
-        x = y / ny
-        if abs(lam2_new - lam2) <= tol * max(1.0, abs(lam2_new)):
-            lam2 = lam2_new
-            if np.linalg.norm(M2 @ x - lam2 * x) <= np.sqrt(tol) * max(1.0, lam2):
-                break
-        lam2 = lam2_new
-    return float(np.sqrt(max(lam2, 0.0)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(M))))
 
 
-def sym_extreme_eigenvalues(M, tol=SYM_TOL):
-    """(lambda_min, lambda_max) of a symmetric matrix via shifted power iteration."""
+def sym_extreme_eigenvalues(M):
+    """(lambda_min, lambda_max) of a symmetric matrix."""
     M = np.asarray(M, dtype=float)
     _require_symmetric(M)
-    n = M.shape[0]
-    r = spectral_radius_sym(M, tol=tol)
-    if r == 0.0:
-        return 0.0, 0.0
-    # M + rI and rI - M are both PSD; their radii are the shifted extremes
-    lam_max = spectral_radius_sym(M + r * np.eye(n), tol=tol) - r
-    lam_min = r - spectral_radius_sym(r * np.eye(n) - M, tol=tol)
-    return float(lam_min), float(lam_max)
+    ev = np.linalg.eigvalsh(M)  # ascending
+    return float(ev[0]), float(ev[-1])
 
 
-def cubic_roots(a2, a1, a0):
-    """All (complex) roots of x^3 + a2 x^2 + a1 x + a0, closed form."""
-    # depressed cubic t^3 + p t + q with x = t - a2/3
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    shift = -a2 / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        # one real root, one conjugate pair
-        sq = np.sqrt(disc)
-        u = np.cbrt(-q / 2.0 + sq)
-        v = np.cbrt(-q / 2.0 - sq)
-        t1 = u + v
-        re = -(u + v) / 2.0
-        im = (u - v) * np.sqrt(3.0) / 2.0
-        roots = [t1, complex(re, im), complex(re, -im)]
-    else:
-        # three real roots (trigonometric form)
-        if p == 0.0:
-            roots = [np.cbrt(-q)] * 3
-        else:
-            m = 2.0 * np.sqrt(-p / 3.0)
-            arg = np.clip(3.0 * q / (p * m), -1.0, 1.0)
-            theta = np.arccos(arg) / 3.0
-            roots = [m * np.cos(theta - 2.0 * np.pi * j / 3.0) for j in range(3)]
-    return np.array([r + shift for r in roots], dtype=complex)
-
-
-def char_poly_3x3(M):
-    """Coefficients (a2, a1, a0) of det(xI - M) = x^3 + a2 x^2 + a1 x + a0."""
-    M = np.asarray(M, dtype=float)
-    tr = M[0, 0] + M[1, 1] + M[2, 2]
-    m2 = (
-        M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-    )
-    det = (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-    return -tr, m2, -det
-
-
-def perron_root_3x3(M, tol=1e-12, max_iters=1_000_000):
-    """Spectral radius of a nonnegative 3x3 matrix.
-
-    Power iteration with an all-ones start; falls back to the closed-form
-    characteristic cubic if the iteration has not settled (reducible or
-    defective cases).
-    """
+def perron_root_3x3(M):
+    """Spectral radius of a nonnegative 3x3 matrix."""
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {M.shape}")
     if np.any(M < 0.0):
         raise ValueError("matrix has negative entries")
-    x = np.ones(3)
-    lam = 0.0
-    for _ in range(max_iters):
-        y = M @ x
-        ny = float(np.sum(y))
-        if ny == 0.0:
-            return 0.0
-        lam_new = ny / float(np.sum(x))
-        x = y / ny
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            lam = lam_new
-            if np.max(np.abs(M @ x - lam * x)) <= 1e3 * tol * max(1.0, lam):
-                return float(lam)
-        lam = lam_new
-    roots = cubic_roots(*char_poly_3x3(M))
-    return float(np.max(np.abs(roots)))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))

@@ -45,9 +45,9 @@ def build_J(alpha, eta, lips, sigma_A, n, norm_AI, convention="eta") -> Contract
                               "n": n, "norm_AI": norm_AI})
 
 
-def spectral_radius_3x3(M, tol=1e-12, max_iters=1_000_000):
-    """Perron root of a nonnegative 3x3 matrix (power iteration + cubic fallback)."""
-    return spectral.perron_root_3x3(M, tol=tol, max_iters=max_iters)
+def spectral_radius_3x3(M):
+    """Perron root of a nonnegative 3x3 matrix."""
+    return spectral.perron_root_3x3(M)
 
 
 def find_alpha(eta, lips, sigma_A, n, norm_AI, convention="eta"):

@@ -95,6 +95,18 @@ def test_metropolis_k2():
     assert mix.norm_A_minus_I == pytest.approx(1.0, abs=1e-9)
 
 
+def test_metropolis_ring_closed_form_spectrum():
+    # ring: every degree is 2, so all Metropolis weights are 1/3 and A is
+    # circulant with eigenvalues 1/3 + (2/3) cos(2 pi k / n)
+    n = 200
+    g = graph.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    mix = graph.metropolis_weights(g)
+    assert mix.sigma_A == pytest.approx(1 / 3 + (2 / 3) * np.cos(2 * np.pi / n),
+                                        abs=1e-12)
+    # k = n/2 gives eigenvalue -1/3 of A, so A - I has extreme eigenvalue -4/3
+    assert mix.norm_A_minus_I == pytest.approx(4 / 3, abs=1e-12)
+
+
 def test_metropolis_rejects_disconnected():
     g = graph.Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
