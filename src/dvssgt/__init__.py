@@ -3,7 +3,7 @@ with geometrically increasing batch sizes."""
 
 from .algo import (BatchSchedule, DivergenceError, NetworkState, PathTrace,
                    StopRule, batch_size, constant_schedule, default_x0,
-                   dsgd_step, dsgt_step, dvss_sgt_step, geometric_schedule,
+                   dsgd_step, dvss_sgt_step, geometric_schedule,
                    init_state, run_path)
 from .graph import (Graph, MixingMatrix, erdos_renyi, metropolis_weights,
                     spectral_norm_A_minus_I, spectral_radius_deviation)

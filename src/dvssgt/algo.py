@@ -36,6 +36,8 @@ class BatchSchedule:
     cap: int = DEFAULT_BATCH_CAP
 
     def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError(f"batch cap must be >= 1, got {self.cap}")
         if self.kind == "geometric":
             if not (0.0 < self.ratio < 1.0):
                 raise ValueError(f"geometric ratio must be in (0,1), got {self.ratio}")
@@ -114,11 +116,6 @@ def dvss_sgt_step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha,
     return NetworkState(k1, x_new, y_new, g_new, st.oracle_count + nb)
 
 
-def dsgt_step(st, mix, p, alpha, streams, fixed_batch=1):
-    """D-SGT is the tracking update with a constant unit batch."""
-    return dvss_sgt_step(st, mix, p, alpha, constant_schedule(fixed_batch), streams)
-
-
 def dsgd_step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha,
               fixed_batch, streams: StreamFactory) -> NetworkState:
     """Consensus + local noisy gradient; no tracker. alpha=0 is pure mixing."""
@@ -144,6 +141,8 @@ class StopRule:
             raise ValueError(f"unknown stop rule {self.kind!r}")
         if self.value <= 0:
             raise ValueError(f"stop rule value must be positive, got {self.value}")
+        if self.kind == "max_iters" and not float(self.value).is_integer():
+            raise ValueError(f"max_iters must be an integer, got {self.value}")
 
 
 @dataclass
@@ -186,6 +185,7 @@ def run_path(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     if x0 is None:
         x0 = default_x0(p, streams)
     tracking = algorithm in ("dvss-sgt", "d-sgt")
+    # D-SGT is the D-VSS-SGT update with a constant batch
     sched = schedule if algorithm == "dvss-sgt" else constant_schedule(schedule.size)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
 
@@ -229,10 +229,8 @@ def run_path(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
 
     try:
         while not stopped(st):
-            if algorithm == "dvss-sgt":
+            if tracking:
                 st = dvss_sgt_step(st, mix, p, alpha, sched, streams)
-            elif algorithm == "d-sgt":
-                st = dsgt_step(st, mix, p, alpha, streams, fixed_batch=sched.size)
             else:
                 st = dsgd_step(st, mix, p, alpha, sched.size, streams)
             msgs += msg_per_iter

@@ -67,43 +67,69 @@ def _deep_update(base, extra):
 def validate_config(cfg, need_algorithm=True):
     """Itemized validation; returns a list of error messages."""
     errors = []
+
+    def number(name, value, integer, ok=None, requirement=""):
+        # bool is an int subclass, but true/false is never a count or a rate
+        kinds = int if integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            errors.append(f"{name} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+            return False
+        if ok is not None and not ok(value):
+            errors.append(f"{name} must be {requirement}, got {value}")
+            return False
+        return True
+
+    def optional_seed(name, section):
+        if "seed" in section:
+            number(name, section["seed"], True)
+
     prob = cfg.get("problem")
+    n_ok = False
     if not isinstance(prob, dict):
         errors.append("missing 'problem' section")
     else:
-        if prob.get("n", 0) < 2:
-            errors.append(f"problem.n must be >= 2, got {prob.get('n')}")
-        if prob.get("d", 0) < 1:
-            errors.append(f"problem.d must be >= 1, got {prob.get('d')}")
+        n_ok = number("problem.n", prob.get("n"), True, lambda v: v >= 2, ">= 2")
+        number("problem.d", prob.get("d"), True, lambda v: v >= 1, ">= 1")
+        optional_seed("problem.seed", prob)
     g = cfg.get("graph")
     if not isinstance(g, dict):
         errors.append("missing 'graph' section")
     elif "edge_list" not in g:
-        if not (0.0 < g.get("p", 0.0) <= 1.0):
-            errors.append(f"graph.p must be in (0,1], got {g.get('p')}")
+        number("graph.p", g.get("p"), False, lambda v: 0.0 < v <= 1.0, "in (0,1]")
+        if (number("graph.n", g.get("n"), True, lambda v: v >= 2, ">= 2")
+                and n_ok and g["n"] != prob["n"]):
+            errors.append(f"graph.n ({g['n']}) must equal problem.n ({prob['n']})")
+        optional_seed("graph.seed", g)
     if need_algorithm and cfg.get("algorithm") not in ALGORITHMS:
         errors.append(f"algorithm must be one of {ALGORITHMS}, got {cfg.get('algorithm')}")
-    if not (cfg.get("alpha", 0.0) > 0.0):
-        errors.append(f"alpha must be positive, got {cfg.get('alpha')}")
+    number("alpha", cfg.get("alpha"), False, lambda v: v > 0.0, "positive")
     sched = cfg.get("schedule", {})
-    kind = sched.get("kind")
+    kind = sched.get("kind") if isinstance(sched, dict) else None
     if kind == "geometric":
-        if not (0.0 < sched.get("ratio", 0.0) < 1.0):
-            errors.append(f"schedule.ratio must be in (0,1), got {sched.get('ratio')}")
+        number("schedule.ratio", sched.get("ratio"), False, lambda v: 0.0 < v < 1.0,
+               "in (0,1)")
     elif kind == "constant":
-        if sched.get("size", 1) < 1:
-            errors.append(f"schedule.size must be >= 1, got {sched.get('size')}")
+        number("schedule.size", sched.get("size", 1), True, lambda v: v >= 1, ">= 1")
     else:
         errors.append(f"schedule.kind must be 'geometric' or 'constant', got {kind!r}")
-    if cfg.get("paths", 0) < 1:
-        errors.append(f"paths must be >= 1, got {cfg.get('paths')}")
+    if kind and "cap" in sched:
+        number("schedule.cap", sched["cap"], True, lambda v: v >= 1, ">= 1")
+    if "baseline_batch" in cfg:
+        number("baseline_batch", cfg["baseline_batch"], True, lambda v: v >= 1, ">= 1")
+    number("paths", cfg.get("paths"), True, lambda v: v >= 1, ">= 1")
+    optional_seed("seed", cfg)
     stop = cfg.get("stop", {})
     known = {"max_iters", "budget_samples", "target_eps"}
-    keys = known & set(stop)
+    keys = known & set(stop) if isinstance(stop, dict) else set()
     if len(keys) != 1:
-        errors.append(f"stop must contain exactly one of {sorted(known)}, got {sorted(stop)}")
-    elif stop[keys.pop()] <= 0:
-        errors.append("stop rule value must be positive")
+        errors.append(f"stop must contain exactly one of {sorted(known)}, got {stop!r}")
+    else:
+        key = keys.pop()
+        if key == "max_iters":
+            number("stop.max_iters", stop[key], True, lambda v: v >= 1, ">= 1")
+        else:
+            number(f"stop.{key}", stop[key], False, lambda v: v > 0, "positive")
     return errors
 
 
@@ -124,6 +150,8 @@ def build_instance(cfg):
         g = graph_mod.Graph.load(gcfg["edge_list"])
     else:
         g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg.get("seed", 0))
+    if g.n != p.n:
+        raise ValueError(f"graph has {g.n} nodes but problem.n is {p.n}")
     return p, g, graph_mod.metropolis_weights(g)
 
 

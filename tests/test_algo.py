@@ -34,6 +34,8 @@ def test_batch_schedule_validation():
         algo.constant_schedule(0)
     with pytest.raises(ValueError):
         algo.BatchSchedule("fibonacci")
+    with pytest.raises(ValueError):
+        algo.geometric_schedule(0.98, cap=0)
 
 
 def test_batch_size_examples():
@@ -211,6 +213,8 @@ def test_stop_rules():
         algo.StopRule("wallclock", 10)
     with pytest.raises(ValueError):
         algo.StopRule("max_iters", 0)
+    with pytest.raises(ValueError):
+        algo.StopRule("max_iters", 2.5)
 
 
 def test_budget_stop_counts_network_totals():

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dvssgt import charts, cli
+from dvssgt import charts, cli, graph
 
 
 def small_cfg(tmp_path, **extra):
@@ -69,6 +69,48 @@ def test_config_error_exit_code(tmp_path):
     missing = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "o")])
     assert missing == cli.EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("problem.n", "10", "problem.n must be an integer, got '10'"),
+    ("problem.d", 5.0, "problem.d must be an integer"),
+    ("graph.n", "10", "graph.n must be an integer"),
+    ("graph.p", "0.3", "graph.p must be a number"),
+    ("alpha", "0.01", "alpha must be a number, got '0.01'"),
+    ("schedule.ratio", "0.98", "schedule.ratio must be a number"),
+    ("schedule", {"kind": "constant", "size": "2"}, "schedule.size must be an integer"),
+    ("schedule.cap", 1.5, "schedule.cap must be an integer"),
+    ("schedule.cap", 0, "schedule.cap must be >= 1, got 0"),
+    ("paths", "2", "paths must be an integer"),
+    ("paths", True, "paths must be an integer"),
+    ("stop", {"max_iters": "25"}, "stop.max_iters must be an integer"),
+    ("stop", {"max_iters": 2.5}, "stop.max_iters must be an integer, got 2.5"),
+    ("stop", {"max_iters": 0}, "stop.max_iters must be >= 1"),
+    ("stop", {"budget_samples": "300"}, "stop.budget_samples must be a number"),
+    ("stop", {"target_eps": None}, "stop.target_eps must be a number"),
+    ("graph.n", 12, "graph.n (12) must equal problem.n (10)"),
+])
+def test_config_value_errors_exit_2(tmp_path, capsys, key, value, message):
+    cfg = cli.load_config("fig1")
+    cfg["paths"], cfg["stop"] = 2, {"max_iters": 25}
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_edge_list_node_count_must_match_problem(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    graph.erdos_renyi(8, 0.5, seed=1).save(edges)
+    path = small_cfg(tmp_path, graph={"edge_list": str(edges)})
+    assert cli.main(["run", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
+    assert "graph has 8 nodes but problem.n is 10" in capsys.readouterr().err
 
 
 def test_divergence_exit_and_partial_trace(tmp_path):

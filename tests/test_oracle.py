@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import oracles
-from dvssgt import oracle
+from dvssgt import algo, oracle
 
 
 def make_small(covariance_spec="diag-uniform[1,2]", noise_spec=1.0, seed=5,
@@ -133,6 +135,72 @@ def test_stream_reproducibility_and_independence():
     # distinct labels give distinct draws
     e = oracle.sample_gradient(p, 1, x, 5, oracle.gradient_stream(42, 3, 1, 10))
     assert not np.array_equal(c.value, e.value)
+
+
+def _direct_draw(p, i, x, batch, rng):
+    """Reference regressor-by-regressor batch draw; below the crossover the
+    oracle must reproduce it bit for bit from the same stream."""
+    ag = p.agents[i]
+    u = rng.standard_normal((batch, p.d)) @ ag.chol_R.T
+    d_obs = u @ p.x_star + ag.sigma_nu * rng.standard_normal(batch)
+    return u.T @ (u @ x - d_obs) / batch
+
+
+@pytest.mark.parametrize("d,batch", [(3, 1), (3, 7),
+                                     (3, oracle.BARTLETT_MIN_BATCH - 1),
+                                     (200, oracle.BARTLETT_MIN_BATCH + 10)])
+def test_direct_draw_below_crossover_is_bit_identical(d, batch):
+    p = make_small(d=d, n=2)
+    x = p.x_star + 0.5
+    s = oracle.sample_gradient(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
+    ref = _direct_draw(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
+    assert np.array_equal(s.value, ref)
+
+
+def test_bartlett_draw_from_crossover_uses_the_same_stream():
+    p = make_small()
+    x = p.x_star + 0.5
+    for batch in (oracle.BARTLETT_MIN_BATCH, 10**6):
+        s = oracle.sample_gradient(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
+        ref = oracle.bartlett_gradient(p.agents[1], x - p.x_star, batch,
+                                       oracle.gradient_stream(8, 2, 1, 4))
+        assert np.array_equal(s.value, ref)
+    with pytest.raises(ValueError):
+        oracle.bartlett_gradient(p.agents[1], x - p.x_star, p.d - 1,
+                                 oracle.gradient_stream(8, 2, 1, 4))
+
+
+@pytest.mark.parametrize("batch", [3, 30, 1000])
+def test_bartlett_moments_match_analytic(batch):
+    p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=1.5, seed=3)
+    ag = p.agents[0]
+    R, sigma = ag.R_u, ag.sigma_nu
+    e = np.array([1.0, -0.5, 0.25])
+    rng = np.random.default_rng(17)
+    draws = 20_000
+    values = np.stack([oracle.bartlett_gradient(ag, e, batch, rng)
+                       for _ in range(draws)])
+    # single-sample noise covariance (e'Re) R + R e e' R + sigma^2 R, over batch
+    cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
+    w = values - R @ e
+    se_mean = np.sqrt(np.diag(cov) / draws)
+    assert np.all(np.abs(w.mean(axis=0)) <= 5.0 * se_mean)
+    # entrywise, against the Monte Carlo error of the second moments themselves
+    prods = w[:, :, None] * w[:, None, :]
+    se_cov = prods.std(axis=0) / np.sqrt(draws)
+    assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5.0 * se_cov)
+
+
+def test_draw_at_default_cap_is_finite_and_fast():
+    p = make_small()
+    x = p.x_star + 1.0
+    start = time.perf_counter()
+    s = oracle.sample_gradient(p, 0, x, algo.DEFAULT_BATCH_CAP,
+                               oracle.gradient_stream(1, 0, 0, 1000))
+    assert time.perf_counter() - start < 0.5
+    assert np.all(np.isfinite(s.value))
+    # at 2^31 - 1 samples the batch mean sits on the exact gradient
+    assert np.allclose(s.value, s.true_grad, atol=1e-3)
 
 
 def test_unbiasedness_quick():
