@@ -3,19 +3,20 @@ with geometrically increasing batch sizes."""
 
 from .algo import (BatchSchedule, DivergenceError, NetworkState, PathTrace,
                    StopRule, batch_size, constant_schedule, default_x0,
-                   dsgd_step, dvss_sgt_step, geometric_schedule,
-                   init_state, run_path)
+                   geometric_schedule, run_path, start, step)
 from .graph import (Graph, MixingMatrix, erdos_renyi, metropolis_weights,
                     spectral_norm_A_minus_I, spectral_radius_deviation)
 from .metrics import (ErrorVector, RunResult, aggregate, combined_error,
                       error_vector, fit_geometric_rate, oracle_vs_epsilon)
-from .oracle import (GradientSample, Problem, RegressionAgentParams,
-                     StreamFactory, deterministic, empirical_noise_level,
-                     exact_gradient, gradient_stream, make_regression_problem,
-                     problem_from_json, problem_to_json, sample_gradient)
+from .oracle import (Problem, StreamFactory, bartlett_gradients, deterministic,
+                     empirical_noise_level, exact_gradients, gradient_stream,
+                     make_regression_problem, problem_from_json, problem_to_json,
+                     sample_gradients)
 from .theory import (ContractionMatrix, RateBound, build_J, check_error_recursion,
                      find_alpha, iteration_complexity, make_rate_bound,
                      noise_constant, oracle_complexity, rate_bound,
                      spectral_radius_3x3)
+
+__version__ = "0.3.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

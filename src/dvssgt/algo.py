@@ -1,4 +1,4 @@
-"""Network-wide iteration engines: D-VSS-SGT and the D-SGD / D-SGT baselines."""
+"""One network-wide iteration engine for D-VSS-SGT and the D-SGT / D-SGD baselines."""
 from __future__ import annotations
 
 import math
@@ -77,56 +77,60 @@ def batch_size(s: BatchSchedule, k):
 class NetworkState:
     k: int
     x: np.ndarray        # (n, d) solution estimates
-    y: np.ndarray        # (n, d) gradient trackers
-    g_prev: np.ndarray   # (n, d) last sampled gradients at x(k)
+    y: np.ndarray        # (n, d) gradient trackers; zero without tracking
+    g_prev: np.ndarray   # (n, d) sampled gradients of the last draw
     oracle_count: np.ndarray  # (n,) cumulative samples per agent
 
 
-def init_state(p: Problem, x0, s: BatchSchedule, streams: StreamFactory) -> NetworkState:
-    x0 = np.asarray(x0, dtype=float)
+def _draw(p: Problem, x, batch, streams: StreamFactory, k):
+    # an exact oracle draws nothing, so it gets no stream
+    rng = None if p.exact_oracle else streams.stream(k)
+    return oracle.sample_gradients(p, x, batch, rng)
+
+
+def start(p: Problem, x0, s: BatchSchedule, streams: StreamFactory,
+          tracking=True) -> NetworkState:
+    """k = 0 state; with tracking y(0) = g(0) drawn at x0 with batch N(0), else zeros."""
+    x0 = np.array(x0, dtype=float)
     if x0.shape != (p.n, p.d):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({p.n},{p.d})")
+    if not tracking:
+        zero = np.zeros_like(x0)
+        return NetworkState(0, x0, zero, zero, np.zeros(p.n, dtype=np.int64))
     n0 = batch_size(s, 0)
-    g = np.empty_like(x0)
-    for i in range(p.n):
-        g[i] = oracle.sample_gradient(p, i, x0[i], n0, streams.stream(i, 0)).value
-    counts = np.full(p.n, n0, dtype=np.int64)
-    return NetworkState(0, x0.copy(), g.copy(), g, counts)
+    g = _draw(p, x0, n0, streams, 0)
+    return NetworkState(0, x0, g.copy(), g, np.full(p.n, n0, dtype=np.int64))
 
 
 def _guard(x, k):
-    worst = float(np.max(np.abs(x)))
+    worst = float(np.abs(x).max())
     if not np.isfinite(worst) or worst > DIVERGENCE_THRESHOLD:
         raise DivergenceError(k, worst)
 
 
-def dvss_sgt_step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha,
-                  s: BatchSchedule, streams: StreamFactory) -> NetworkState:
-    """One consensus + tracking update with fresh batch-size N(k+1) samples."""
-    if alpha <= 0.0:
-        raise ValueError(f"step size must be positive, got {alpha}")
+def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
+         streams: StreamFactory, tracking=True) -> NetworkState:
+    """One iteration of D-VSS-SGT (D-SGT: a constant schedule) or, without
+    tracking, D-SGD: g(k) is drawn at x(k), then x(k+1) = A x - alpha g(k),
+    so alpha = 0 is pure mixing."""
     k1 = st.k + 1
-    x_new = mix.A @ st.x - alpha * st.y
-    _guard(x_new, k1)
-    nb = batch_size(s, k1)
-    g_new = np.empty_like(x_new)
-    for i in range(p.n):
-        g_new[i] = oracle.sample_gradient(p, i, x_new[i], nb, streams.stream(i, k1)).value
-    y_new = mix.A @ st.y + g_new - st.g_prev
-    return NetworkState(k1, x_new, y_new, g_new, st.oracle_count + nb)
-
-
-def dsgd_step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha,
-              fixed_batch, streams: StreamFactory) -> NetworkState:
-    """Consensus + local noisy gradient; no tracker. alpha=0 is pure mixing."""
-    if alpha < 0.0:
-        raise ValueError(f"step size must be nonnegative, got {alpha}")
-    g = np.empty_like(st.x)
-    for i in range(p.n):
-        g[i] = oracle.sample_gradient(p, i, st.x[i], fixed_batch, streams.stream(i, st.k)).value
-    x_new = mix.A @ st.x - alpha * g
-    _guard(x_new, st.k + 1)
-    return NetworkState(st.k + 1, x_new, st.y.copy(), g, st.oracle_count + fixed_batch)
+    if tracking:
+        if alpha <= 0.0:
+            raise ValueError(f"step size must be positive, got {alpha}")
+        x = mix.A @ st.x - alpha * st.y
+        _guard(x, k1)
+        nb = batch_size(s, k1)
+        g = _draw(p, x, nb, streams, k1)
+        y = mix.A @ st.y + g - st.g_prev
+    else:
+        if alpha < 0.0:
+            raise ValueError(f"step size must be nonnegative, got {alpha}")
+        nb = batch_size(s, st.k)
+        g = _draw(p, st.x, nb, streams, st.k)
+        x = mix.A @ st.x - alpha * g
+        _guard(x, k1)
+        y = st.y
+    return NetworkState(k1, x, y, g, st.oracle_count + nb)
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class StopRule:
 
 @dataclass
 class PathTrace:
-    """Per-iteration record of one sample path."""
+    """Per-iteration record of one sample path and why it stopped."""
 
     algorithm: str
     z: np.ndarray              # (T+1, 3) error vector per iteration
@@ -157,9 +161,9 @@ class PathTrace:
     per_agent_samples: np.ndarray
     per_agent_messages: np.ndarray
     x0: np.ndarray
-    sum_w_norms: np.ndarray = None    # (T+1,) sum_i ||w_i(k)||
+    sum_w_norms: np.ndarray    # (T+1,) sum_i ||w_i(k)||
+    stop_reason: str   # max_iters, budget_samples, target_eps(_iter_cap) or diverged
     w_stacks: list = field(default_factory=list)  # per-k (n, d) noise, if recorded
-    diverged: bool = False
 
     @property
     def iterations(self):
@@ -188,76 +192,53 @@ def run_path(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     # D-SGT is the D-VSS-SGT update with a constant batch
     sched = schedule if algorithm == "dvss-sgt" else constant_schedule(schedule.size)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
-
     budget = stop.value if stop.kind == "budget_samples" else math.inf
-    if tracking:
-        if p.n * batch_size(sched, 0) > budget:
-            st = NetworkState(0, np.asarray(x0, float).copy(), np.zeros((p.n, p.d)),
-                              np.zeros((p.n, p.d)), np.zeros(p.n, dtype=np.int64))
-        else:
-            st = init_state(p, x0, sched, streams)
-    else:
-        st = NetworkState(0, np.asarray(x0, float).copy(), np.zeros((p.n, p.d)),
-                          np.zeros((p.n, p.d)), np.zeros(p.n, dtype=np.int64))
+    # a budget below the first draw leaves the trackers at zero
+    st = start(p, x0, sched, streams, tracking and p.n * batch_size(sched, 0) <= budget)
 
-    zs, combined, cum_s, cum_m, sum_w = [], [], [], [], []
-    w_stacks = []
-    msgs = np.zeros(p.n, dtype=np.int64)
-    diverged = False
+    rows, samples, w_stacks = [], [], []
 
-    def record(state):
-        ev = metrics.error_vector(state, p)
-        zs.append([ev.opt_err, ev.cons_x, ev.cons_y])
-        combined.append(metrics.combined_error(ev))
-        cum_s.append(int(state.oracle_count.sum()))
-        cum_m.append(int(msgs.sum()))
-        w = state.g_prev - np.stack([oracle.exact_gradient(p, i, state.x[i])
-                                     for i in range(p.n)])
-        sum_w.append(float(np.linalg.norm(w, axis=1).sum()))
+    def record(st):
+        ev = metrics.error_vector(st, p)
+        w = st.g_prev - oracle.exact_gradients(p, st.x)
+        rows.append((ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                     float(np.linalg.norm(w, axis=1).sum())))
+        samples.append(int(st.oracle_count.sum()))
         if record_noise:
             w_stacks.append(w)
 
-    record(st)
-
-    def stopped(state):
+    def stop_reason(st):
         if stop.kind == "max_iters":
-            return state.k >= stop.value
+            return "max_iters" if st.k >= stop.value else None
         if stop.kind == "target_eps":
-            return combined[-1] <= stop.value or state.k >= TARGET_EPS_ITER_CAP
-        next_cost = p.n * batch_size(sched, state.k + 1 if tracking else state.k)
-        return int(state.oracle_count.sum()) + next_cost > budget
+            if rows[-1][3] <= stop.value:
+                return "target_eps"
+            return "target_eps_iter_cap" if st.k >= TARGET_EPS_ITER_CAP else None
+        next_cost = p.n * batch_size(sched, st.k + 1 if tracking else st.k)
+        return "budget_samples" if samples[-1] + next_cost > budget else None
 
+    def finish(reason):
+        cols = np.array(rows)
+        return PathTrace(
+            algorithm=algorithm,
+            z=cols[:, :3],
+            combined=cols[:, 3],
+            cum_samples=np.array(samples, dtype=np.int64),
+            cum_messages=np.arange(len(rows), dtype=np.int64) * int(msg_per_iter.sum()),
+            per_agent_samples=st.oracle_count.copy(),
+            per_agent_messages=st.k * msg_per_iter,
+            x0=np.array(x0, dtype=float),
+            sum_w_norms=cols[:, 4],
+            stop_reason=reason,
+            w_stacks=w_stacks,
+        )
+
+    record(st)
     try:
-        while not stopped(st):
-            if tracking:
-                st = dvss_sgt_step(st, mix, p, alpha, sched, streams)
-            else:
-                st = dsgd_step(st, mix, p, alpha, sched.size, streams)
-            msgs += msg_per_iter
+        while (reason := stop_reason(st)) is None:
+            st = step(st, mix, p, alpha, sched, streams, tracking)
             record(st)
     except DivergenceError as exc:
-        diverged = True
-        trace = _finish(algorithm, zs, combined, cum_s, cum_m, st, msgs, x0,
-                        sum_w, w_stacks, record_noise, diverged)
-        exc.trace = trace
+        exc.trace = finish("diverged")
         raise
-
-    return _finish(algorithm, zs, combined, cum_s, cum_m, st, msgs, x0,
-                   sum_w, w_stacks, record_noise, diverged)
-
-
-def _finish(algorithm, zs, combined, cum_s, cum_m, st, msgs, x0,
-            sum_w, w_stacks, record_noise, diverged):
-    return PathTrace(
-        algorithm=algorithm,
-        z=np.asarray(zs),
-        combined=np.asarray(combined),
-        cum_samples=np.asarray(cum_s, dtype=np.int64),
-        cum_messages=np.asarray(cum_m, dtype=np.int64),
-        per_agent_samples=st.oracle_count.copy(),
-        per_agent_messages=msgs.copy(),
-        x0=np.asarray(x0, dtype=float).copy(),
-        sum_w_norms=np.asarray(sum_w),
-        w_stacks=w_stacks if record_noise else [],
-        diverged=diverged,
-    )
+    return finish(reason)

@@ -146,10 +146,14 @@ def build_instance(cfg):
         seed=prob.get("seed", 0),
     )
     gcfg = cfg["graph"]
-    if "edge_list" in gcfg:
-        g = graph_mod.Graph.load(gcfg["edge_list"])
-    else:
-        g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg.get("seed", 0))
+    try:
+        if "edge_list" in gcfg:
+            g = graph_mod.Graph.load(gcfg["edge_list"])
+        else:
+            g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg.get("seed", 0))
+    except (OSError, RuntimeError) as exc:
+        # a missing edge list, or a graph.p too small to give a connected graph
+        raise ValueError(f"graph: {exc}") from exc
     if g.n != p.n:
         raise ValueError(f"graph has {g.n} nodes but problem.n is {p.n}")
     return p, g, graph_mod.metropolis_weights(g)
@@ -171,12 +175,10 @@ def _stop_from(cfg):
 
 
 def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
-                   record_noise=False, deterministic=False):
+                   record_noise=False):
     """Run all sample paths of one algorithm and aggregate the traces."""
     if problem is None:
         problem, g, mix = build_instance(cfg)
-    if deterministic:
-        problem = oracle.deterministic(problem)
     algorithm = algorithm or cfg["algorithm"]
     schedule = _schedule_from(cfg)
     if algorithm != "dvss-sgt":
@@ -264,7 +266,7 @@ def theory_report(cfg):
         x0 = algo.default_x0(problem, streams)
         if x0_first is None:
             x0_first = x0
-        st = algo.init_state(problem, x0, sched, streams)
+        st = algo.start(problem, x0, sched, streams)
         ev = metrics.error_vector(st, problem)
         z0s.append([ev.opt_err, ev.cons_x, ev.cons_y])
     z0_norm = float(np.linalg.norm(np.mean(z0s, axis=0)))
@@ -304,7 +306,8 @@ def theory_report(cfg):
     # zero-noise self-check of the per-step error recursion
     det = oracle.deterministic(problem)
     trace = algo.run_path(det, mix, g, "dvss-sgt", cm_eta.alpha, sched,
-                          algo.StopRule("max_iters", 200), seed, record_noise=True)
+                          algo.StopRule("max_iters", 200), seed, x0=x0_first,
+                          record_noise=True)
     lem = theory.check_error_recursion(trace, cm_eta)
 
     return {

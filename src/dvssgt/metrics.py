@@ -18,13 +18,18 @@ class ErrorVector:
     cons_y: float    # ||y - 1 (x) ybar||
 
 
+def _norm(v):
+    v = v.ravel()
+    return math.sqrt(v @ v)
+
+
 def error_vector(st, p) -> ErrorVector:
-    xbar = st.x.mean(axis=0)
-    ybar = st.y.mean(axis=0)
+    n = st.x.shape[0]
+    xbar = st.x.sum(axis=0) / n
     return ErrorVector(
-        float(np.linalg.norm(xbar - p.x_star)),
-        float(np.linalg.norm(st.x - xbar)),
-        float(np.linalg.norm(st.y - ybar)),
+        _norm(xbar - p.x_star),
+        _norm(st.x - xbar),
+        _norm(st.y - st.y.sum(axis=0) / n),
     )
 
 

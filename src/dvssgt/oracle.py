@@ -35,21 +35,6 @@ BARTLETT_MIN_BATCH = 150
 
 
 @dataclass(frozen=True)
-class RegressionAgentParams:
-    R_u: np.ndarray
-    sigma_nu: float
-    chol_R: np.ndarray
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    value: np.ndarray
-    batch: int
-    true_grad: np.ndarray
-    noise: np.ndarray
-
-
-@dataclass(frozen=True)
 class Problem:
     n: int
     d: int
@@ -57,33 +42,36 @@ class Problem:
     eta: float
     lips: float
     nu: float
-    agents: tuple
+    R: np.ndarray        # (n, d, d) regressor covariances R_i
+    chol: np.ndarray     # (n, d, d) lower Cholesky factors of R_i
+    sigmas: np.ndarray   # (n,) observation-noise standard deviations
     covariance_spec: str
-    noise_sigmas: tuple
     seed: int
     exact_oracle: bool = False
 
 
-def gradient_stream(seed, path, agent, iteration):
-    """Counter-keyed Philox stream for one (path, agent, iteration) cell.
+def gradient_stream(seed, path, slot, iteration):
+    """Counter-keyed Philox stream for one (path, slot, iteration) cell.
 
-    Streams are independent by construction, so changing the batch size at
-    one iteration never perturbs draws anywhere else.
+    Slot 0 carries the gradient draws of all n agents at one iteration and
+    INIT_STREAM_AGENT the initial iterates. Streams are independent by
+    construction, so changing the batch size at one iteration never perturbs
+    draws anywhere else.
     """
-    lane = ((path << 42) | (agent << 21) | iteration) & _KEY_MASK
+    lane = ((path << 42) | (slot << 21) | iteration) & _KEY_MASK
     key = np.array([seed & _KEY_MASK, lane], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
 class StreamFactory:
-    """Per-path handle that hands out the (agent, iteration) streams."""
+    """Per-path handle that hands out the per-iteration streams."""
 
     seed: int
     path: int = 0
 
-    def stream(self, agent, iteration):
-        return gradient_stream(self.seed, self.path, agent, iteration)
+    def stream(self, iteration):
+        return gradient_stream(self.seed, self.path, 0, iteration)
 
     def init_stream(self):
         return gradient_stream(self.seed, self.path, INIT_STREAM_AGENT, 0)
@@ -129,7 +117,6 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
     rng = np.random.default_rng(seed)
     covs = _agent_covariances(n, d, covariance_spec, rng)
 
-    agents = []
     lam_lo, lam_hi = np.inf, 0.0
     radius = NOISE_REGION_RADIUS_FACTOR * np.sqrt(d)
     nu_sq = 0.0
@@ -141,10 +128,10 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
         tr = float(np.trace(R))
         # E||w||^2 at offset e: tr(R) e'Re + e'R^2 e + sigma^2 tr(R)
         nu_sq = max(nu_sq, hi * radius**2 * (tr + hi) + sigmas[i] ** 2 * tr)
-        agents.append(RegressionAgentParams(R, float(sigmas[i]), np.linalg.cholesky(R)))
 
+    R = np.stack(covs)
     return Problem(n, d, x_star, float(lam_lo), float(lam_hi), float(np.sqrt(nu_sq)),
-                   tuple(agents), covariance_spec, tuple(sigmas.tolist()), seed)
+                   R, np.linalg.cholesky(R), sigmas, covariance_spec, seed)
 
 
 def deterministic(p: Problem) -> Problem:
@@ -152,46 +139,63 @@ def deterministic(p: Problem) -> Problem:
     return replace(p, exact_oracle=True, nu=0.0)
 
 
-def exact_gradient(p: Problem, i, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.d},)")
-    return p.agents[i].R_u @ (x - p.x_star)
+def _offsets(p: Problem, X):
+    E = np.asarray(X, dtype=float) - p.x_star
+    if E.shape != (p.n, p.d):
+        raise ValueError(f"X has shape {E.shape}, expected ({p.n},{p.d})")
+    return E
 
 
-def sample_gradient(p: Problem, i, x, batch, rng):
-    """Mini-batch averaged sampled gradient at x for agent i."""
+def exact_gradients(p: Problem, X):
+    """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) array X."""
+    return (p.R @ _offsets(p, X)[..., None])[..., 0]
+
+
+def sample_gradients(p: Problem, X, batch, rng):
+    """Mini-batch averaged sampled gradients of all n agents at the rows of X.
+
+    Below the Bartlett crossover `rng` gives (n, batch, d) regressor normals,
+    then (n, batch) noise normals. An exact oracle never touches `rng`."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    true = exact_gradient(p, i, x)
     if p.exact_oracle:
-        return GradientSample(true.copy(), batch, true, np.zeros(p.d))
-    ag = p.agents[i]
+        return exact_gradients(p, X)
+    E = _offsets(p, X)
     if batch >= max(p.d, BARTLETT_MIN_BATCH):
-        value = bartlett_gradient(ag, x - p.x_star, batch, rng)
-    else:
-        u = rng.standard_normal((batch, p.d)) @ ag.chol_R.T
-        d_obs = u @ p.x_star + ag.sigma_nu * rng.standard_normal(batch)
-        value = u.T @ (u @ x - d_obs) / batch
-    return GradientSample(value, batch, true, value - true)
+        return bartlett_gradients(p, E, batch, rng)
+    z = rng.standard_normal((p.n, batch, p.d))
+    xi = rng.standard_normal((p.n, batch))
+    return _single_gradients(p.chol, p.sigmas[:, None], E, z, xi).sum(axis=1) / batch
 
 
-def bartlett_gradient(ag: RegressionAgentParams, e, batch, rng):
-    """Exact draw of a batch-`batch` averaged gradient at offset e = x - x_star.
+def _single_gradients(chol, sigma, e, z, xi):
+    """Gradients u (u'e - sigma xi), u = L z, at offsets e = x - x_star for
+    normals z (..., N, d) and xi (..., N); leading axes are agents, so one
+    agent's L, sigma and e give that agent's row."""
+    u = z @ np.swapaxes(chol, -1, -2)
+    return u * ((u @ e[..., None])[..., 0] - sigma * xi)[..., None]
 
-    The batch sum is S e - sigma U^T nu with S = U^T U ~ Wishart_d(batch, R),
-    and U^T nu given U is N(0, S). Bartlett's (1933) decomposition S = L B B^T L^T,
-    with L = chol(R) and B lower triangular (B_jj^2 ~ chi^2_{batch-j},
-    N(0,1) below the diagonal), gives both from O(d^2) random numbers.
-    Needs batch >= d.
+
+def bartlett_gradients(p: Problem, E, batch, rng):
+    """Exact draw of batch-`batch` averaged gradients at offsets E = X - x_star.
+
+    Agent i's batch sum is S_i e_i - sigma_i U_i' nu_i with S_i = U_i' U_i ~
+    Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
+    (1933) decomposition S = L B B' L', with L = chol(R) and B lower
+    triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
+    both from O(d^2) random numbers per agent, drawn as (n, d, d) normals,
+    (n, d) chi-squares and (n, d) normals. Needs batch >= d.
     """
-    d = len(e)
+    d = p.d
     if batch < d:
         raise ValueError(f"Bartlett draw needs batch >= d={d}, got {batch}")
-    B = np.tril(rng.standard_normal((d, d)), -1)
-    B[np.diag_indices(d)] = np.sqrt(rng.chisquare(batch - np.arange(d)))
-    LB = ag.chol_R @ B
-    return LB @ (LB.T @ e - ag.sigma_nu * rng.standard_normal(d)) / batch
+    B = np.tril(rng.standard_normal((p.n, d, d)), -1)
+    diag = np.arange(d)
+    B[:, diag, diag] = np.sqrt(rng.chisquare(batch - diag, size=(p.n, d)))
+    LB = p.chol @ B
+    r = ((np.swapaxes(LB, 1, 2) @ E[..., None])[..., 0]
+         - p.sigmas[:, None] * rng.standard_normal((p.n, d)))
+    return (LB @ r[..., None])[..., 0] / batch
 
 
 def empirical_noise_level(p: Problem, x0, draws=10_000, seed=0):
@@ -202,13 +206,11 @@ def empirical_noise_level(p: Problem, x0, draws=10_000, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(p.n):
-        xi = x0[i % x0.shape[0]]
-        true = exact_gradient(p, i, xi)
-        ag = p.agents[i]
-        u = rng.standard_normal((draws, p.d)) @ ag.chol_R.T
-        d_obs = u @ p.x_star + ag.sigma_nu * rng.standard_normal(draws)
-        per_draw = u * (u @ xi - d_obs)[:, None] - true
-        worst = max(worst, float(np.mean(np.sum(per_draw**2, axis=1))))
+        e = x0[i % x0.shape[0]] - p.x_star
+        z = rng.standard_normal((draws, p.d))
+        w = _single_gradients(p.chol[i], p.sigmas[i], e, z,
+                             rng.standard_normal(draws)) - p.R[i] @ e
+        worst = max(worst, float(np.mean(np.sum(w**2, axis=1))))
     return float(np.sqrt(worst))
 
 
@@ -218,7 +220,7 @@ def problem_to_json(p: Problem) -> str:
         "d": p.d,
         "x_star": p.x_star.tolist(),
         "covariance_spec": p.covariance_spec,
-        "noise_sigmas": list(p.noise_sigmas),
+        "noise_sigmas": p.sigmas.tolist(),
         "seed": p.seed,
     }, indent=2)
 

@@ -67,18 +67,18 @@ def zero_noise_trace(fig1_instance, fig1_alpha_star):
 
 @pytest.fixture(scope="session")
 def long_invariant_run(fig1_instance):
-    """500 hand-stepped iterations recording per-step identity deviations."""
+    """500 hand-stepped engine iterations recording per-step identity deviations."""
     problem, _g, mix = fig1_instance
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(2024, 0)
     x0 = algo.default_x0(problem, streams)
-    st = algo.init_state(problem, x0, sched, streams)
+    st = algo.start(problem, x0, sched, streams)
     alpha = 0.01
     track_dev = [float(np.linalg.norm(st.y.mean(axis=0) - st.g_prev.mean(axis=0)))]
     avg_dev = []
     for _ in range(500):
         prev = st
-        st = algo.dvss_sgt_step(st, mix, problem, alpha, sched, streams)
+        st = algo.step(st, mix, problem, alpha, sched, streams)
         track_dev.append(float(np.linalg.norm(
             st.y.mean(axis=0) - st.g_prev.mean(axis=0))))
         avg_dev.append(float(np.linalg.norm(

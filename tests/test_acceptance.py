@@ -101,7 +101,7 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(2024, 0)
     x0 = algo.default_x0(det, streams)
-    st0 = algo.init_state(det, x0, sched, streams)
+    st0 = algo.start(det, x0, sched, streams)
     ev0 = metrics.error_vector(st0, det)
     z0 = float(np.linalg.norm([ev0.opt_err, ev0.cons_x, ev0.cons_y]))
     rb = theory.RateBound(rho, math.sqrt(0.98), 0.0, z0)
@@ -139,29 +139,33 @@ def test_criterion_8_accounting(fig1_instance, fig1_run, long_invariant_run):
 def test_criterion_9_statistical_oracle(fig1_instance):
     problem, _g, _mix = fig1_instance
     x = problem.x_star + np.linspace(0.5, -0.5, problem.d)
+    X = np.tile(x, (problem.n, 1))
+    true = oracle.exact_gradients(problem, X)[0]
     draws = 100_000
-    s = oracle.sample_gradient(problem, 0, x, draws,
-                               oracle.gradient_stream(101, 0, 0, 0))
+    s = oracle.sample_gradients(problem, X, draws,
+                                oracle.gradient_stream(101, 0, 0, 0))[0]
     singles = np.stack([
-        oracle.sample_gradient(problem, 0, x, 1,
-                               oracle.gradient_stream(101, 1, 0, t)).value
+        oracle.sample_gradients(problem, X, 1,
+                                oracle.gradient_stream(101, 1, 0, t))[0]
         for t in range(5000)])
     se = singles.std(axis=0) / math.sqrt(draws)
-    unbiased_ok = bool(np.all(np.abs(s.value - s.true_grad) <= 3.0 * se))
+    unbiased_ok = bool(np.all(np.abs(s - true) <= 3.0 * se))
 
     reps = 10_000
     N = 10
     n1 = np.mean([
-        np.sum(oracle.sample_gradient(problem, 0, x, 1,
-                                      oracle.gradient_stream(102, 0, 0, t)).noise ** 2)
+        np.sum((oracle.sample_gradients(problem, X, 1,
+                                        oracle.gradient_stream(102, 0, 0, t))[0]
+                - true) ** 2)
         for t in range(reps)])
     nN = np.mean([
-        np.sum(oracle.sample_gradient(problem, 0, x, N,
-                                      oracle.gradient_stream(102, 1, 0, t)).noise ** 2)
+        np.sum((oracle.sample_gradients(problem, X, N,
+                                        oracle.gradient_stream(102, 1, 0, t))[0]
+                - true) ** 2)
         for t in range(reps)])
     ratio = float(nN / n1)
     variance_ok = abs(ratio * N - 1.0) <= 0.10
     ok = unbiased_ok and variance_ok
     report(9, "statistical oracle properties", ok,
-           f"max |bias|/SE={float(np.max(np.abs(s.value - s.true_grad) / se)):.2f}, "
+           f"max |bias|/SE={float(np.max(np.abs(s - true) / se)):.2f}, "
            f"batch-{N} variance ratio x N = {ratio * N:.3f}")

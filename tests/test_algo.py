@@ -68,18 +68,18 @@ def test_batch_size_constant():
     assert algo.batch_size(algo.constant_schedule(3), 99) == 3
 
 
-def test_init_state_zero_noise():
+def test_start_zero_noise():
     p, _g, _mix = path3_instance()
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(1, 0)
     x0 = algo.default_x0(p, streams)
-    st = algo.init_state(p, x0, sched, streams)
+    st = algo.start(p, x0, sched, streams)
     for i in range(p.n):
-        assert np.allclose(st.y[i], oracle.exact_gradient(p, i, x0[i]))
+        assert np.allclose(st.y[i], oracle.exact_gradients(p, x0)[i])
     assert np.array_equal(st.y, st.g_prev)
     assert np.all(st.oracle_count == 1)  # N(0) = 1 for a geometric schedule
     with pytest.raises(ValueError):
-        algo.init_state(p, np.zeros((p.n + 1, p.d)), sched, streams)
+        algo.start(p, np.zeros((p.n + 1, p.d)), sched, streams)
 
 
 def test_hand_stepped_two_agent_example():
@@ -88,8 +88,8 @@ def test_hand_stepped_two_agent_example():
     sched = algo.constant_schedule(1)
     streams = oracle.StreamFactory(0, 0)
     alpha = 0.3
-    st = algo.init_state(p, np.array([[0.0], [2.0]]), sched, streams)
-    st = algo.dvss_sgt_step(st, mix, p, alpha, sched, streams)
+    st = algo.start(p, np.array([[0.0], [2.0]]), sched, streams)
+    st = algo.step(st, mix, p, alpha, sched, streams)
     assert np.allclose(st.x[:, 0], [1.0 + alpha, 1.0 - alpha], atol=1e-14)
     assert np.allclose(st.y[:, 0], [1.0 + alpha, -(1.0 + alpha)], atol=1e-14)
     assert st.y.mean() == pytest.approx(0.0, abs=1e-14)
@@ -100,9 +100,9 @@ def test_fixed_point_at_consensus_optimum():
     sched = algo.constant_schedule(1)
     streams = oracle.StreamFactory(0, 0)
     x0 = np.tile(p.x_star, (p.n, 1))
-    st = algo.init_state(p, x0, sched, streams)
+    st = algo.start(p, x0, sched, streams)
     for _ in range(10):
-        st = algo.dvss_sgt_step(st, mix, p, 0.2, sched, streams)
+        st = algo.step(st, mix, p, 0.2, sched, streams)
     assert np.allclose(st.x, x0, atol=1e-14)
     assert np.allclose(st.y, 0.0, atol=1e-14)
 
@@ -111,21 +111,38 @@ def test_step_rejects_nonpositive_alpha():
     p, _g, mix = path3_instance()
     sched = algo.constant_schedule(1)
     streams = oracle.StreamFactory(0, 0)
-    st = algo.init_state(p, np.zeros((p.n, p.d)), sched, streams)
+    st = algo.start(p, np.zeros((p.n, p.d)), sched, streams)
     with pytest.raises(ValueError):
-        algo.dvss_sgt_step(st, mix, p, 0.0, sched, streams)
+        algo.step(st, mix, p, 0.0, sched, streams)
     with pytest.raises(ValueError):
-        algo.dsgd_step(st, mix, p, -0.1, 1, streams)
+        algo.step(st, mix, p, -0.1, sched, streams, tracking=False)
 
 
 def test_dsgd_alpha_zero_is_pure_mixing():
     p, _g, mix = path3_instance()
     streams = oracle.StreamFactory(0, 0)
+    sched = algo.constant_schedule(1)
     x0 = np.arange(6, dtype=float).reshape(3, 2)
-    st = algo.NetworkState(0, x0.copy(), np.zeros((3, 2)), np.zeros((3, 2)),
-                           np.zeros(3, dtype=np.int64))
-    st = algo.dsgd_step(st, mix, p, 0.0, 1, streams)
+    st = algo.start(p, x0, sched, streams, tracking=False)
+    st = algo.step(st, mix, p, 0.0, sched, streams, tracking=False)
     assert np.allclose(st.x, mix.A @ x0, atol=1e-14)
+
+
+def test_dsgd_alpha_zero_run_is_pure_mixing_under_noise():
+    # the noisy draws are taken and counted, but alpha = 0 never applies them
+    p = oracle.make_regression_problem(3, 2, np.array([0.5, -0.5]),
+                                       noise_spec=1.0, seed=3)
+    g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
+    mix = graph.metropolis_weights(g)
+    x0 = np.arange(6, dtype=float).reshape(3, 2)
+    trace = algo.run_path(p, mix, g, "d-sgd", 0.0, algo.constant_schedule(1),
+                          algo.StopRule("max_iters", 8), seed=2, x0=x0)
+    xbar = x0.mean(axis=0)
+    for k in range(9):
+        xk = np.linalg.matrix_power(mix.A, k) @ x0
+        assert trace.z[k, 0] == pytest.approx(np.linalg.norm(xbar - p.x_star), rel=1e-12)
+        assert trace.z[k, 1] == pytest.approx(np.linalg.norm(xk - xbar), rel=1e-9)
+    assert np.all(trace.per_agent_samples == 8)
 
 
 def test_dsgd_contracts_like_scalar_recursion():
@@ -134,11 +151,11 @@ def test_dsgd_contracts_like_scalar_recursion():
     streams = oracle.StreamFactory(0, 0)
     alpha = 0.25
     x0 = np.tile(p.x_star + np.array([2.0, -1.0]), (p.n, 1))
-    st = algo.NetworkState(0, x0.copy(), np.zeros((3, 2)), np.zeros((3, 2)),
-                           np.zeros(3, dtype=np.int64))
+    sched = algo.constant_schedule(1)
+    st = algo.start(p, x0, sched, streams, tracking=False)
     err = [np.linalg.norm(st.x - p.x_star)]
     for _ in range(5):
-        st = algo.dsgd_step(st, mix, p, alpha, 1, streams)
+        st = algo.step(st, mix, p, alpha, sched, streams, tracking=False)
         err.append(np.linalg.norm(st.x - p.x_star))
     factor = abs(1.0 - alpha * p.lips)
     for a, b in zip(err, err[1:]):
@@ -160,6 +177,26 @@ def test_dsgt_equals_dvss_with_unit_constant_schedule():
     assert np.array_equal(t1.cum_messages, t2.cum_messages)
 
 
+def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
+    p = oracle.make_regression_problem(3, 2, np.array([0.5, -0.5]),
+                                       noise_spec=1.0, seed=3)
+    g = graph.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    mix = graph.metropolis_weights(g)
+    trace = algo.run_path(p, mix, g, "d-sgt", 0.05, algo.constant_schedule(2),
+                          algo.StopRule("max_iters", 25), seed=9)
+    sched = algo.constant_schedule(2)
+    streams = oracle.StreamFactory(9, 0)
+    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
+    z = []
+    for k in range(26):
+        if k:
+            st = algo.step(st, mix, p, 0.05, sched, streams)
+        ev = metrics.error_vector(st, p)
+        z.append([ev.opt_err, ev.cons_x, ev.cons_y])
+    assert np.array_equal(trace.z, np.array(z))
+    assert np.array_equal(trace.per_agent_samples, st.oracle_count)
+
+
 def test_dsgt_zero_noise_converges_to_optimum():
     p, g, mix = path3_instance()
     stop = algo.StopRule("max_iters", 2000)
@@ -174,10 +211,10 @@ def test_tracking_identity_and_average_recursion_short_run():
     mix = graph.metropolis_weights(g)
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(17, 0)
-    st = algo.init_state(p, algo.default_x0(p, streams), sched, streams)
+    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
     for _ in range(60):
         prev = st
-        st = algo.dvss_sgt_step(st, mix, p, 0.02, sched, streams)
+        st = algo.step(st, mix, p, 0.02, sched, streams)
         assert np.linalg.norm(st.y.mean(axis=0) - st.g_prev.mean(axis=0)) <= 1e-9
         assert np.linalg.norm(
             st.x.mean(axis=0)
@@ -204,8 +241,13 @@ def test_divergence_guard_attaches_partial_trace(fig1_instance):
         algo.run_path(problem, mix, g, "dvss-sgt", 10.0,
                       algo.geometric_schedule(0.98),
                       algo.StopRule("max_iters", 100), seed=1)
-    assert err.value.trace.diverged
+    assert err.value.trace.stop_reason == "diverged"
     assert len(err.value.trace.combined) >= 1
+    # the guard also stops the untracked update
+    with pytest.raises(algo.DivergenceError) as err:
+        algo.run_path(problem, mix, g, "d-sgd", 10.0, algo.constant_schedule(1),
+                      algo.StopRule("max_iters", 100), seed=1)
+    assert err.value.trace.stop_reason == "diverged"
 
 
 def test_stop_rules():
@@ -273,3 +315,63 @@ def test_message_accounting_per_algorithm():
     assert np.array_equal(tr.per_agent_messages, 2 * deg * 12)
     tr = algo.run_path(p, mix, g, "d-sgd", 0.05, sched, stop, seed=3)
     assert np.array_equal(tr.per_agent_messages, deg * 12)
+
+
+@pytest.mark.parametrize("algorithm,stop,reason", [
+    ("dvss-sgt", ("max_iters", 12), "max_iters"),
+    ("d-sgd", ("budget_samples", 20), "budget_samples"),
+    ("d-sgt", ("target_eps", 1e-4), "target_eps"),
+    ("d-sgt", ("target_eps", 1e-30), "target_eps_iter_cap"),
+])
+def test_stop_reason(monkeypatch, algorithm, stop, reason):
+    if reason == "target_eps_iter_cap":
+        monkeypatch.setattr(algo, "TARGET_EPS_ITER_CAP", 40)
+    p, g, mix = path3_instance()
+    trace = algo.run_path(p, mix, g, algorithm, 0.1, algo.constant_schedule(1),
+                          algo.StopRule(*stop), seed=0)
+    assert trace.stop_reason == reason
+    if reason == "target_eps_iter_cap":
+        assert trace.iterations == 40
+        assert trace.combined[-1] > 1e-30
+
+
+def _count_streams(monkeypatch):
+    calls = []
+    real = oracle.gradient_stream
+
+    def counting(seed, path, slot, iteration):
+        calls.append((seed, path, slot, iteration))
+        return real(seed, path, slot, iteration)
+    monkeypatch.setattr(oracle, "gradient_stream", counting)
+    return calls
+
+
+def test_zero_noise_path_constructs_no_stream(monkeypatch):
+    p, g, mix = path3_instance()
+    calls = _count_streams(monkeypatch)
+    x0 = np.zeros((p.n, p.d))
+    for algorithm in ("dvss-sgt", "d-sgt", "d-sgd"):
+        algo.run_path(p, mix, g, algorithm, 0.1, algo.constant_schedule(1),
+                      algo.StopRule("max_iters", 30), seed=0, x0=x0)
+    assert calls == []
+    # only the initial iterates need a stream then
+    algo.run_path(p, mix, g, "dvss-sgt", 0.1, algo.geometric_schedule(0.98),
+                  algo.StopRule("max_iters", 30), seed=0, path=4)
+    assert calls == [(0, 4, oracle.INIT_STREAM_AGENT, 0)]
+
+
+def test_one_stream_per_path_and_iteration(monkeypatch):
+    p = oracle.make_regression_problem(3, 2, np.zeros(2), seed=8)
+    g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
+    mix = graph.metropolis_weights(g)
+    calls = _count_streams(monkeypatch)
+    stop = algo.StopRule("max_iters", 10)
+    algo.run_path(p, mix, g, "dvss-sgt", 0.05, algo.geometric_schedule(0.98),
+                  stop, seed=3, path=2)
+    init = (3, 2, oracle.INIT_STREAM_AGENT, 0)
+    # tracking samples at x(0) .. x(10); D-SGD at x(0) .. x(9)
+    assert calls == [init] + [(3, 2, 0, k) for k in range(11)]
+    calls.clear()
+    algo.run_path(p, mix, g, "d-sgd", 0.05, algo.constant_schedule(1),
+                  stop, seed=3, path=2)
+    assert calls == [init] + [(3, 2, 0, k) for k in range(10)]

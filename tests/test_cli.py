@@ -113,6 +113,21 @@ def test_edge_list_node_count_must_match_problem(tmp_path, capsys):
     assert "graph has 8 nodes but problem.n is 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph_cfg,message", [
+    ({"p": 1e-9}, "config error: graph: no connected graph after"),
+    ({"edge_list": "missing.txt"}, "config error: graph: [Errno 2]"),
+])
+def test_unbuildable_graph_exits_2(tmp_path, capsys, graph_cfg, message):
+    if "edge_list" in graph_cfg:
+        graph_cfg = {"edge_list": str(tmp_path / graph_cfg["edge_list"])}
+    path = small_cfg(tmp_path, graph=graph_cfg)
+    assert cli.main(["run", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_divergence_exit_and_partial_trace(tmp_path):
     path = small_cfg(tmp_path, alpha=10.0, paths=1)
     out = tmp_path / "div"

@@ -15,6 +15,11 @@ def make_small(covariance_spec="diag-uniform[1,2]", noise_spec=1.0, seed=5,
                                           noise_spec=noise_spec, seed=seed)
 
 
+def rows(p, x):
+    """The (n, d) network point with every agent at x."""
+    return np.tile(x, (p.n, 1))
+
+
 def test_identity_covariance_constants():
     p = make_small(covariance_spec="identity")
     assert p.eta == pytest.approx(1.0, abs=1e-9)
@@ -26,8 +31,8 @@ def test_diag_uniform_spectrum_bounds():
     assert p.eta >= 1.0 - 1e-9
     assert p.lips <= 2.0 + 1e-9
     # eta/lips are the extreme eigenvalues over agents, per the char-poly oracle
-    lo = min(oracles.extreme_real_eigs(ag.R_u)[0] for ag in p.agents)
-    hi = max(oracles.extreme_real_eigs(ag.R_u)[1] for ag in p.agents)
+    lo = min(oracles.extreme_real_eigs(R)[0] for R in p.R)
+    hi = max(oracles.extreme_real_eigs(R)[1] for R in p.R)
     assert p.eta == pytest.approx(lo, abs=1e-7)
     assert p.lips == pytest.approx(hi, abs=1e-7)
 
@@ -36,18 +41,19 @@ def test_experiment_instance_shape():
     d = 5
     p = oracle.make_regression_problem(10, d, np.ones(d) / np.sqrt(d), seed=7)
     assert p.n == 10 and p.d == 5
-    assert len(p.agents) == 10
+    assert p.R.shape == p.chol.shape == (10, 5, 5)
+    assert p.sigmas.shape == (10,)
     assert 0.0 < p.eta <= p.lips
     assert p.nu > 0.0
 
 
 def test_rot_spd_spectrum_in_band():
     p = make_small(covariance_spec="rot-spd[1,2]")
-    for ag in p.agents:
-        lo, hi = oracles.extreme_real_eigs(ag.R_u)
+    for R in p.R:
+        lo, hi = oracles.extreme_real_eigs(R)
         assert lo >= 1.0 - 1e-7
         assert hi <= 2.0 + 1e-7
-        assert np.allclose(ag.R_u, ag.R_u.T, atol=1e-12)
+        assert np.allclose(R, R.T, atol=1e-12)
 
 
 def test_non_spd_covariance_rejected():
@@ -71,12 +77,12 @@ def test_construction_input_checks():
 
 def test_exact_gradient_trivials():
     p = make_small(covariance_spec="identity")
-    assert np.allclose(oracle.exact_gradient(p, 0, p.x_star), 0.0)
+    assert np.allclose(oracle.exact_gradients(p, rows(p, p.x_star))[0], 0.0)
     e1 = np.zeros(p.d)
     e1[0] = 1.0
-    assert np.allclose(oracle.exact_gradient(p, 1, p.x_star + e1), e1)
+    assert np.allclose(oracle.exact_gradients(p, rows(p, p.x_star + e1))[1], e1)
     with pytest.raises(ValueError):
-        oracle.exact_gradient(p, 0, np.zeros(p.d + 1))
+        oracle.exact_gradients(p, np.zeros((p.n, p.d + 1)))
 
 
 def test_exact_gradient_matches_finite_differences():
@@ -84,66 +90,93 @@ def test_exact_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     for i in range(p.n):
         x = rng.standard_normal(p.d)
-        R = p.agents[i].R_u
+        R = p.R[i]
 
         def f(v):
             return 0.5 * (v - p.x_star) @ R @ (v - p.x_star)
 
         fd = oracles.finite_difference_gradient(f, x)
-        assert np.allclose(oracle.exact_gradient(p, i, x), fd, atol=1e-6)
+        assert np.allclose(oracle.exact_gradients(p, rows(p, x))[i], fd, atol=1e-6)
 
 
 def test_mean_gradient_vanishes_at_x_star():
     p = make_small()
-    mean = np.mean([oracle.exact_gradient(p, i, p.x_star) for i in range(p.n)],
-                   axis=0)
+    mean = oracle.exact_gradients(p, rows(p, p.x_star)).mean(axis=0)
     assert np.linalg.norm(mean) <= 1e-10
 
 
 def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
     p = make_small(noise_spec=0.0)
-    s = oracle.sample_gradient(p, 0, p.x_star, 7, oracle.gradient_stream(1, 0, 0, 0))
+    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracle.gradient_stream(1, 0, 0, 0))
     # u u^T x* - (u^T x*) u = 0 for every draw, so the average is exactly 0
-    assert np.all(s.value == 0.0)
-    assert s.batch == 7
+    assert np.all(s == 0.0)
+    assert s.shape == (p.n, p.d)
 
 
-def test_sample_gradient_bookkeeping():
+def test_sample_gradients_input_checks():
     p = make_small()
-    x = p.x_star + 0.5
-    s = oracle.sample_gradient(p, 2, x, 4, oracle.gradient_stream(1, 0, 2, 3))
-    assert np.allclose(s.true_grad, oracle.exact_gradient(p, 2, x))
-    assert np.allclose(s.noise, s.value - s.true_grad)
+    X = rows(p, p.x_star + 0.5)
+    s = oracle.sample_gradients(p, X, 4, oracle.gradient_stream(1, 0, 2, 3))
+    assert s.shape == (p.n, p.d)
+    # each agent draws its own regressors, so no two rows coincide
+    assert len({tuple(row) for row in s}) == p.n
     with pytest.raises(ValueError):
-        oracle.sample_gradient(p, 2, x, 0, oracle.gradient_stream(1, 0, 2, 3))
+        oracle.sample_gradients(p, X, 0, oracle.gradient_stream(1, 0, 2, 3))
+    with pytest.raises(ValueError):
+        oracle.sample_gradients(p, X[1:], 4, oracle.gradient_stream(1, 0, 2, 3))
 
 
 def test_stream_reproducibility_and_independence():
     p = make_small()
-    x = p.x_star + 1.0
-    a = oracle.sample_gradient(p, 1, x, 5, oracle.gradient_stream(42, 3, 1, 9))
-    b = oracle.sample_gradient(p, 1, x, 5, oracle.gradient_stream(42, 3, 1, 9))
-    assert np.array_equal(a.value, b.value)
+    X = rows(p, p.x_star + 1.0)
+    a = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 9))
+    b = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 9))
+    assert np.array_equal(a, b)
     # draws at one iteration do not depend on how much was drawn at another
     f1 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradient(p, 1, x, 2, f1.stream(1, 8))
-    c = oracle.sample_gradient(p, 1, x, 5, f1.stream(1, 9))
+    oracle.sample_gradients(p, X, 2, f1.stream(8))
+    c = oracle.sample_gradients(p, X, 5, f1.stream(9))
     f2 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradient(p, 1, x, 50, f2.stream(1, 8))
-    d = oracle.sample_gradient(p, 1, x, 5, f2.stream(1, 9))
-    assert np.array_equal(c.value, d.value)
+    oracle.sample_gradients(p, X, 50, f2.stream(8))
+    d = oracle.sample_gradients(p, X, 5, f2.stream(9))
+    assert np.array_equal(c, d)
     # distinct labels give distinct draws
-    e = oracle.sample_gradient(p, 1, x, 5, oracle.gradient_stream(42, 3, 1, 10))
-    assert not np.array_equal(c.value, e.value)
+    e = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 10))
+    assert not np.array_equal(c, e)
+    assert np.array_equal(c, oracle.sample_gradients(p, X, 5,
+                                                     oracle.gradient_stream(42, 3, 0, 9)))
 
 
-def _direct_draw(p, i, x, batch, rng):
-    """Reference regressor-by-regressor batch draw; below the crossover the
-    oracle must reproduce it bit for bit from the same stream."""
-    ag = p.agents[i]
-    u = rng.standard_normal((batch, p.d)) @ ag.chol_R.T
-    d_obs = u @ p.x_star + ag.sigma_nu * rng.standard_normal(batch)
-    return u.T @ (u @ x - d_obs) / batch
+def test_changing_one_batch_leaves_other_iterations_bit_identical():
+    p = make_small()
+    X = rows(p, p.x_star + 0.5)
+    streams = oracle.StreamFactory(11, 1)
+
+    def draws(sizes):
+        return [oracle.sample_gradients(p, X, nb, streams.stream(k))
+                for k, nb in enumerate(sizes)]
+
+    base = draws([1, 2, 3, 4, 5, 6, 7, 8])
+    # a direct draw at k = 3, then one from the Bartlett branch
+    for changed in (40, 10**5):
+        other = draws([1, 2, 3, changed, 5, 6, 7, 8])
+        for k in range(8):
+            assert np.array_equal(base[k], other[k]) == (k != 3)
+
+
+def _direct_draw(p, X, batch, rng):
+    """Reference agent-by-agent batch draw from the network layout: an
+    (n, batch, d) block of regressor normals, then (n, batch) noise normals.
+    Below the crossover the oracle must reproduce it bit for bit from the
+    same stream."""
+    z = rng.standard_normal((p.n, batch, p.d))
+    xi = rng.standard_normal((p.n, batch))
+    out = np.empty((p.n, p.d))
+    for i in range(p.n):
+        u = z[i] @ p.chol[i].T
+        r = u @ (X[i] - p.x_star)[:, None]
+        out[i] = (u * (r[:, 0] - p.sigmas[i] * xi[i])[:, None]).sum(axis=0) / batch
+    return out
 
 
 @pytest.mark.parametrize("d,batch", [(3, 1), (3, 7),
@@ -151,34 +184,33 @@ def _direct_draw(p, i, x, batch, rng):
                                      (200, oracle.BARTLETT_MIN_BATCH + 10)])
 def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     p = make_small(d=d, n=2)
-    x = p.x_star + 0.5
-    s = oracle.sample_gradient(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
-    ref = _direct_draw(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
-    assert np.array_equal(s.value, ref)
+    X = p.x_star + np.array([[0.5], [-0.25]])
+    s = oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+    ref = _direct_draw(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+    assert np.array_equal(s, ref)
 
 
 def test_bartlett_draw_from_crossover_uses_the_same_stream():
     p = make_small()
-    x = p.x_star + 0.5
+    X = rows(p, p.x_star + 0.5)
     for batch in (oracle.BARTLETT_MIN_BATCH, 10**6):
-        s = oracle.sample_gradient(p, 1, x, batch, oracle.gradient_stream(8, 2, 1, 4))
-        ref = oracle.bartlett_gradient(p.agents[1], x - p.x_star, batch,
-                                       oracle.gradient_stream(8, 2, 1, 4))
-        assert np.array_equal(s.value, ref)
+        s = oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+        ref = oracle.bartlett_gradients(p, X - p.x_star, batch,
+                                        oracle.gradient_stream(8, 2, 0, 4))
+        assert np.array_equal(s, ref)
     with pytest.raises(ValueError):
-        oracle.bartlett_gradient(p.agents[1], x - p.x_star, p.d - 1,
-                                 oracle.gradient_stream(8, 2, 1, 4))
+        oracle.bartlett_gradients(p, X - p.x_star, p.d - 1,
+                                  oracle.gradient_stream(8, 2, 0, 4))
 
 
 @pytest.mark.parametrize("batch", [3, 30, 1000])
 def test_bartlett_moments_match_analytic(batch):
     p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=1.5, seed=3)
-    ag = p.agents[0]
-    R, sigma = ag.R_u, ag.sigma_nu
+    R, sigma = p.R[0], p.sigmas[0]
     e = np.array([1.0, -0.5, 0.25])
     rng = np.random.default_rng(17)
     draws = 20_000
-    values = np.stack([oracle.bartlett_gradient(ag, e, batch, rng)
+    values = np.stack([oracle.bartlett_gradients(p, rows(p, e), batch, rng)[0]
                        for _ in range(draws)])
     # single-sample noise covariance (e'Re) R + R e e' R + sigma^2 R, over batch
     cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
@@ -191,43 +223,67 @@ def test_bartlett_moments_match_analytic(batch):
     assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5.0 * se_cov)
 
 
+@pytest.mark.parametrize("batch", [3, 30, 1000])
+def test_every_row_of_a_batched_draw_follows_the_agent_law(batch):
+    # 3 and 30 take the direct draw, 1000 the Bartlett one
+    p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=(0.5, 1.0, 1.5, 2.0),
+                   seed=3)
+    E = np.array([[1.0, -0.5, 0.25], [0.0, 0.5, -1.0], [-0.75, 0.0, 0.5],
+                  [0.25, 0.25, 0.25]])
+    rng = np.random.default_rng(17)
+    draws = 20_000
+    values = np.stack([oracle.sample_gradients(p, p.x_star + E, batch, rng)
+                       for _ in range(draws)])
+    for i in range(p.n):
+        R, sigma, e = p.R[i], p.sigmas[i], E[i]
+        cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
+        w = values[:, i] - R @ e
+        se_mean = np.sqrt(np.diag(cov) / draws)
+        assert np.all(np.abs(w.mean(axis=0)) <= 5.0 * se_mean)
+        prods = w[:, :, None] * w[:, None, :]
+        se_cov = prods.std(axis=0) / np.sqrt(draws)
+        assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5.0 * se_cov)
+
+
 def test_draw_at_default_cap_is_finite_and_fast():
     p = make_small()
-    x = p.x_star + 1.0
+    X = rows(p, p.x_star + 1.0)
     start = time.perf_counter()
-    s = oracle.sample_gradient(p, 0, x, algo.DEFAULT_BATCH_CAP,
-                               oracle.gradient_stream(1, 0, 0, 1000))
+    s = oracle.sample_gradients(p, X, algo.DEFAULT_BATCH_CAP,
+                                oracle.gradient_stream(1, 0, 0, 1000))
     assert time.perf_counter() - start < 0.5
-    assert np.all(np.isfinite(s.value))
+    assert np.all(np.isfinite(s))
     # at 2^31 - 1 samples the batch mean sits on the exact gradient
-    assert np.allclose(s.value, s.true_grad, atol=1e-3)
+    assert np.allclose(s, oracle.exact_gradients(p, X), atol=1e-3)
 
 
 def test_unbiasedness_quick():
     p = make_small(seed=2)
-    x = p.x_star + np.array([1.0, -0.5, 0.25])
+    X = rows(p, p.x_star + np.array([1.0, -0.5, 0.25]))
     draws = 20_000
-    s = oracle.sample_gradient(p, 0, x, draws, oracle.gradient_stream(3, 0, 0, 0))
+    s = oracle.sample_gradients(p, X, draws, oracle.gradient_stream(3, 0, 0, 0))[0]
     # a batch average over M draws is the empirical mean itself; bound each
     # coordinate by 4 standard errors of a fresh single-draw sample
     singles = np.stack([
-        oracle.sample_gradient(p, 0, x, 1, oracle.gradient_stream(3, 1, 0, t)).value
+        oracle.sample_gradients(p, X, 1, oracle.gradient_stream(3, 1, 0, t))[0]
         for t in range(2000)])
     se = singles.std(axis=0) / np.sqrt(draws)
-    assert np.all(np.abs(s.value - s.true_grad) <= 4.0 * se + 1e-12)
+    true = oracle.exact_gradients(p, X)[0]
+    assert np.all(np.abs(s - true) <= 4.0 * se + 1e-12)
 
 
 def test_variance_scaling_quick():
     p = make_small(seed=2)
-    x = p.x_star + 1.0
+    X = rows(p, p.x_star + 1.0)
+    true = oracle.exact_gradients(p, X)[0]
     reps = 2000
     n1 = np.mean([
-        np.sum(oracle.sample_gradient(p, 0, x, 1,
-                                      oracle.gradient_stream(5, 0, 0, t)).noise ** 2)
+        np.sum((oracle.sample_gradients(p, X, 1,
+                                        oracle.gradient_stream(5, 0, 0, t))[0] - true) ** 2)
         for t in range(reps)])
     n8 = np.mean([
-        np.sum(oracle.sample_gradient(p, 0, x, 8,
-                                      oracle.gradient_stream(5, 1, 0, t)).noise ** 2)
+        np.sum((oracle.sample_gradients(p, X, 8,
+                                        oracle.gradient_stream(5, 1, 0, t))[0] - true) ** 2)
         for t in range(reps)])
     assert n8 / n1 == pytest.approx(1.0 / 8.0, rel=0.15)
 
@@ -239,8 +295,8 @@ def test_strong_convexity_and_lipschitz_1000_pairs():
         i = int(rng.integers(p.n))
         x1 = rng.standard_normal(p.d) * 3.0
         x2 = rng.standard_normal(p.d) * 3.0
-        g1 = oracle.exact_gradient(p, i, x1)
-        g2 = oracle.exact_gradient(p, i, x2)
+        g1 = oracle.exact_gradients(p, rows(p, x1))[i]
+        g2 = oracle.exact_gradients(p, rows(p, x2))[i]
         dx = x1 - x2
         assert (g1 - g2) @ dx >= p.eta * dx @ dx - 1e-9
         assert np.linalg.norm(g1 - g2) <= p.lips * np.linalg.norm(dx) + 1e-9
@@ -250,10 +306,12 @@ def test_deterministic_copy():
     p = make_small()
     det = oracle.deterministic(p)
     assert det.nu == 0.0
-    x = p.x_star + 0.3
-    s = oracle.sample_gradient(det, 1, x, 9, oracle.gradient_stream(0, 0, 1, 0))
-    assert np.array_equal(s.value, oracle.exact_gradient(det, 1, x))
-    assert np.all(s.noise == 0.0)
+    X = rows(p, p.x_star + 0.3)
+    s = oracle.sample_gradients(det, X, 9, oracle.gradient_stream(0, 0, 1, 0))
+    assert np.array_equal(s, oracle.exact_gradients(det, X))
+    assert np.all(s - oracle.exact_gradients(det, X) == 0.0)
+    # an exact oracle never touches its stream
+    assert np.array_equal(oracle.sample_gradients(det, X, 9, None), s)
     assert oracle.empirical_noise_level(det, np.zeros((p.n, p.d))) == 0.0
 
 
@@ -271,6 +329,6 @@ def test_json_round_trip():
     assert np.allclose(q.x_star, p.x_star)
     assert q.eta == pytest.approx(p.eta, abs=1e-12)
     assert q.lips == pytest.approx(p.lips, abs=1e-12)
-    for a, b in zip(p.agents, q.agents):
-        assert np.allclose(a.R_u, b.R_u)
-        assert a.sigma_nu == b.sigma_nu
+    for a, b in zip(p.R, q.R):
+        assert np.allclose(a, b)
+    assert np.array_equal(p.sigmas, q.sigmas)
