@@ -10,12 +10,10 @@ from .metrics import (ErrorVector, RunResult, aggregate, combined_error,
                       error_vector, fit_geometric_rate, oracle_vs_epsilon)
 from .oracle import (Problem, StreamFactory, bartlett_gradients, deterministic,
                      empirical_noise_level, exact_gradients, gradient_stream,
-                     make_regression_problem, problem_from_json, problem_to_json,
-                     sample_gradients)
+                     make_regression_problem, sample_gradients)
 from .theory import (ContractionMatrix, RateBound, build_J, check_error_recursion,
-                     find_alpha, iteration_complexity, make_rate_bound,
-                     noise_constant, oracle_complexity, rate_bound,
-                     spectral_radius_3x3)
+                     find_alpha, iteration_complexity, noise_constant,
+                     oracle_complexity, rate_bound, spectral_radius_3x3)
 
 __version__ = "0.3.0"
 

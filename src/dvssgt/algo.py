@@ -145,7 +145,7 @@ class StopRule:
             raise ValueError(f"unknown stop rule {self.kind!r}")
         if self.value <= 0:
             raise ValueError(f"stop rule value must be positive, got {self.value}")
-        if self.kind == "max_iters" and not float(self.value).is_integer():
+        if self.kind == "max_iters" and self.value != int(self.value):
             raise ValueError(f"max_iters must be an integer, got {self.value}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import difflib
 import json
 import math
 import sys
@@ -20,14 +21,7 @@ EXIT_DIVERGENCE = 3
 ALGORITHMS = ("dvss-sgt", "d-sgt", "d-sgd")
 
 _BASE_INSTANCE = {
-    "problem": {
-        "n": 10,
-        "d": 5,
-        "x_star": None,            # null means ones/sqrt(d)
-        "covariance_spec": "diag-uniform[1,2]",
-        "noise_sigmas": 5.0,
-        "seed": 7,
-    },
+    "problem": {"n": 10, "d": 5, "noise_sigmas": 5.0, "seed": 7},
     "graph": {"n": 10, "p": 0.3, "seed": 11},
     "alpha": 0.01,
     "schedule": {"kind": "geometric", "ratio": 0.98},
@@ -44,113 +38,176 @@ PRESETS = {
              "stop": {"budget_samples": 3000}, "baseline_batch": 1},
 }
 
+# sweep parameter -> the config keys each grid value is written to
+SWEEP_KEYS = {"alpha": ("alpha",), "ratio": ("schedule.ratio",),
+              "n": ("problem.n", "graph.n"), "p": ("graph.p",)}
+
+# value types and requirements: (what the error message says, predicate); type()
+# rules out true/false, and a number must convert to a finite float
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(NUMBER[1], v)))
+STRING = ("a string", lambda v: type(v) is str)
+POSITIVE = ("positive", lambda v: v > 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+
+REQUIRED, OPTIONAL = object(), object()
+
+# Every config key once, as (type, requirement or None, default). REQUIRED
+# keys have no default; OPTIONAL ones stay absent unless given, and
+# resolve_config says when they are needed.
+SCHEMA = {
+    "problem": {
+        "n": (INTEGER, AT_LEAST_2, REQUIRED),
+        "d": (INTEGER, AT_LEAST_1, REQUIRED),
+        "x_star": (("null or a list of numbers", lambda v: v is None or NUMBERS[1](v)),
+                   None, None),    # null means ones/sqrt(d)
+        "covariance_spec": (STRING, None, "diag-uniform[1,2]"),
+        "noise_sigmas": (("a number or a list of numbers",
+                          lambda v: NUMBER[1](v) or NUMBERS[1](v)), None, 1.0),
+        "seed": (INTEGER, None, 0),
+    },
+    "graph": {
+        "n": (INTEGER, AT_LEAST_2, OPTIONAL),
+        "p": (NUMBER, ("in (0,1]", lambda v: 0.0 < v <= 1.0), OPTIONAL),
+        "seed": (INTEGER, None, 0),
+        "edge_list": (STRING, None, OPTIONAL),   # a file; replaces n, p and seed
+    },
+    "algorithm": (STRING, (f"one of {ALGORITHMS}", lambda v: v in ALGORITHMS), OPTIONAL),
+    "alpha": (NUMBER, POSITIVE, REQUIRED),
+    "schedule": {
+        "kind": (STRING, ("one of ('geometric', 'constant')",
+                          lambda v: v in ("geometric", "constant")), REQUIRED),
+        "ratio": (NUMBER, ("in (0,1)", lambda v: 0.0 < v < 1.0), OPTIONAL),
+        "size": (INTEGER, AT_LEAST_1, 1),
+        "cap": (INTEGER, AT_LEAST_1, algo.DEFAULT_BATCH_CAP),
+    },
+    "baseline_batch": (INTEGER, AT_LEAST_1, 1),   # the D-SGT and D-SGD batch
+    "paths": (INTEGER, AT_LEAST_1, REQUIRED),
+    "seed": (INTEGER, None, 0),                     # sampling seed of every path
+    "stop": {                                       # exactly one of the three
+        "max_iters": (INTEGER, AT_LEAST_1, OPTIONAL),
+        "budget_samples": (NUMBER, POSITIVE, OPTIONAL),
+        "target_eps": (NUMBER, POSITIVE, OPTIONAL),
+    },
+    "sweep": {                                      # read by `dvssgt sweep` only
+        "parameter": (STRING, (f"one of {tuple(SWEEP_KEYS)}", lambda v: v in SWEEP_KEYS),
+                      OPTIONAL),
+        "grid": (("a non-empty list", lambda v: type(v) is list and v != []), None, OPTIONAL),
+    },
+}
+
 
 def load_config(preset=None, config_path=None, overrides=None):
+    """A preset with a JSON config file and then overrides laid over it, unchecked."""
     cfg = copy.deepcopy(PRESETS[preset]) if preset else {}
     if config_path:
         with open(config_path) as fh:
-            user = json.load(fh)
-        _deep_update(cfg, user)
+            cfg = _merge(cfg, json.load(fh))
     if overrides:
-        _deep_update(cfg, overrides)
+        cfg = _merge(cfg, overrides)
     return cfg
 
 
-def _deep_update(base, extra):
-    for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], val)
-        else:
-            base[key] = val
+def _merge(base, extra):
+    """extra laid over base, key by key wherever both are JSON objects."""
+    if not (isinstance(base, dict) and isinstance(extra, dict)):
+        return extra
+    return {**base, **{key: _merge(base[key], val) if key in base else val
+                       for key, val in extra.items()}}
 
 
-def validate_config(cfg, need_algorithm=True):
-    """Itemized validation; returns a list of error messages."""
+def _walk(schema, cfg, prefix, errors):
+    """cfg's keys checked against the schema, with its defaults filled in."""
+    if not isinstance(cfg, dict):
+        errors.append(f"{prefix[:-1] or 'config'} must be a JSON object, got {cfg!r}")
+        return {}
+    for key in cfg:
+        if key not in schema:
+            near = difflib.get_close_matches(str(key), list(schema), n=1)
+            errors.append(f"unknown key {prefix}{key}"
+                          + (f" (did you mean {prefix}{near[0]}?)" if near else ""))
+    out = {}
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            out[key] = _walk(spec, cfg[key] if key in cfg else {}, name + ".", errors)
+        elif key in cfg:
+            (kind, is_kind), requirement, _default = spec
+            out[key] = value = cfg[key]
+            if not is_kind(value):
+                errors.append(f"{name} must be {kind}, got {value!r}")
+            elif requirement and not requirement[1](value):
+                errors.append(f"{name} must be {requirement[0]}, got {value}")
+        elif spec[2] is REQUIRED:
+            errors.append(f"{name} is required")
+        elif spec[2] is not OPTIONAL:
+            out[key] = spec[2]
+    return out
+
+
+def resolve_config(cfg, command="run"):
+    """(cfg with every default filled in, itemized errors) for one command."""
     errors = []
+    out = _walk(SCHEMA, cfg, "", errors)
+    if not out:
+        return out, errors
+    g, sched, stop, sweep = out["graph"], out["schedule"], out["stop"], out["sweep"]
+    if len(stop) != 1:
+        errors.append(f"stop must contain exactly one of {sorted(SCHEMA['stop'])}, "
+                      f"got {stop!r}")
+    if "edge_list" not in g:
+        errors += [f"graph.{key} is required unless graph.edge_list is given"
+                   for key in ("n", "p") if key not in g]
+    if ("kind", "geometric") in sched.items() and "ratio" not in sched:
+        errors.append("schedule.ratio is required when schedule.kind is 'geometric'")
+    if command in ("run", "sweep") and "algorithm" not in out:
+        errors.append(f"algorithm is required for {command}")
+    if command == "theory" and ("kind", "geometric") not in sched.items():
+        errors.append("theory needs a geometric schedule: q = sqrt(schedule.ratio)")
+    if command == "sweep" and not {"parameter", "grid"} <= sweep.keys():
+        errors.append("sweep needs --param and --grid (or a 'sweep' config section)")
+    if command != "sweep":
+        del out["sweep"]
+    # rules between values hold only once every value has its type
+    if errors:
+        return out, errors
+    if "n" in g and g["n"] != out["problem"]["n"]:
+        errors.append(f"graph.n ({g['n']}) must equal problem.n ({out['problem']['n']})")
+    if command == "sweep":
+        for value in sweep["grid"]:
+            errors += resolve_config(_sweep_point(out, value), "run")[1]
+    return out, errors
 
-    def number(name, value, integer, ok=None, requirement=""):
-        # bool is an int subclass, but true/false is never a count or a rate
-        kinds = int if integer else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            errors.append(f"{name} must be {'an integer' if integer else 'a number'}, "
-                          f"got {value!r}")
-            return False
-        if ok is not None and not ok(value):
-            errors.append(f"{name} must be {requirement}, got {value}")
-            return False
-        return True
 
-    def optional_seed(name, section):
-        if "seed" in section:
-            number(name, section["seed"], True)
+def validate_config(cfg, command="run"):
+    """Itemized validation; returns a list of error messages."""
+    return resolve_config(cfg, command)[1]
 
-    prob = cfg.get("problem")
-    n_ok = False
-    if not isinstance(prob, dict):
-        errors.append("missing 'problem' section")
-    else:
-        n_ok = number("problem.n", prob.get("n"), True, lambda v: v >= 2, ">= 2")
-        number("problem.d", prob.get("d"), True, lambda v: v >= 1, ">= 1")
-        optional_seed("problem.seed", prob)
-    g = cfg.get("graph")
-    if not isinstance(g, dict):
-        errors.append("missing 'graph' section")
-    elif "edge_list" not in g:
-        number("graph.p", g.get("p"), False, lambda v: 0.0 < v <= 1.0, "in (0,1]")
-        if (number("graph.n", g.get("n"), True, lambda v: v >= 2, ">= 2")
-                and n_ok and g["n"] != prob["n"]):
-            errors.append(f"graph.n ({g['n']}) must equal problem.n ({prob['n']})")
-        optional_seed("graph.seed", g)
-    if need_algorithm and cfg.get("algorithm") not in ALGORITHMS:
-        errors.append(f"algorithm must be one of {ALGORITHMS}, got {cfg.get('algorithm')}")
-    number("alpha", cfg.get("alpha"), False, lambda v: v > 0.0, "positive")
-    sched = cfg.get("schedule", {})
-    kind = sched.get("kind") if isinstance(sched, dict) else None
-    if kind == "geometric":
-        number("schedule.ratio", sched.get("ratio"), False, lambda v: 0.0 < v < 1.0,
-               "in (0,1)")
-    elif kind == "constant":
-        number("schedule.size", sched.get("size", 1), True, lambda v: v >= 1, ">= 1")
-    else:
-        errors.append(f"schedule.kind must be 'geometric' or 'constant', got {kind!r}")
-    if kind and "cap" in sched:
-        number("schedule.cap", sched["cap"], True, lambda v: v >= 1, ">= 1")
-    if "baseline_batch" in cfg:
-        number("baseline_batch", cfg["baseline_batch"], True, lambda v: v >= 1, ">= 1")
-    number("paths", cfg.get("paths"), True, lambda v: v >= 1, ">= 1")
-    optional_seed("seed", cfg)
-    stop = cfg.get("stop", {})
-    known = {"max_iters", "budget_samples", "target_eps"}
-    keys = known & set(stop) if isinstance(stop, dict) else set()
-    if len(keys) != 1:
-        errors.append(f"stop must contain exactly one of {sorted(known)}, got {stop!r}")
-    else:
-        key = keys.pop()
-        if key == "max_iters":
-            number("stop.max_iters", stop[key], True, lambda v: v >= 1, ">= 1")
-        else:
-            number(f"stop.{key}", stop[key], False, lambda v: v > 0, "positive")
-    return errors
+
+def _sweep_point(cfg, value):
+    point = copy.deepcopy(cfg)
+    for key_path in SWEEP_KEYS[cfg["sweep"]["parameter"]]:
+        section, _, key = key_path.rpartition(".")
+        (point[section] if section else point)[key] = value
+    return point
 
 
 def build_instance(cfg):
-    prob = cfg["problem"]
-    d = prob["d"]
-    x_star = prob.get("x_star")
+    prob, gcfg = cfg["problem"], cfg["graph"]
+    x_star = prob["x_star"]
     if x_star is None:
-        x_star = np.ones(d) / math.sqrt(d)
+        x_star = np.ones(prob["d"]) / math.sqrt(prob["d"])
     p = oracle.make_regression_problem(
-        prob["n"], d, np.asarray(x_star, dtype=float),
-        covariance_spec=prob.get("covariance_spec", "diag-uniform[1,2]"),
-        noise_spec=prob.get("noise_sigmas", 1.0),
-        seed=prob.get("seed", 0),
-    )
-    gcfg = cfg["graph"]
+        prob["n"], prob["d"], np.asarray(x_star, dtype=float),
+        covariance_spec=prob["covariance_spec"], noise_spec=prob["noise_sigmas"],
+        seed=prob["seed"])
     try:
         if "edge_list" in gcfg:
             g = graph_mod.Graph.load(gcfg["edge_list"])
         else:
-            g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg.get("seed", 0))
+            g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg["seed"])
     except (OSError, RuntimeError) as exc:
         # a missing edge list, or a graph.p too small to give a connected graph
         raise ValueError(f"graph: {exc}") from exc
@@ -159,63 +216,47 @@ def build_instance(cfg):
     return p, g, graph_mod.metropolis_weights(g)
 
 
-def _schedule_from(cfg):
-    sched = cfg["schedule"]
-    if sched["kind"] == "geometric":
-        return algo.geometric_schedule(sched["ratio"],
-                                       cap=sched.get("cap", algo.DEFAULT_BATCH_CAP))
-    return algo.constant_schedule(sched.get("size", 1),
-                                  cap=sched.get("cap", algo.DEFAULT_BATCH_CAP))
-
-
-def _stop_from(cfg):
-    stop = cfg["stop"]
-    kind = next(k for k in ("max_iters", "budget_samples", "target_eps") if k in stop)
-    return algo.StopRule(kind, stop[kind])
-
-
 def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
                    record_noise=False):
     """Run all sample paths of one algorithm and aggregate the traces."""
     if problem is None:
         problem, g, mix = build_instance(cfg)
     algorithm = algorithm or cfg["algorithm"]
-    schedule = _schedule_from(cfg)
+    schedule = algo.BatchSchedule(**cfg["schedule"])
     if algorithm != "dvss-sgt":
-        schedule = algo.constant_schedule(cfg.get("baseline_batch", 1))
-    stop = _stop_from(cfg)
-    seed = cfg.get("seed", 0)
+        schedule = algo.constant_schedule(cfg["baseline_batch"])
+    [stop] = cfg["stop"].items()
     traces = [algo.run_path(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                            stop, seed, path=path, record_noise=record_noise)
+                            algo.StopRule(*stop), cfg["seed"], path=path,
+                            record_noise=record_noise)
               for path in range(cfg["paths"])]
 
-    emp_nu = oracle.empirical_noise_level(problem, traces[0].x0, seed=seed)
-    result = metrics.aggregate(traces, algorithm=algorithm, config=cfg,
-                               empirical_nu=emp_nu)
+    result = metrics.aggregate(traces, algorithm=algorithm)
     if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
         result.rate_fit = metrics.fit_geometric_rate(result.mean_combined)
     return result
 
 
-def _write_outputs(result, out, name, svg_series=None, svg_title="", svg_xlabel="k"):
+def _out_dir(cfg, out):
+    """out, created, with the config echo (every default included) written to it."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics.write_csv(result, out / f"{name}.csv")
-    with open(out / "config.json", "w") as fh:
-        json.dump(result.config, fh, indent=2, sort_keys=True)
-    if svg_series:
-        svg = charts.line_chart_svg(svg_series, title=svg_title, xlabel=svg_xlabel,
-                                    ylabel="mean combined error (log10)")
-        with open(out / f"{name}.svg", "w") as fh:
-            fh.write(svg)
+    (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
+    return out
+
+
+def _svg(series, title, xlabel):
+    return charts.line_chart_svg(series, title=title, xlabel=xlabel,
+                                 ylabel="mean combined error (log10)")
 
 
 def cmd_run(cfg, out):
     result = run_experiment(cfg)
     ks = np.arange(len(result.mean_combined))
-    _write_outputs(result, out, f"run_{result.algorithm}",
-                   svg_series=[(result.algorithm, ks, result.mean_combined)],
-                   svg_title="Mean error vs iteration")
+    out = _out_dir(cfg, out)
+    metrics.write_csv(result, out / f"run_{result.algorithm}.csv")
+    (out / f"run_{result.algorithm}.svg").write_text(_svg(
+        [(result.algorithm, ks, result.mean_combined)], "Mean error vs iteration", "k"))
     fit = result.rate_fit
     print(f"{result.algorithm}: {len(ks)-1} iterations, "
           f"final mean error {result.mean_combined[-1]:.4e}"
@@ -225,61 +266,51 @@ def cmd_run(cfg, out):
 
 def cmd_compare(cfg, out):
     problem, g, mix = build_instance(cfg)
-    Path(out).mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg, out)
     results = {}
-    series = []
     for algorithm in ALGORITHMS:
-        res = run_experiment(cfg, problem=problem, g=g, mix=mix, algorithm=algorithm)
-        results[algorithm] = res
-        series.append((algorithm, res.cum_samples, res.mean_combined))
-        metrics.write_csv(res, Path(out) / f"compare_{algorithm}.csv")
-    with open(Path(out) / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-    svg = charts.line_chart_svg(series, title="Algorithm comparison",
-                                xlabel="cumulative sampled gradients",
-                                ylabel="mean combined error (log10)")
-    with open(Path(out) / "compare.svg", "w") as fh:
-        fh.write(svg)
-    for algorithm, res in results.items():
+        res = results[algorithm] = run_experiment(cfg, problem=problem, g=g, mix=mix,
+                                                  algorithm=algorithm)
+        metrics.write_csv(res, out / f"compare_{algorithm}.csv")
         print(f"{algorithm}: final mean error {res.mean_combined[-1]:.4e} "
               f"after {res.cum_samples[-1]} samples")
+    (out / "compare.svg").write_text(_svg(
+        [(a, res.cum_samples, res.mean_combined) for a, res in results.items()],
+        "Algorithm comparison", "cumulative sampled gradients"))
     return results
+
+
+def _rho_at(alpha, problem, mix, convention="eta"):
+    """rho(J(alpha)), or why J(alpha) is not defined (alpha > 2/(eta+L))."""
+    try:
+        return theory.spectral_radius_3x3(theory.build_J(
+            alpha, problem.eta, problem.lips, mix.sigma_A, problem.n,
+            mix.norm_A_minus_I, convention).J)
+    except ValueError as exc:
+        return f"infeasible: {exc}"
 
 
 def theory_report(cfg):
     problem, g, mix = build_instance(cfg)
     alpha = cfg["alpha"]
-    ratio = cfg["schedule"].get("ratio", 0.98)
-    q = math.sqrt(ratio)
-    paths = cfg.get("paths", 1)
-    seed = cfg.get("seed", 0)
+    q = math.sqrt(cfg["schedule"]["ratio"])
 
     alpha_star, rho_star = theory.find_alpha(
         problem.eta, problem.lips, mix.sigma_A, problem.n, mix.norm_A_minus_I)
 
     # empirical z(0) over the configured sample paths
-    sched = _schedule_from(cfg)
-    z0s = []
-    x0_first = None
-    for path in range(paths):
-        streams = oracle.StreamFactory(seed, path)
-        x0 = algo.default_x0(problem, streams)
-        if x0_first is None:
-            x0_first = x0
-        st = algo.start(problem, x0, sched, streams)
-        ev = metrics.error_vector(st, problem)
+    sched = algo.BatchSchedule(**cfg["schedule"])
+    x0s, z0s = [], []
+    for path in range(cfg["paths"]):
+        streams = oracle.StreamFactory(cfg["seed"], path)
+        x0s.append(algo.default_x0(problem, streams))
+        ev = metrics.error_vector(algo.start(problem, x0s[-1], sched, streams), problem)
         z0s.append([ev.opt_err, ev.cons_x, ev.cons_y])
     z0_norm = float(np.linalg.norm(np.mean(z0s, axis=0)))
-    emp_nu = oracle.empirical_noise_level(problem, x0_first, seed=seed)
+    emp_nu = oracle.empirical_noise_level(problem, x0s[0], seed=cfg["seed"])
 
-    rhos = {}
-    for convention in ("eta", "L"):
-        try:
-            cm = theory.build_J(alpha, problem.eta, problem.lips, mix.sigma_A,
-                                problem.n, mix.norm_A_minus_I, convention)
-            rhos[convention] = theory.spectral_radius_3x3(cm.J)
-        except ValueError as exc:
-            rhos[convention] = f"infeasible: {exc}"
+    rhos = {convention: _rho_at(alpha, problem, mix, convention)
+            for convention in ("eta", "L")}
 
     # bound tables need rho < 1; fall back to alpha*/2 (comfortably interior)
     # when the configured step size is infeasible
@@ -294,19 +325,18 @@ def theory_report(cfg):
     tables = {}
     if not rb.degenerate and max(rb.rho, rb.q) < 1.0:
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-            K = theory.iteration_complexity(rb, eps)
             oc = theory.oracle_complexity(rb, eps)
             tables[f"{eps:.0e}"] = {
-                "K": K,
+                "K": oc.iterations,
                 "oracle_exact": oc.exact,
                 "oracle_bound": oc.closed_form_bound,
-                "comm_per_agent": (2 * g.degrees() * K).tolist(),
+                "comm_per_agent": theory.communication_complexity(g, rb, eps).tolist(),
             }
 
     # zero-noise self-check of the per-step error recursion
     det = oracle.deterministic(problem)
     trace = algo.run_path(det, mix, g, "dvss-sgt", cm_eta.alpha, sched,
-                          algo.StopRule("max_iters", 200), seed, x0=x0_first,
+                          algo.StopRule("max_iters", 200), cfg["seed"], x0=x0s[0],
                           record_noise=True)
     lem = theory.check_error_recursion(trace, cm_eta)
 
@@ -330,45 +360,24 @@ def theory_report(cfg):
     }
 
 
-def cmd_theory(cfg, out=None):
+def cmd_theory(cfg, out):
     report = theory_report(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        with open(Path(out) / "theory.json", "w") as fh:
-            fh.write(text + "\n")
+    (_out_dir(cfg, out) / "theory.json").write_text(text + "\n")
     return report
 
 
-SWEEP_PARAMETERS = ("alpha", "ratio", "n", "p")
-
-
-def cmd_sweep(cfg, parameter, grid, out):
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg, out):
+    parameter, grid = cfg["sweep"]["parameter"], cfg["sweep"]["grid"]
+    out = _out_dir(cfg, out)
     rows = []
     for value in grid:
-        point = copy.deepcopy(cfg)
-        if parameter == "alpha":
-            point["alpha"] = value
-        elif parameter == "ratio":
-            point["schedule"]["ratio"] = value
-        elif parameter == "n":
-            point["problem"]["n"] = int(value)
-            point["graph"]["n"] = int(value)
-        else:
-            point["graph"]["p"] = value
+        point = _sweep_point(cfg, value)
         problem, g, mix = build_instance(point)
         if parameter == "alpha":
-            feasible = value <= 2.0 / (problem.eta + problem.lips)
-            if feasible:
-                cm = theory.build_J(value, problem.eta, problem.lips, mix.sigma_A,
-                                    problem.n, mix.norm_A_minus_I)
-                feasible = theory.spectral_radius_3x3(cm.J) < 1.0
-            if not feasible:
+            rho = _rho_at(value, problem, mix)
+            if not (isinstance(rho, float) and rho < 1.0):
                 rows.append({parameter: value, "k": "", "mean_combined": "",
                              "cum_samples_total": "", "status": "infeasible"})
                 continue
@@ -383,11 +392,19 @@ def cmd_sweep(cfg, parameter, grid, out):
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    with open(out / "config.json", "w") as fh:
-        json.dump({"base": cfg, "parameter": parameter, "grid": list(grid)},
-                  fh, indent=2, sort_keys=True)
     print(f"swept {parameter} over {len(grid)} points -> {out / f'sweep_{parameter}.csv'}")
     return rows
+
+
+COMMANDS = {"run": cmd_run, "compare": cmd_compare, "theory": cmd_theory, "sweep": cmd_sweep}
+
+
+def _grid_value(text):
+    """A --grid item as the JSON value it spells, else as a string for the schema."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def main(argv=None):
@@ -395,59 +412,41 @@ def main(argv=None):
                                      description="Distributed stochastic gradient "
                                                  "tracking simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare", "theory", "sweep"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--out", default="out")
         if name == "sweep":
-            sp.add_argument("--param", choices=SWEEP_PARAMETERS)
+            sp.add_argument("--param", choices=SWEEP_KEYS)
             sp.add_argument("--grid", help="comma-separated grid values")
     args = parser.parse_args(argv)
+    # --param and --grid override the config's sweep section
+    flags = {}
+    if args.command == "sweep" and args.param:
+        flags["parameter"] = args.param
+    if args.command == "sweep" and args.grid:
+        flags["grid"] = [_grid_value(v) for v in args.grid.split(",")]
 
     try:
-        cfg = load_config(args.preset, args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    need_algorithm = args.command in ("run", "sweep")
-    errors = validate_config(cfg, need_algorithm=need_algorithm)
-    if args.command == "sweep":
-        parameter = args.param or cfg.get("sweep", {}).get("parameter")
-        grid = cfg.get("sweep", {}).get("grid")
-        if args.grid:
-            grid = [float(v) for v in args.grid.split(",")]
-        if not parameter or not grid:
-            errors.append("sweep needs --param and --grid (or a 'sweep' config section)")
-    if errors:
-        for err in errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    try:
-        if args.command == "run":
-            cmd_run(cfg, args.out)
-        elif args.command == "compare":
-            cmd_compare(cfg, args.out)
-        elif args.command == "theory":
-            cmd_theory(cfg, args.out)
-        else:
-            cmd_sweep(cfg, parameter, grid, args.out)
+        cfg, errors = resolve_config(
+            load_config(args.preset, args.config, flags and {"sweep": flags}),
+            args.command)
+        if not errors:
+            COMMANDS[args.command](cfg, args.out)
     except algo.DivergenceError as exc:
+        # run_path attaches the diverged path's trace, k = 0 included
         print(f"divergence: {exc}", file=sys.stderr)
-        trace = getattr(exc, "trace", None)
-        if trace is not None and len(trace.combined) > 0:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            partial = metrics.aggregate([trace])
-            metrics.write_csv(partial, Path(args.out) / "partial_trace.csv")
-            print(f"partial trace flushed to {Path(args.out) / 'partial_trace.csv'}",
-                  file=sys.stderr)
+        partial = Path(args.out) / "partial_trace.csv"
+        partial.parent.mkdir(parents=True, exist_ok=True)
+        metrics.write_csv(metrics.aggregate([exc.trace]), partial)
+        print(f"partial trace flushed to {partial}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    return 0
+    except (OSError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
+        errors = [exc]
+    for err in errors:
+        print(f"config error: {err}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR if errors else 0
 
 
 if __name__ == "__main__":

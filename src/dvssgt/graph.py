@@ -36,9 +36,6 @@ class Graph:
             nbrs[j].append(i)
         return Graph(n, frozenset(canon), tuple(tuple(sorted(v)) for v in nbrs))
 
-    def degree(self, i):
-        return len(self.neighbor_lists[i])
-
     def degrees(self):
         return np.array([len(v) for v in self.neighbor_lists], dtype=int)
 
@@ -53,11 +50,6 @@ class Graph:
                     queue.append(v)
         return len(seen) == self.n
 
-    def to_edge_list(self):
-        lines = [str(self.n)]
-        lines += [f"{i} {j}" for i, j in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def from_edge_list(text):
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -69,10 +61,6 @@ class Graph:
             i, j = ln.split()
             edges.append((int(i), int(j)))
         return Graph.from_edges(n, edges)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_edge_list())
 
     @staticmethod
     def load(path):

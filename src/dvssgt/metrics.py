@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +75,6 @@ class RunResult:
     mean_combined: np.ndarray  # (T+1,)
     cum_samples: np.ndarray    # (T+1,) network totals (identical across paths)
     cum_messages: np.ndarray
-    config: dict = field(default_factory=dict)
-    empirical_nu: float = 0.0
     rate_fit: RateFit = None
 
 
@@ -92,7 +90,7 @@ def _mean_over_paths(stacked):
     return (sums / stacked.shape[0]).reshape(stacked.shape[1:])
 
 
-def aggregate(traces, algorithm=None, config=None, empirical_nu=0.0) -> RunResult:
+def aggregate(traces, algorithm=None) -> RunResult:
     """Average per-iteration errors across paths, truncated to the shortest path."""
     if not traces:
         raise ValueError("no traces to aggregate")
@@ -107,8 +105,6 @@ def aggregate(traces, algorithm=None, config=None, empirical_nu=0.0) -> RunResul
         mean_combined=_mean_over_paths(comb),
         cum_samples=traces[0].cum_samples[:t_min].copy(),
         cum_messages=traces[0].cum_messages[:t_min].copy(),
-        config=dict(config or {}),
-        empirical_nu=empirical_nu,
     )
 
 

@@ -12,7 +12,7 @@ decomposition) in O(d^3) time and O(d^2) memory, whatever N is.
 """
 from __future__ import annotations
 
-import json
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -78,23 +78,24 @@ class StreamFactory:
 
 
 def _agent_covariances(n, d, covariance_spec, rng):
-    m = re.fullmatch(r"identity", covariance_spec)
-    if m:
+    if covariance_spec == "identity":
         return [np.eye(d) for _ in range(n)]
-    m = re.fullmatch(r"diag-uniform\[([^,\]]+),([^,\]]+)\]", covariance_spec)
-    if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
-        return [np.diag(rng.uniform(lo, hi, size=d)) for _ in range(n)]
-    m = re.fullmatch(r"rot-spd\[([^,\]]+),([^,\]]+)\]", covariance_spec)
-    if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
-        covs = []
-        for _ in range(n):
-            diag = rng.uniform(lo, hi, size=d)
+    m = re.fullmatch(r"(diag-uniform|rot-spd)\[([^,\]]+),([^,\]]+)\]", covariance_spec)
+    if not m:
+        raise ValueError(f"unknown covariance spec {covariance_spec!r}")
+    lo, hi = float(m.group(2)), float(m.group(3))
+    # numpy's uniform() raises OverflowError, not ValueError, on an infinite range
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"covariance spec {covariance_spec!r} needs finite bounds lo <= hi")
+    covs = []
+    for _ in range(n):
+        diag = rng.uniform(lo, hi, size=d)
+        if m.group(1) == "diag-uniform":
+            covs.append(np.diag(diag))
+        else:
             q, _r = np.linalg.qr(rng.standard_normal((d, d)))
             covs.append(q @ np.diag(diag) @ q.T)
-        return covs
-    raise ValueError(f"unknown covariance spec {covariance_spec!r}")
+    return covs
 
 
 def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
@@ -212,24 +213,3 @@ def empirical_noise_level(p: Problem, x0, draws=10_000, seed=0):
                              rng.standard_normal(draws)) - p.R[i] @ e
         worst = max(worst, float(np.mean(np.sum(w**2, axis=1))))
     return float(np.sqrt(worst))
-
-
-def problem_to_json(p: Problem) -> str:
-    return json.dumps({
-        "n": p.n,
-        "d": p.d,
-        "x_star": p.x_star.tolist(),
-        "covariance_spec": p.covariance_spec,
-        "noise_sigmas": p.sigmas.tolist(),
-        "seed": p.seed,
-    }, indent=2)
-
-
-def problem_from_json(text: str) -> Problem:
-    doc = json.loads(text)
-    return make_regression_problem(
-        doc["n"], doc["d"], np.asarray(doc["x_star"], dtype=float),
-        covariance_spec=doc.get("covariance_spec", "diag-uniform[1,2]"),
-        noise_spec=doc.get("noise_sigmas", 1.0),
-        seed=doc.get("seed", 0),
-    )

@@ -122,12 +122,6 @@ class RateBound:
         return self.z0_norm + self.C / abs(self.q - self.rho)
 
 
-def make_rate_bound(cm: ContractionMatrix, q, nu, z0_norm) -> RateBound:
-    rho = spectral_radius_3x3(cm.J)
-    C = noise_constant(nu, cm.alpha, q, cm.inputs["lips"], cm.inputs["n"])
-    return RateBound(rho, q, C, z0_norm)
-
-
 def _check_regime(rb: RateBound):
     if rb.degenerate:
         raise ValueError(
@@ -167,7 +161,7 @@ def communication_complexity(g, rb: RateBound, eps):
 class OracleComplexity:
     iterations: int
     exact: int            # sum_{k=0}^{K} N(k) from the schedule in force
-    closed_form_bound: float
+    closed_form_bound: float   # None where it exceeds the float range
 
 
 def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule = None) -> OracleComplexity:
@@ -176,12 +170,15 @@ def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule = None) -> Ora
     schedule = schedule or geometric_schedule(rb.q**2)
     exact = sum(batch_size(schedule, k) for k in range(K + 1))
     B = rb.prefactor
-    if rb.q > rb.rho:
-        bound = B**2 / (eps**2 * (1.0 - rb.q**2))
-    else:
-        exponent = 2.0 * math.log(1.0 / rb.q) / math.log(1.0 / rb.rho)
-        bound = (B / eps) ** exponent / (1.0 - rb.q**2)
-    return OracleComplexity(K, exact, bound)
+    try:
+        if rb.q > rb.rho:
+            bound = B**2 / (eps**2 * (1.0 - rb.q**2))
+        else:
+            exponent = 2.0 * math.log(1.0 / rb.q) / math.log(1.0 / rb.rho)
+            bound = (B / eps) ** exponent / (1.0 - rb.q**2)
+    except OverflowError:   # e.g. a small q against rho near 1: a huge exponent
+        bound = math.inf
+    return OracleComplexity(K, exact, bound if math.isfinite(bound) else None)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,16 @@ import pytest
 from dvssgt import algo, cli, oracle, theory
 
 
+def preset(name, command="run"):
+    """A preset resolved against the config schema, every default filled in."""
+    cfg, errors = cli.resolve_config(cli.load_config(name), command)
+    assert errors == []
+    return cfg
+
+
 @pytest.fixture(scope="session")
 def fig1_cfg():
-    return cli.load_config("fig1")
+    return preset("fig1")
 
 
 @pytest.fixture(scope="session")
@@ -33,13 +40,12 @@ def fig1_run(fig1_cfg, fig1_instance):
 
 @pytest.fixture(scope="session")
 def fig2_run():
-    cfg = cli.load_config("fig2")
-    return cli.run_experiment(cfg)
+    return cli.run_experiment(preset("fig2"))
 
 
 @pytest.fixture(scope="session")
 def fig3_runs():
-    cfg = cli.load_config("fig3")
+    cfg = preset("fig3", "compare")
     problem, g, mix = cli.build_instance(cfg)
     return {algorithm: cli.run_experiment(cfg, problem=problem, g=g, mix=mix,
                                           algorithm=algorithm)

@@ -257,6 +257,8 @@ def test_stop_rules():
         algo.StopRule("max_iters", 0)
     with pytest.raises(ValueError):
         algo.StopRule("max_iters", 2.5)
+    # an integer beyond the float range is still a whole number of iterations
+    assert algo.StopRule("max_iters", 10**400).value == 10**400
 
 
 def test_budget_stop_counts_network_totals():

@@ -1,10 +1,13 @@
 import json
+import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dvssgt import charts, cli, graph
+from dvssgt import algo, charts, cli, graph
 
 
 def small_cfg(tmp_path, **extra):
@@ -56,6 +59,10 @@ def test_config_echo_reproduces_run(tmp_path):
     assert cli.main(["run", "--preset", "fig1", "--config", path,
                      "--out", str(tmp_path / "a")]) == 0
     echo = tmp_path / "a" / "config.json"
+    # the echo lists every default, so resolving it changes nothing
+    echoed = json.loads(echo.read_text())
+    assert echoed["schedule"]["cap"] == algo.DEFAULT_BATCH_CAP
+    assert cli.resolve_config(echoed) == (echoed, [])
     assert cli.main(["run", "--config", str(echo),
                      "--out", str(tmp_path / "c")]) == 0
     assert ((tmp_path / "a" / "run_dvss-sgt.csv").read_bytes()
@@ -89,24 +96,66 @@ def test_config_error_exit_code(tmp_path):
     ("stop", {"budget_samples": "300"}, "stop.budget_samples must be a number"),
     ("stop", {"target_eps": None}, "stop.target_eps must be a number"),
     ("graph.n", 12, "graph.n (12) must equal problem.n (10)"),
+    ("--grid", "ratio=a,b", "schedule.ratio must be a number, got 'a'"),
+    ("--grid", "n=2.5", "problem.n must be an integer, got 2.5"),
+    ("alpha", 10**400, "alpha must be a number, got 1000"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, key, value, message):
     cfg = cli.load_config("fig1")
     cfg["paths"], cfg["stop"] = 2, {"max_iters": 25}
-    section, _, name = key.rpartition(".")
-    (cfg[section] if section else cfg)[name] = value
+    argv = ["run"]
+    if key == "--grid":   # value is param=grid, a sweep given on the command line
+        param, _, grid = value.partition("=")
+        argv = ["sweep", "--param", param, "--grid", grid]
+    else:
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
+    assert cli.main(argv + ["--config", str(path),
+                            "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("run", {"stpo": {"max_iters": 3}}, "unknown key stpo (did you mean stop?)"),
+    ("run", {"stop": {"max_itres": 3}},
+     "unknown key stop.max_itres (did you mean stop.max_iters?)"),
+    ("run", {"problem": {"covariance_spec": 5}},
+     "problem.covariance_spec must be a string, got 5"),
+    ("run", {"graph": {"edge_list": 5}}, "graph.edge_list must be a string, got 5"),
+    ("run", [1, 2], "config must be a JSON object, got [1, 2]"),
+    ("run", {"schedule": "constant"}, "schedule must be a JSON object, got 'constant'"),
+    ("sweep", {"sweep": 5}, "sweep must be a JSON object, got 5"),
+    ("theory", {"schedule": {"kind": "constant"}}, "theory needs a geometric schedule"),
+])
+def test_config_shape_errors_exit_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.main([command, "--preset", "fig1", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_config_table_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = re.findall(r"^\| `([a-z_.]+)` \|", readme, re.M)
+    schema_keys = [f"{name}.{key}" if isinstance(spec, dict) else name
+                   for name, spec in cli.SCHEMA.items()
+                   for key in (spec if isinstance(spec, dict) else [None])]
+    assert sorted(documented) == sorted(schema_keys)
+
+
 def test_edge_list_node_count_must_match_problem(tmp_path, capsys):
+    g = graph.erdos_renyi(8, 0.5, seed=1)
     edges = tmp_path / "edges.txt"
-    graph.erdos_renyi(8, 0.5, seed=1).save(edges)
+    edges.write_text(f"{g.n}\n" + "".join(f"{i} {j}\n" for i, j in sorted(g.edges)))
     path = small_cfg(tmp_path, graph={"edge_list": str(edges)})
     assert cli.main(["run", "--preset", "fig1", "--config", path,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
@@ -175,10 +224,26 @@ def test_theory_report(tmp_path):
         assert table["oracle_exact"] <= table["oracle_bound"] / q2 + table["K"] + 1
     assert isinstance(report["rho_at_alpha"]["eta"], float)
     assert isinstance(report["rho_at_alpha"]["L"], float)
+    assert json.loads((out / "config.json").read_text())["paths"] == 2
+
+
+def test_theory_bound_overflow_is_null(tmp_path):
+    # at q = sqrt(0.5) against rho near 1, (B/eps)^exponent exceeds the float range
+    path = small_cfg(tmp_path, schedule={"kind": "geometric", "ratio": 0.5})
+    out = tmp_path / "th"
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    report = json.loads((out / "theory.json").read_text(), parse_constant=reject)
+    bounds = [table["oracle_bound"] for table in report["complexity"].values()]
+    assert None in bounds
+    assert all(b is None or math.isfinite(b) for b in bounds)
 
 
 def test_theory_noiseless_C_zero(tmp_path):
-    cfg = cli.load_config("fig1")
+    cfg, _errors = cli.resolve_config(cli.load_config("fig1"), "theory")
     cfg["paths"] = 2
     cfg["problem"]["noise_sigmas"] = 0.0
     report = cli.theory_report(cfg)

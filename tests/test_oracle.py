@@ -320,15 +320,3 @@ def test_empirical_noise_level_positive_and_below_analytic_bound():
     x0 = p.x_star + np.ones(p.d) / np.sqrt(p.d)  # inside the analytic region
     emp = oracle.empirical_noise_level(p, x0, draws=5000, seed=1)
     assert 0.0 < emp <= p.nu
-
-
-def test_json_round_trip():
-    p = make_small(seed=21)
-    q = oracle.problem_from_json(oracle.problem_to_json(p))
-    assert q.n == p.n and q.d == p.d
-    assert np.allclose(q.x_star, p.x_star)
-    assert q.eta == pytest.approx(p.eta, abs=1e-12)
-    assert q.lips == pytest.approx(p.lips, abs=1e-12)
-    for a, b in zip(p.R, q.R):
-        assert np.allclose(a, b)
-    assert np.array_equal(p.sigmas, q.sigmas)

@@ -195,6 +195,15 @@ def test_oracle_complexity_rho_dominant_branch():
     assert oc.exact <= oc.closed_form_bound / 0.98 + oc.iterations + 1
 
 
+def test_oracle_complexity_bound_overflow_is_none():
+    # q = 0.5 against rho = 0.999 raises B/eps to the power 2 ln 2 / ln(1/0.999)
+    rb = theory.RateBound(0.999, 0.5, 1.0, 10.0)
+    oc = theory.oracle_complexity(rb, 1e-4)
+    assert oc.closed_form_bound is None
+    assert oc.iterations == theory.iteration_complexity(rb, 1e-4)
+    assert oc.exact > 0
+
+
 def test_oracle_complexity_quadratic_slope():
     q = math.sqrt(0.98)
     rb = theory.RateBound(0.9, q, 1.0, 10.0)
