@@ -3,7 +3,7 @@ with geometrically increasing batch sizes."""
 
 from .algo import (BatchSchedule, DivergenceError, NetworkState, PathTrace,
                    StopRule, batch_size, constant_schedule, default_x0,
-                   geometric_schedule, run_path, start, step)
+                   geometric_schedule, run_path, run_paths, start, step)
 from .graph import (Graph, MixingMatrix, erdos_renyi, metropolis_weights,
                     spectral_norm_A_minus_I, spectral_radius_deviation)
 from .metrics import (ErrorVector, RunResult, aggregate, combined_error,

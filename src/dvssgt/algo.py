@@ -13,17 +13,19 @@ from .oracle import Problem, StreamFactory
 DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_BATCH_CAP = 2**31 - 1
 TARGET_EPS_ITER_CAP = 100_000
+SUM_CHUNK = 1 << 20   # terms per numpy chunk of batch_total
 
 
 class DivergenceError(RuntimeError):
     """Raised when an iterate exceeds the divergence guard threshold."""
 
-    def __init__(self, k, worst):
+    def __init__(self, k, worst, slot=0):
         super().__init__(
             f"iterate magnitude {worst:.3e} exceeded {DIVERGENCE_THRESHOLD:.0e} "
             f"at iteration {k}; the step size is likely infeasible"
         )
         self.k = k
+        self.slot = slot   # the first diverging path of a stacked state
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,8 @@ class BatchSchedule:
     cap: int = DEFAULT_BATCH_CAP
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError(f"batch cap must be >= 1, got {self.cap}")
+        if not 1 <= self.cap <= DEFAULT_BATCH_CAP:
+            raise ValueError(f"batch cap must be in [1, {DEFAULT_BATCH_CAP}], got {self.cap}")
         if self.kind == "geometric":
             if not (0.0 < self.ratio < 1.0):
                 raise ValueError(f"geometric ratio must be in (0,1), got {self.ratio}")
@@ -73,46 +75,62 @@ def batch_size(s: BatchSchedule, k):
     return min(int(math.ceil(val)), s.cap)
 
 
+def batch_total(s: BatchSchedule, K):
+    """sum_{k=0}^{K} batch_size(s, k) by batch_size's rule, in numpy chunks
+    of at most SUM_CHUNK terms; the terms past the cap are added as cap x count."""
+    if s.kind == "constant":
+        return (K + 1) * min(s.size, s.cap)
+    total, log_cap = 0, math.log(s.cap)
+    for lo in range(0, K + 1, SUM_CHUNK):
+        log_n = -np.arange(lo, min(K + 1, lo + SUM_CHUNK)) * math.log(s.ratio)
+        if log_n[0] > log_cap:    # log N(k) grows with k, so every later term is capped
+            return total + s.cap * (K + 1 - lo)
+        val = np.exp(np.minimum(log_n, log_cap))
+        nearest = np.round(val)
+        n = np.where(np.abs(val - nearest) < 1e-9 * np.maximum(1.0, nearest), nearest, np.ceil(val))
+        total += int(np.minimum(n, s.cap).astype(np.int64).sum())
+    return total
+
+
 @dataclass
 class NetworkState:
+    """Iterates of one path, (n, d) arrays, or of P stacked paths, (P, n, d)."""
+
     k: int
-    x: np.ndarray        # (n, d) solution estimates
-    y: np.ndarray        # (n, d) gradient trackers; zero without tracking
-    g_prev: np.ndarray   # (n, d) sampled gradients of the last draw
-    oracle_count: np.ndarray  # (n,) cumulative samples per agent
-
-
-def _draw(p: Problem, x, batch, streams: StreamFactory, k):
-    # an exact oracle draws nothing, so it gets no stream
-    rng = None if p.exact_oracle else streams.stream(k)
-    return oracle.sample_gradients(p, x, batch, rng)
+    x: np.ndarray        # solution estimates
+    y: np.ndarray        # gradient trackers; zero without tracking
+    g_prev: np.ndarray   # sampled gradients of the last draw
+    oracle_count: np.ndarray  # (n,) cumulative samples per agent, equal on every path
 
 
 def start(p: Problem, x0, s: BatchSchedule, streams: StreamFactory,
           tracking=True) -> NetworkState:
-    """k = 0 state; with tracking y(0) = g(0) drawn at x0 with batch N(0), else zeros."""
+    """k = 0 state of the paths of `streams`; with tracking y(0) = g(0) drawn
+    at x0 with batch N(0), else zeros."""
     x0 = np.array(x0, dtype=float)
-    if x0.shape != (p.n, p.d):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({p.n},{p.d})")
+    if x0.shape != streams.lead + (p.n, p.d):
+        raise ValueError(f"x0 has shape {x0.shape}, expected {streams.lead + (p.n, p.d)}")
     if not tracking:
         zero = np.zeros_like(x0)
         return NetworkState(0, x0, zero, zero, np.zeros(p.n, dtype=np.int64))
     n0 = batch_size(s, 0)
-    g = _draw(p, x0, n0, streams, 0)
+    g = oracle.sample_gradients(p, x0, n0, streams.generators(0))
     return NetworkState(0, x0, g.copy(), g, np.full(p.n, n0, dtype=np.int64))
 
 
 def _guard(x, k):
-    worst = float(np.abs(x).max())
-    if not np.isfinite(worst) or worst > DIVERGENCE_THRESHOLD:
-        raise DivergenceError(k, worst)
+    worst = np.abs(x).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(worst <= DIVERGENCE_THRESHOLD))   # NaN included
+    if len(bad):
+        raise DivergenceError(k, float(np.ravel(worst)[bad[0]]), int(bad[0]))
 
 
 def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
          streams: StreamFactory, tracking=True) -> NetworkState:
     """One iteration of D-VSS-SGT (D-SGT: a constant schedule) or, without
     tracking, D-SGD: g(k) is drawn at x(k), then x(k+1) = A x - alpha g(k),
-    so alpha = 0 is pure mixing."""
+    so alpha = 0 is pure mixing. Raises DivergenceError naming the first
+    stacked path whose iterate exceeds the guard."""
     k1 = st.k + 1
     if tracking:
         if alpha <= 0.0:
@@ -120,13 +138,13 @@ def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedul
         x = mix.A @ st.x - alpha * st.y
         _guard(x, k1)
         nb = batch_size(s, k1)
-        g = _draw(p, x, nb, streams, k1)
+        g = oracle.sample_gradients(p, x, nb, streams.generators(k1))
         y = mix.A @ st.y + g - st.g_prev
     else:
         if alpha < 0.0:
             raise ValueError(f"step size must be nonnegative, got {alpha}")
         nb = batch_size(s, st.k)
-        g = _draw(p, st.x, nb, streams, st.k)
+        g = oracle.sample_gradients(p, st.x, nb, streams.generators(st.k))
         x = mix.A @ st.x - alpha * g
         _guard(x, k1)
         y = st.y
@@ -171,23 +189,34 @@ class PathTrace:
 
 
 def default_x0(p: Problem, streams: StreamFactory):
-    """Per-agent i.i.d. standard normal initial iterates."""
-    return streams.init_stream().standard_normal((p.n, p.d))
+    """Per-agent i.i.d. standard normal initial iterates of the paths of `streams`."""
+    return np.array([rng.standard_normal((p.n, p.d)) for rng in streams.generators(
+        0, oracle.INIT_STREAM_AGENT)]).reshape(streams.lead + (p.n, p.d))
 
 
-def run_path(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
-             schedule: BatchSchedule, stop: StopRule, seed, path=0,
-             x0=None, record_noise=False) -> PathTrace:
-    """Execute one sample path of the chosen algorithm under a stop rule.
+def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, path=0, x0=None,
+             record_noise=False) -> PathTrace:
+    """One sample path: run_paths with P = 1."""
+    return run_paths(p, mix, g, algorithm, alpha, schedule, stop, seed, [path],
+                     None if x0 is None else [x0], record_noise)[0]
 
-    On divergence the partial trace is attached to the raised error as
-    `exc.trace` so callers can flush it.
+
+def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
+              schedule: BatchSchedule, stop: StopRule, seed, paths=(0,),
+              x0=None, record_noise=False) -> list:
+    """Execute sample paths `paths` of the chosen algorithm under a stop rule
+    as one stacked (P, n, d) state; returns their traces in order.
+
+    Each path stops by its own rule, with the outcome of running the paths
+    one after another: on divergence, once the paths before it have run to
+    their end, the lowest diverging path's partial trace is attached to the
+    raised error as `exc.trace`.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    streams = StreamFactory(seed, path)
-    if x0 is None:
-        x0 = default_x0(p, streams)
+    paths = list(paths)
+    streams = StreamFactory(seed, paths)
+    x0 = default_x0(p, streams) if x0 is None else np.array(x0, dtype=float)
     tracking = algorithm in ("dvss-sgt", "d-sgt")
     # D-SGT is the D-VSS-SGT update with a constant batch
     sched = schedule if algorithm == "dvss-sgt" else constant_schedule(schedule.size)
@@ -195,50 +224,74 @@ def run_path(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     budget = stop.value if stop.kind == "budget_samples" else math.inf
     # a budget below the first draw leaves the trackers at zero
     st = start(p, x0, sched, streams, tracking and p.n * batch_size(sched, 0) <= budget)
+    live = np.arange(len(paths))   # the path behind each slice of the state
+    rows, noise, samples, counts, ends = [], [], [], [], {}   # ends: path -> (k, reason)
 
-    rows, samples, w_stacks = [], [], []
+    def spread(a):
+        """a, one row per live path, over all paths: NaN where a path stopped."""
+        if len(live) == len(paths):
+            return a
+        out = np.full((len(paths),) + a.shape[1:], np.nan)
+        out[live] = a
+        return out
 
     def record(st):
-        ev = metrics.error_vector(st, p)
         w = st.g_prev - oracle.exact_gradients(p, st.x)
-        rows.append((ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                     float(np.linalg.norm(w, axis=1).sum())))
+        ev = metrics.error_vector(st, p)
+        rows.append(spread(np.array([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                                     np.sqrt((w * w).sum(-1)).sum(-1)]).T))  # sum_i ||w_i||
         samples.append(int(st.oracle_count.sum()))
+        counts.append(st.oracle_count)
         if record_noise:
-            w_stacks.append(w)
+            noise.append(spread(w))
 
     def stop_reason(st):
+        """Why the live paths stop at st.k, '' where a path goes on: one
+        reason for all of them, or one each under target_eps."""
         if stop.kind == "max_iters":
-            return "max_iters" if st.k >= stop.value else None
-        if stop.kind == "target_eps":
-            if rows[-1][3] <= stop.value:
-                return "target_eps"
-            return "target_eps_iter_cap" if st.k >= TARGET_EPS_ITER_CAP else None
-        next_cost = p.n * batch_size(sched, st.k + 1 if tracking else st.k)
-        return "budget_samples" if samples[-1] + next_cost > budget else None
-
-    def finish(reason):
-        cols = np.array(rows)
-        return PathTrace(
-            algorithm=algorithm,
-            z=cols[:, :3],
-            combined=cols[:, 3],
-            cum_samples=np.array(samples, dtype=np.int64),
-            cum_messages=np.arange(len(rows), dtype=np.int64) * int(msg_per_iter.sum()),
-            per_agent_samples=st.oracle_count.copy(),
-            per_agent_messages=st.k * msg_per_iter,
-            x0=np.array(x0, dtype=float),
-            sum_w_norms=cols[:, 4],
-            stop_reason=reason,
-            w_stacks=w_stacks,
-        )
+            return "max_iters" if st.k >= stop.value else ""
+        if stop.kind == "budget_samples":
+            next_cost = p.n * batch_size(sched, st.k + 1 if tracking else st.k)
+            return "budget_samples" if samples[-1] + next_cost > budget else ""
+        capped = "target_eps_iter_cap" if st.k >= TARGET_EPS_ITER_CAP else ""
+        return np.where(rows[-1][live, 3] <= stop.value, "target_eps", capped)
 
     record(st)
-    try:
-        while (reason := stop_reason(st)) is None:
-            st = step(st, mix, p, alpha, sched, streams, tracking)
-            record(st)
-    except DivergenceError as exc:
-        exc.trace = finish("diverged")
-        raise
-    return finish(reason)
+    diverged = None
+    while len(live):
+        reasons = np.asarray(stop_reason(st))
+        if (reasons == "").all():
+            try:
+                st = step(st, mix, p, alpha, sched, streams, tracking)
+            except DivergenceError as exc:
+                diverged = exc, int(live[exc.slot])
+                # it stops, and so do the paths after it, which would never have run
+                reasons = np.where(np.arange(len(live)) < exc.slot, "", "diverged")
+            else:
+                record(st)
+                continue
+        reasons = np.broadcast_to(reasons, live.shape)
+        ends.update((int(q), (st.k, str(why))) for q, why in zip(live, reasons) if why)
+        keep = reasons == ""
+        live = live[keep]
+        st = NetworkState(st.k, st.x[keep], st.y[keep], st.g_prev[keep], st.oracle_count)
+        streams = StreamFactory(seed, [paths[q] for q in live])
+
+    table = np.stack(rows)
+    traces = {q: PathTrace(
+        algorithm=algorithm,
+        z=table[:k + 1, q, :3],
+        combined=table[:k + 1, q, 3],
+        cum_samples=np.array(samples[:k + 1], dtype=np.int64),
+        cum_messages=np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
+        per_agent_samples=counts[k].copy(),
+        per_agent_messages=k * msg_per_iter,
+        x0=x0[q],
+        sum_w_norms=table[:k + 1, q, 4],
+        stop_reason=reason,
+        w_stacks=[w[q] for w in noise[:k + 1]],
+    ) for q, (k, reason) in ends.items()}
+    if diverged:
+        diverged[0].trace = traces[diverged[1]]
+        raise diverged[0]
+    return [traces[q] for q in range(len(paths))]

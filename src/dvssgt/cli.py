@@ -54,6 +54,10 @@ AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 
 REQUIRED, OPTIONAL = object(), object()
 
+# largest n*n (graph, mixing matrix) or n*d*d (covariances, draws) array an
+# instance may need: 32 MiB of float64, so n <= 2048
+MAX_DENSE_ELEMENTS = 1 << 22
+
 # Every config key once, as (type, requirement or None, default). REQUIRED
 # keys have no default; OPTIONAL ones stay absent unless given, and
 # resolve_config says when they are needed.
@@ -173,8 +177,16 @@ def resolve_config(cfg, command="run"):
     # rules between values hold only once every value has its type
     if errors:
         return out, errors
-    if "n" in g and g["n"] != out["problem"]["n"]:
-        errors.append(f"graph.n ({g['n']}) must equal problem.n ({out['problem']['n']})")
+    n, d = out["problem"]["n"], out["problem"]["d"]
+    if "n" in g and g["n"] != n:
+        errors.append(f"graph.n ({g['n']}) must equal problem.n ({n})")
+    errors += [f"{name} must be <= {algo.DEFAULT_BATCH_CAP}, got {value}" for name, value in
+               (("schedule.size", sched["size"]), ("schedule.cap", sched["cap"]),
+                ("baseline_batch", out["baseline_batch"])) if value > algo.DEFAULT_BATCH_CAP]
+    if max(n * n, n * d * d) > MAX_DENSE_ELEMENTS:
+        errors.append(f"problem.n = {n} and problem.d = {d} need dense arrays of "
+                      f"max(n*n, n*d*d) = {max(n * n, n * d * d)} elements, over the "
+                      f"limit of {MAX_DENSE_ELEMENTS}")
     if command == "sweep":
         for value in sweep["grid"]:
             errors += resolve_config(_sweep_point(out, value), "run")[1]
@@ -226,10 +238,9 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
     if algorithm != "dvss-sgt":
         schedule = algo.constant_schedule(cfg["baseline_batch"])
     [stop] = cfg["stop"].items()
-    traces = [algo.run_path(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                            algo.StopRule(*stop), cfg["seed"], path=path,
+    traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
+                            algo.StopRule(*stop), cfg["seed"], range(cfg["paths"]),
                             record_noise=record_noise)
-              for path in range(cfg["paths"])]
 
     result = metrics.aggregate(traces, algorithm=algorithm)
     if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
@@ -300,13 +311,11 @@ def theory_report(cfg):
 
     # empirical z(0) over the configured sample paths
     sched = algo.BatchSchedule(**cfg["schedule"])
-    x0s, z0s = [], []
-    for path in range(cfg["paths"]):
-        streams = oracle.StreamFactory(cfg["seed"], path)
-        x0s.append(algo.default_x0(problem, streams))
-        ev = metrics.error_vector(algo.start(problem, x0s[-1], sched, streams), problem)
-        z0s.append([ev.opt_err, ev.cons_x, ev.cons_y])
-    z0_norm = float(np.linalg.norm(np.mean(z0s, axis=0)))
+    streams = oracle.StreamFactory(cfg["seed"], range(cfg["paths"]))
+    x0s = algo.default_x0(problem, streams)
+    ev = metrics.error_vector(algo.start(problem, x0s, sched, streams), problem)
+    z0 = np.stack([ev.opt_err, ev.cons_x, ev.cons_y], axis=-1)   # one row per path
+    z0_norm = float(np.linalg.norm(np.mean(z0, axis=0)))
     emp_nu = oracle.empirical_noise_level(problem, x0s[0], seed=cfg["seed"])
 
     rhos = {convention: _rho_at(alpha, problem, mix, convention)
@@ -435,7 +444,7 @@ def main(argv=None):
         if not errors:
             COMMANDS[args.command](cfg, args.out)
     except algo.DivergenceError as exc:
-        # run_path attaches the diverged path's trace, k = 0 included
+        # run_paths attaches the lowest diverged path's trace, k = 0 included
         print(f"divergence: {exc}", file=sys.stderr)
         partial = Path(args.out) / "partial_trace.csv"
         partial.parent.mkdir(parents=True, exist_ok=True)

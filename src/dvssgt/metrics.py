@@ -13,29 +13,33 @@ TRANSIENT_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class ErrorVector:
+    """Scalars for one path's state, (P,) arrays for P stacked paths."""
+
     opt_err: float   # ||xbar - x*||
     cons_x: float    # ||x - 1 (x) xbar||
     cons_y: float    # ||y - 1 (x) ybar||
 
 
-def _norm(v):
-    v = v.ravel()
-    return math.sqrt(v @ v)
+def _norm(v, axes):
+    """sqrt(v . v) over the trailing `axes` axes of v, one value per leading index."""
+    lead = v.shape[:v.ndim - axes]
+    return np.sqrt(v.reshape(lead + (1, -1)) @ v.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
 def error_vector(st, p) -> ErrorVector:
-    n = st.x.shape[0]
-    xbar = st.x.sum(axis=0) / n
+    n = st.x.shape[-2]
+    xbar = st.x.sum(axis=-2) / n
+    ybar = st.y.sum(axis=-2) / n
     return ErrorVector(
-        _norm(xbar - p.x_star),
-        _norm(st.x - xbar),
-        _norm(st.y - st.y.sum(axis=0) / n),
+        _norm(xbar - p.x_star, 1),
+        _norm(st.x - xbar[..., None, :], 2),
+        _norm(st.y - ybar[..., None, :], 2),
     )
 
 
-def combined_error(ev: ErrorVector) -> float:
+def combined_error(ev: ErrorVector):
     """Stacked norm of (xbar - x*, x - 1 xbar): the quantity the figures plot."""
-    return float(np.hypot(ev.opt_err, ev.cons_x))
+    return np.hypot(ev.opt_err, ev.cons_x)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ decomposition) in O(d^3) time and O(d^2) memory, whatever N is.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -33,6 +34,10 @@ _KEY_MASK = (1 << 64) - 1
 # below and grows linearly in N above (1 ms at N=8,877)
 BARTLETT_MIN_BATCH = 150
 
+# bytes of random numbers per chunk of stacked paths (or one path's, if more):
+# 469 paths of the largest direct draw, N = 149, at n = 10 and d = 5
+MAX_DRAW_BLOCK_BYTES = 32 << 20
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -50,31 +55,45 @@ class Problem:
     exact_oracle: bool = False
 
 
-def gradient_stream(seed, path, slot, iteration):
-    """Counter-keyed Philox stream for one (path, slot, iteration) cell.
+def stream_key(seed, path, slot, iteration):
+    """Philox key of one (path, slot, iteration) cell.
 
     Slot 0 carries the gradient draws of all n agents at one iteration and
     INIT_STREAM_AGENT the initial iterates. Streams are independent by
     construction, so changing the batch size at one iteration never perturbs
     draws anywhere else.
     """
-    lane = ((path << 42) | (slot << 21) | iteration) & _KEY_MASK
-    key = np.array([seed & _KEY_MASK, lane], dtype=np.uint64)
+    return [seed & _KEY_MASK, ((path << 42) | (slot << 21) | iteration) & _KEY_MASK]
+
+
+def gradient_stream(seed, path, slot, iteration):
+    """A fresh counter-keyed Philox stream for one cell; see stream_key."""
+    key = np.array(stream_key(seed, path, slot, iteration), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
 class StreamFactory:
-    """Per-path handle that hands out the per-iteration streams."""
+    """The streams of one path, or of paths stacked on a leading axis, under
+    one seed. One Philox generator is re-keyed in place to each cell, which
+    gives a fresh gradient_stream's draws without building one (and seeding
+    an unused SeedSequence from OS entropy) per path and iteration."""
 
-    seed: int
-    path: int = 0
+    def __init__(self, seed, path=0):
+        self.seed = seed
+        self.paths = np.atleast_1d(path).tolist()
+        self.lead = np.shape(path)     # () for one path, (P,) for stacked ones
+        self._rng = np.random.Generator(np.random.Philox(0))
+        # a zero counter and an empty buffer, as in a fresh Philox
+        self._state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4}}
 
-    def stream(self, iteration):
-        return gradient_stream(self.seed, self.path, 0, iteration)
-
-    def init_stream(self):
-        return gradient_stream(self.seed, self.path, INIT_STREAM_AGENT, 0)
+    def generators(self, iteration, slot=0):
+        """The generator re-keyed to each path's cell in turn; draw all of a
+        path's numbers before taking the next."""
+        for path in self.paths:
+            self._state["state"]["key"] = stream_key(self.seed, path, slot, iteration)
+            self._rng.bit_generator.state = self._state
+            yield self._rng
 
 
 def _agent_covariances(n, d, covariance_spec, rng):
@@ -142,37 +161,54 @@ def deterministic(p: Problem) -> Problem:
 
 def _offsets(p: Problem, X):
     E = np.asarray(X, dtype=float) - p.x_star
-    if E.shape != (p.n, p.d):
-        raise ValueError(f"X has shape {E.shape}, expected ({p.n},{p.d})")
+    if E.shape[-2:] != (p.n, p.d):
+        raise ValueError(f"X has shape {E.shape}, expected (..., {p.n}, {p.d})")
     return E
 
 
 def exact_gradients(p: Problem, X):
-    """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) array X."""
+    """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) or
+    stacked (P, n, d) array X."""
     return (p.R @ _offsets(p, X)[..., None])[..., 0]
 
 
 def sample_gradients(p: Problem, X, batch, rng):
     """Mini-batch averaged sampled gradients of all n agents at the rows of X.
 
-    Below the Bartlett crossover `rng` gives (n, batch, d) regressor normals,
-    then (n, batch) noise normals. An exact oracle never touches `rng`."""
+    X is (n, d), or (P, n, d) for P stacked paths, and `rng` one Generator
+    that the paths draw from in turn, or an iterable of one per path. Per
+    path, below the Bartlett crossover the draws are (n, batch, d) regressor
+    normals, then (n, batch) noise normals. Paths are drawn in chunks whose
+    random numbers fill at most max(one path's, MAX_DRAW_BLOCK_BYTES) bytes.
+    An exact oracle never touches `rng`."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if p.exact_oracle:
         return exact_gradients(p, X)
     E = _offsets(p, X)
-    if batch >= max(p.d, BARTLETT_MIN_BATCH):
-        return bartlett_gradients(p, E, batch, rng)
-    z = rng.standard_normal((p.n, batch, p.d))
-    xi = rng.standard_normal((p.n, batch))
-    return _single_gradients(p.chol, p.sigmas[:, None], E, z, xi).sum(axis=1) / batch
+    rngs = itertools.repeat(rng) if isinstance(rng, np.random.Generator) else iter(rng)
+    stacked = E.reshape(-1, p.n, p.d)
+    bartlett = batch >= max(p.d, BARTLETT_MIN_BATCH)
+    width = 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
+    chunk = max(1, MAX_DRAW_BLOCK_BYTES // width)
+    draw = bartlett_gradients if bartlett else _direct_gradients
+    chunks = [stacked[lo:lo + chunk] for lo in range(0, len(stacked), chunk)]
+    return np.concatenate([draw(p, e, batch, itertools.islice(rngs, len(e)))
+                           for e in chunks]).reshape(E.shape)
+
+
+def _direct_gradients(p: Problem, E, batch, rngs):
+    # one call per path draws its regressor normals and then its noise normals
+    block = np.array([rng.standard_normal(p.n * batch * (p.d + 1)) for rng in rngs])
+    z = block[:, :p.n * batch * p.d].reshape(E.shape[:-1] + (batch, p.d))
+    xi = block[:, p.n * batch * p.d:].reshape(E.shape[:-1] + (batch,))
+    return _single_gradients(p.chol, p.sigmas[:, None], E, z, xi).sum(axis=-2) / batch
 
 
 def _single_gradients(chol, sigma, e, z, xi):
     """Gradients u (u'e - sigma xi), u = L z, at offsets e = x - x_star for
-    normals z (..., N, d) and xi (..., N); leading axes are agents, so one
-    agent's L, sigma and e give that agent's row."""
+    normals z (..., N, d) and xi (..., N); leading axes are paths and agents,
+    so one agent's L, sigma and e give that agent's row."""
     u = z @ np.swapaxes(chol, -1, -2)
     return u * ((u @ e[..., None])[..., 0] - sigma * xi)[..., None]
 
@@ -184,18 +220,23 @@ def bartlett_gradients(p: Problem, E, batch, rng):
     Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
     (1933) decomposition S = L B B' L', with L = chol(R) and B lower
     triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
-    both from O(d^2) random numbers per agent, drawn as (n, d, d) normals,
-    (n, d) chi-squares and (n, d) normals. Needs batch >= d.
+    both from O(d^2) random numbers per agent, drawn per path as (n, d, d)
+    normals, (n, d) chi-squares and (n, d) normals. E is (n, d) with one
+    Generator, or (P, n, d) with an iterable of one per path. Needs batch >= d.
     """
     d = p.d
     if batch < d:
         raise ValueError(f"Bartlett draw needs batch >= d={d}, got {batch}")
-    B = np.tril(rng.standard_normal((p.n, d, d)), -1)
+    if isinstance(rng, np.random.Generator):
+        return bartlett_gradients(p, E[None], batch, [rng])[0]
     diag = np.arange(d)
-    B[:, diag, diag] = np.sqrt(rng.chisquare(batch - diag, size=(p.n, d)))
+    draws = [(r.standard_normal((p.n, d, d)), r.chisquare(batch - diag, size=(p.n, d)),
+              r.standard_normal((p.n, d))) for r in rng]
+    B, chi, nu = (np.array(a) for a in zip(*draws))
+    B = np.tril(B, -1)
+    B[..., diag, diag] = np.sqrt(chi)
     LB = p.chol @ B
-    r = ((np.swapaxes(LB, 1, 2) @ E[..., None])[..., 0]
-         - p.sigmas[:, None] * rng.standard_normal((p.n, d)))
+    r = (np.swapaxes(LB, -1, -2) @ E[..., None])[..., 0] - p.sigmas[:, None] * nu
     return (LB @ r[..., None])[..., 0] / batch
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .algo import BatchSchedule, batch_size, geometric_schedule
+from .algo import BatchSchedule, batch_total, geometric_schedule
 
 FEASIBILITY_MARGIN = 1e-6
 DEGENERATE_TOL = 1e-9
@@ -168,7 +168,7 @@ def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule = None) -> Ora
     _check_regime(rb)
     K = iteration_complexity(rb, eps)
     schedule = schedule or geometric_schedule(rb.q**2)
-    exact = sum(batch_size(schedule, k) for k in range(K + 1))
+    exact = batch_total(schedule, K)
     B = rb.prefactor
     try:
         if rb.q > rb.rho:

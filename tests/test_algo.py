@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -338,13 +340,14 @@ def test_stop_reason(monkeypatch, algorithm, stop, reason):
 
 
 def _count_streams(monkeypatch):
+    """Every (path, slot, iteration) cell a stream is keyed to, in order."""
     calls = []
-    real = oracle.gradient_stream
+    real = oracle.stream_key
 
     def counting(seed, path, slot, iteration):
         calls.append((seed, path, slot, iteration))
         return real(seed, path, slot, iteration)
-    monkeypatch.setattr(oracle, "gradient_stream", counting)
+    monkeypatch.setattr(oracle, "stream_key", counting)
     return calls
 
 
@@ -377,3 +380,132 @@ def test_one_stream_per_path_and_iteration(monkeypatch):
     algo.run_path(p, mix, g, "d-sgd", 0.05, algo.constant_schedule(1),
                   stop, seed=3, path=2)
     assert calls == [init] + [(3, 2, 0, k) for k in range(10)]
+
+
+def test_batch_total_matches_the_per_iteration_sum():
+    for ratio in np.linspace(0.5, 0.9999, 300):
+        s = algo.geometric_schedule(float(ratio))
+        assert algo.batch_total(s, 3000) == sum(algo.batch_size(s, k) for k in range(3001))
+    capped = algo.geometric_schedule(0.98, cap=500)
+    assert algo.batch_total(capped, 1000) == sum(algo.batch_size(capped, k)
+                                                 for k in range(1001))
+    # N(k) reaches the cap at k = 31 for ratio 1/2; the rest is counted, not summed
+    half = algo.geometric_schedule(0.5)
+    assert algo.batch_total(half, 10**12) == (sum(2**k for k in range(31))
+                                              + (10**12 + 1 - 31) * half.cap)
+    assert algo.batch_total(algo.constant_schedule(7, cap=5), 9) == 50
+    with pytest.raises(ValueError):
+        algo.geometric_schedule(0.98, cap=algo.DEFAULT_BATCH_CAP + 1)
+
+
+def test_rekeyed_stream_equals_a_fresh_philox():
+    seed = 2**63 + 12345
+    streams = oracle.StreamFactory(seed, [0, 3, 2**20])
+    for slot, k in ((0, 0), (0, 7), (oracle.INIT_STREAM_AGENT, 0), (0, 2**21 - 2)):
+        for path, rng in zip(streams.paths, streams.generators(k, slot)):
+            lane = (path << 42) | (slot << 21) | k
+            ref = np.random.Generator(np.random.Philox(
+                key=np.array([seed % 2**64, lane], dtype=np.uint64)))
+            # an odd count leaves the Philox buffer part used for the next path
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+            assert np.array_equal(rng.chisquare([5.0, 40.0]), ref.chisquare([5.0, 40.0]))
+            assert np.array_equal(rng.standard_normal((2, 5)), ref.standard_normal((2, 5)))
+
+
+def _assert_same_trace(a, b):
+    for f in dataclasses.fields(algo.PathTrace):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "w_stacks":
+            assert len(va) == len(vb) and all(map(np.array_equal, va, vb))
+        else:
+            assert np.array_equal(va, vb), f.name
+
+
+@pytest.mark.parametrize("algorithm,ratio,stop", [
+    ("dvss-sgt", 0.98, ("budget_samples", 3000)),
+    ("d-sgt", 0.98, ("budget_samples", 3000)),
+    ("d-sgd", 0.98, ("budget_samples", 3000)),
+    # N(k) = ceil(0.9^-k) crosses the Bartlett crossover 150 at k = 48
+    ("dvss-sgt", 0.9, ("max_iters", 60)),
+])
+def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop):
+    p, g, mix = fig1_instance
+    sched = algo.geometric_schedule(ratio)
+    paths = [0, 3, 1]
+    stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
+                             seed=5, paths=paths, record_noise=True)
+    assert len(stacked) == len(paths)
+    for path, trace in zip(paths, stacked):
+        single = algo.run_path(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
+                               seed=5, path=path, record_noise=True)
+        _assert_same_trace(trace, single)
+    assert not np.array_equal(stacked[0].z, stacked[1].z)
+
+
+def test_target_eps_paths_stop_at_different_k(fig1_instance):
+    p, g, mix = fig1_instance
+    stop = algo.StopRule("target_eps", 0.05)
+    sched = algo.geometric_schedule(0.98)
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
+                            paths=range(6))
+    assert len({tr.iterations for tr in traces}) > 1
+    for path, tr in enumerate(traces):
+        assert tr.stop_reason == "target_eps"
+        assert tr.combined[-1] <= 0.05 and np.all(tr.combined[:-1] > 0.05)
+        _assert_same_trace(tr, algo.run_path(p, mix, g, "dvss-sgt", 0.01, sched, stop,
+                                             seed=2024, path=path))
+
+
+@pytest.mark.parametrize("offsets,winner", [
+    # path 0 sits at the fixed point and never diverges: path 1's error
+    ((0.0, 1.0), 1),
+    # both diverge, path 1 first; running in order, path 0's error comes first
+    ((1e-3, 1e3), 0),
+])
+def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
+    p = oracle.deterministic(oracle.make_regression_problem(
+        3, 2, np.array([1.0, -2.0]), covariance_spec="identity", seed=1))
+    g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
+    mix = graph.metropolis_weights(g)
+    x0 = [np.tile(p.x_star + off, (p.n, 1)) for off in offsets]
+    args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1),
+            algo.StopRule("max_iters", 400))
+    with pytest.raises(algo.DivergenceError) as err:
+        algo.run_paths(*args, seed=0, paths=[0, 1], x0=x0)
+    with pytest.raises(algo.DivergenceError) as ref:
+        algo.run_path(*args, seed=0, path=winner, x0=x0[winner])
+    assert err.value.k == ref.value.k and str(err.value) == str(ref.value)
+    assert err.value.trace.stop_reason == "diverged"
+    _assert_same_trace(err.value.trace, ref.value.trace)
+    if winner == 0:
+        with pytest.raises(algo.DivergenceError) as first:
+            algo.run_path(*args, seed=0, path=1, x0=x0[1])
+        assert first.value.k < err.value.k
+
+
+@pytest.mark.parametrize("batch", [40, 1000])
+def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
+    p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=2)
+    X = np.random.default_rng(0).standard_normal((7, p.n, p.d))
+    whole = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
+                                    .generators(4))
+    # the random numbers of one path at this batch: regressors and noise, or
+    # the Bartlett normals, chi-squares and noise
+    per_path = 8 * p.n * (batch * (p.d + 1) if batch < 150 else p.d * (p.d + 2))
+    sizes = []
+    for name in ("_direct_gradients", "bartlett_gradients"):
+        real = getattr(oracle, name)
+
+        def spy(p, E, batch, rngs, real=real):
+            sizes.append(len(E))
+            return real(p, E, batch, rngs)
+        monkeypatch.setattr(oracle, name, spy)
+    for limit in (1, 2 * per_path + 1, 10**9):
+        sizes.clear()
+        monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
+        chunked = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
+                                          .generators(4))
+        assert np.array_equal(chunked, whole)
+        assert sum(sizes) == 7
+        assert all(size * per_path <= max(per_path, limit) for size in sizes)
+        assert sizes[0] == min(7, max(1, limit // per_path))

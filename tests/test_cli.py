@@ -305,3 +305,24 @@ def test_chart_svg_structure():
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert "alg-a" in svg and "alg-b" in svg and "demo" in svg
+
+
+def test_batch_sizes_and_dense_arrays_are_bounded():
+    cap = algo.DEFAULT_BATCH_CAP
+    cfg = cli.load_config("fig1", overrides={
+        "schedule": {"kind": "constant", "size": 2**70, "cap": 2**80},
+        "baseline_batch": cap + 1})
+    errors = cli.resolve_config(cfg)[1]
+    assert errors == [f"schedule.size must be <= {cap}, got {2**70}",
+                      f"schedule.cap must be <= {cap}, got {2**80}",
+                      f"baseline_batch must be <= {cap}, got {cap + 1}"]
+    # n = 200,000 would ask the graph for ~37 GiB; only the config is resolved
+    big = cli.load_config("fig1", overrides={"problem": {"n": 200_000},
+                                             "graph": {"n": 200_000}})
+    [error] = cli.resolve_config(big)[1]
+    assert error.startswith("problem.n = 200000 and problem.d = 5 need dense arrays")
+    assert "over the limit of 4194304" in error
+    wide = cli.load_config("fig1", overrides={"problem": {"d": 1000}})
+    assert cli.resolve_config(wide)[1] != []
+    edge = cli.load_config("fig1", overrides={"problem": {"n": 2048}, "graph": {"n": 2048}})
+    assert cli.resolve_config(edge)[1] == []

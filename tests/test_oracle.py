@@ -134,11 +134,11 @@ def test_stream_reproducibility_and_independence():
     assert np.array_equal(a, b)
     # draws at one iteration do not depend on how much was drawn at another
     f1 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradients(p, X, 2, f1.stream(8))
-    c = oracle.sample_gradients(p, X, 5, f1.stream(9))
+    oracle.sample_gradients(p, X, 2, next(f1.generators(8)))
+    c = oracle.sample_gradients(p, X, 5, next(f1.generators(9)))
     f2 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradients(p, X, 50, f2.stream(8))
-    d = oracle.sample_gradients(p, X, 5, f2.stream(9))
+    oracle.sample_gradients(p, X, 50, next(f2.generators(8)))
+    d = oracle.sample_gradients(p, X, 5, next(f2.generators(9)))
     assert np.array_equal(c, d)
     # distinct labels give distinct draws
     e = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 10))
@@ -153,7 +153,7 @@ def test_changing_one_batch_leaves_other_iterations_bit_identical():
     streams = oracle.StreamFactory(11, 1)
 
     def draws(sizes):
-        return [oracle.sample_gradients(p, X, nb, streams.stream(k))
+        return [oracle.sample_gradients(p, X, nb, next(streams.generators(k)))
                 for k, nb in enumerate(sizes)]
 
     base = draws([1, 2, 3, 4, 5, 6, 7, 8])
