@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,8 +180,8 @@ class PathTrace:
     per_agent_messages: np.ndarray
     x0: np.ndarray
     sum_w_norms: np.ndarray    # (T+1,) sum_i ||w_i(k)||
+    w_step: np.ndarray         # (T+1,) ||w(k) - w(k-1)||_F, 0 at k = 0
     stop_reason: str   # max_iters, budget_samples, target_eps(_iter_cap) or diverged
-    w_stacks: list = field(default_factory=list)  # per-k (n, d) noise, if recorded
 
     @property
     def iterations(self):
@@ -194,16 +194,15 @@ def default_x0(p: Problem, streams: StreamFactory):
         0, oracle.INIT_STREAM_AGENT)]).reshape(streams.lead + (p.n, p.d))
 
 
-def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, path=0, x0=None,
-             record_noise=False) -> PathTrace:
+def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, path=0, x0=None) -> PathTrace:
     """One sample path: run_paths with P = 1."""
     return run_paths(p, mix, g, algorithm, alpha, schedule, stop, seed, [path],
-                     None if x0 is None else [x0], record_noise)[0]
+                     None if x0 is None else [x0])[0]
 
 
 def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
               schedule: BatchSchedule, stop: StopRule, seed, paths=(0,),
-              x0=None, record_noise=False) -> list:
+              x0=None) -> list:
     """Execute sample paths `paths` of the chosen algorithm under a stop rule
     as one stacked (P, n, d) state; returns their traces in order.
 
@@ -225,7 +224,8 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     # a budget below the first draw leaves the trackers at zero
     st = start(p, x0, sched, streams, tracking and p.n * batch_size(sched, 0) <= budget)
     live = np.arange(len(paths))   # the path behind each slice of the state
-    rows, noise, samples, counts, ends = [], [], [], [], {}   # ends: path -> (k, reason)
+    rows, samples, counts, ends = [], [], [], {}   # ends: path -> (k, reason)
+    w_prev = None   # the live paths' noise w = g - grad f at the last record
 
     def spread(a):
         """a, one row per live path, over all paths: NaN where a path stopped."""
@@ -236,14 +236,16 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         return out
 
     def record(st):
+        nonlocal w_prev
         w = st.g_prev - oracle.exact_gradients(p, st.x)
+        dw = np.zeros_like(w) if w_prev is None else w - w_prev
+        w_prev = w
         ev = metrics.error_vector(st, p)
         rows.append(spread(np.array([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                                     np.sqrt((w * w).sum(-1)).sum(-1)]).T))  # sum_i ||w_i||
+                                     np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
+                                     np.sqrt((dw * dw).sum((-2, -1)))]).T))
         samples.append(int(st.oracle_count.sum()))
         counts.append(st.oracle_count)
-        if record_noise:
-            noise.append(spread(w))
 
     def stop_reason(st):
         """Why the live paths stop at st.k, '' where a path goes on: one
@@ -273,7 +275,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         reasons = np.broadcast_to(reasons, live.shape)
         ends.update((int(q), (st.k, str(why))) for q, why in zip(live, reasons) if why)
         keep = reasons == ""
-        live = live[keep]
+        live, w_prev = live[keep], w_prev[keep]
         st = NetworkState(st.k, st.x[keep], st.y[keep], st.g_prev[keep], st.oracle_count)
         streams = StreamFactory(seed, [paths[q] for q in live])
 
@@ -288,8 +290,8 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         per_agent_messages=k * msg_per_iter,
         x0=x0[q],
         sum_w_norms=table[:k + 1, q, 4],
+        w_step=table[:k + 1, q, 5],
         stop_reason=reason,
-        w_stacks=[w[q] for w in noise[:k + 1]],
     ) for q, (k, reason) in ends.items()}
     if diverged:
         diverged[0].trace = traces[diverged[1]]

@@ -54,8 +54,9 @@ AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 
 REQUIRED, OPTIONAL = object(), object()
 
-# largest n*n (graph, mixing matrix) or n*d*d (covariances, draws) array an
-# instance may need: 32 MiB of float64, so n <= 2048
+# largest n*n (graph, mixing matrix), n*d*d (covariances, draws) or
+# paths*n*d (the stacked iterates of a run) array a config may need: 32 MiB
+# of float64, so n <= 2048
 MAX_DENSE_ELEMENTS = 1 << 22
 
 # Every config key once, as (type, requirement or None, default). REQUIRED
@@ -177,25 +178,21 @@ def resolve_config(cfg, command="run"):
     # rules between values hold only once every value has its type
     if errors:
         return out, errors
-    n, d = out["problem"]["n"], out["problem"]["d"]
+    n, d, paths = out["problem"]["n"], out["problem"]["d"], out["paths"]
     if "n" in g and g["n"] != n:
         errors.append(f"graph.n ({g['n']}) must equal problem.n ({n})")
     errors += [f"{name} must be <= {algo.DEFAULT_BATCH_CAP}, got {value}" for name, value in
                (("schedule.size", sched["size"]), ("schedule.cap", sched["cap"]),
                 ("baseline_batch", out["baseline_batch"])) if value > algo.DEFAULT_BATCH_CAP]
-    if max(n * n, n * d * d) > MAX_DENSE_ELEMENTS:
+    dense = max(n * n, n * d * d, paths * n * d)
+    if dense > MAX_DENSE_ELEMENTS:
         errors.append(f"problem.n = {n} and problem.d = {d} need dense arrays of "
-                      f"max(n*n, n*d*d) = {max(n * n, n * d * d)} elements, over the "
-                      f"limit of {MAX_DENSE_ELEMENTS}")
+                      f"max(n*n, n*d*d, paths*n*d) = {dense} elements at paths = {paths}, "
+                      f"over the limit of {MAX_DENSE_ELEMENTS}")
     if command == "sweep":
         for value in sweep["grid"]:
             errors += resolve_config(_sweep_point(out, value), "run")[1]
     return out, errors
-
-
-def validate_config(cfg, command="run"):
-    """Itemized validation; returns a list of error messages."""
-    return resolve_config(cfg, command)[1]
 
 
 def _sweep_point(cfg, value):
@@ -228,8 +225,7 @@ def build_instance(cfg):
     return p, g, graph_mod.metropolis_weights(g)
 
 
-def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
-                   record_noise=False):
+def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
     """Run all sample paths of one algorithm and aggregate the traces."""
     if problem is None:
         problem, g, mix = build_instance(cfg)
@@ -239,8 +235,7 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None,
         schedule = algo.constant_schedule(cfg["baseline_batch"])
     [stop] = cfg["stop"].items()
     traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                            algo.StopRule(*stop), cfg["seed"], range(cfg["paths"]),
-                            record_noise=record_noise)
+                            algo.StopRule(*stop), cfg["seed"], range(cfg["paths"]))
 
     result = metrics.aggregate(traces, algorithm=algorithm)
     if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
@@ -334,7 +329,7 @@ def theory_report(cfg):
     tables = {}
     if not rb.degenerate and max(rb.rho, rb.q) < 1.0:
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-            oc = theory.oracle_complexity(rb, eps)
+            oc = theory.oracle_complexity(rb, eps, sched)
             tables[f"{eps:.0e}"] = {
                 "K": oc.iterations,
                 "oracle_exact": oc.exact,
@@ -345,8 +340,7 @@ def theory_report(cfg):
     # zero-noise self-check of the per-step error recursion
     det = oracle.deterministic(problem)
     trace = algo.run_path(det, mix, g, "dvss-sgt", cm_eta.alpha, sched,
-                          algo.StopRule("max_iters", 200), cfg["seed"], x0=x0s[0],
-                          record_noise=True)
+                          algo.StopRule("max_iters", 200), cfg["seed"])
     lem = theory.check_error_recursion(trace, cm_eta)
 
     return {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .algo import BatchSchedule, batch_total, geometric_schedule
+from .algo import BatchSchedule, batch_total
 
 FEASIBILITY_MARGIN = 1e-6
 DEGENERATE_TOL = 1e-9
@@ -50,7 +50,7 @@ def spectral_radius_3x3(M):
     return spectral.perron_root_3x3(M)
 
 
-def find_alpha(eta, lips, sigma_A, n, norm_AI, convention="eta"):
+def find_alpha(eta, lips, sigma_A, n, norm_AI):
     """Largest step size with spectral radius below 1 - margin.
 
     Geometric grid down from 2/(eta+L), then 40 bisection steps between the
@@ -61,7 +61,7 @@ def find_alpha(eta, lips, sigma_A, n, norm_AI, convention="eta"):
 
     def rho_at(a):
         return spectral_radius_3x3(
-            build_J(a, eta, lips, sigma_A, n, norm_AI, convention).J)
+            build_J(a, eta, lips, sigma_A, n, norm_AI).J)
 
     a_top = 2.0 / (eta + lips)
     a = a_top
@@ -164,10 +164,9 @@ class OracleComplexity:
     closed_form_bound: float   # None where it exceeds the float range
 
 
-def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule = None) -> OracleComplexity:
+def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule) -> OracleComplexity:
     _check_regime(rb)
     K = iteration_complexity(rb, eps)
-    schedule = schedule or geometric_schedule(rb.q**2)
     exact = batch_total(schedule, K)
     B = rb.prefactor
     try:
@@ -193,30 +192,11 @@ class RecursionReport:
 
 
 def check_error_recursion(trace, cm: ContractionMatrix) -> RecursionReport:
-    """Componentwise check of z(k+1) <= J z(k) + b(k) along a recorded path.
-
-    Needs the per-step noise stacks (run with record_noise=True) unless the
-    run was noiseless.
-    """
-    z = trace.z
-    T = z.shape[0] - 1
-    alpha = cm.alpha
-    lips = cm.inputs["lips"]
-    n = cm.inputs["n"]
-    sum_w = trace.sum_w_norms
-    stacks = trace.w_stacks
-    if not stacks:
-        if np.any(sum_w > 1e-12):
-            raise ValueError("noise stacks were not recorded; rerun with record_noise=True")
-        stacks = None
-    worst = np.full(3, -np.inf)
-    for k in range(T):
-        wdiff = 0.0 if stacks is None else float(np.linalg.norm(stacks[k + 1] - stacks[k]))
-        b = np.array([
-            alpha / n * sum_w[k],
-            0.0,
-            wdiff + alpha * lips / math.sqrt(n) * sum_w[k],
-        ])
-        viol = z[k + 1] - (cm.J @ z[k] + b)
-        worst = np.maximum(worst, viol)
-    return RecursionReport(T, float(worst.max()), worst)
+    """Componentwise check of z(k+1) <= J z(k) + b(k) along a recorded path,
+    b(k) built from the trace's sum_i ||w_i(k)|| and ||w(k+1) - w(k)||_F."""
+    z, sum_w = trace.z, trace.sum_w_norms[:-1]
+    alpha, lips, n = cm.alpha, cm.inputs["lips"], cm.inputs["n"]
+    b = np.stack([alpha / n * sum_w, np.zeros_like(sum_w),
+                  trace.w_step[1:] + alpha * lips / math.sqrt(n) * sum_w], axis=-1)
+    worst = (z[1:] - (z[:-1] @ cm.J.T + b)).max(axis=0, initial=-np.inf)
+    return RecursionReport(len(z) - 1, float(worst.max()), worst)

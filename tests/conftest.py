@@ -30,11 +30,10 @@ def fig1_instance(fig1_cfg):
 
 @pytest.fixture(scope="session")
 def fig1_run(fig1_cfg, fig1_instance):
-    """(RunResult, wall seconds) for the fig1 preset with noise recorded."""
+    """(RunResult, wall seconds) for the fig1 preset."""
     problem, g, mix = fig1_instance
     start = time.perf_counter()
-    result = cli.run_experiment(fig1_cfg, problem=problem, g=g, mix=mix,
-                                record_noise=True)
+    result = cli.run_experiment(fig1_cfg, problem=problem, g=g, mix=mix)
     return result, time.perf_counter() - start
 
 
@@ -67,8 +66,7 @@ def zero_noise_trace(fig1_instance, fig1_alpha_star):
     det = oracle.deterministic(problem)
     return algo.run_path(det, mix, g, "dvss-sgt", alpha_star / 2.0,
                          algo.geometric_schedule(0.98),
-                         algo.StopRule("max_iters", 400), seed=2024,
-                         record_noise=True), alpha_star / 2.0
+                         algo.StopRule("max_iters", 400), seed=2024), alpha_star / 2.0
 
 
 @pytest.fixture(scope="session")

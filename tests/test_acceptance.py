@@ -58,8 +58,7 @@ def test_criterion_4_recursion_checker(fig1_instance, fig1_run):
     det = oracle.deterministic(problem)
     zero_trace = algo.run_path(det, mix, g, "dvss-sgt", 0.01,
                                algo.geometric_schedule(0.98),
-                               algo.StopRule("max_iters", 200), seed=2024,
-                               record_noise=True)
+                               algo.StopRule("max_iters", 200), seed=2024)
     zero_violation = theory.check_error_recursion(zero_trace, cm).max_violation
     result, _elapsed = fig1_run
     path_violation = max(theory.check_error_recursion(trace, cm).max_violation

@@ -414,11 +414,25 @@ def test_rekeyed_stream_equals_a_fresh_philox():
 
 def _assert_same_trace(a, b):
     for f in dataclasses.fields(algo.PathTrace):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "w_stacks":
-            assert len(va) == len(vb) and all(map(np.array_equal, va, vb))
-        else:
-            assert np.array_equal(va, vb), f.name
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
+    # w_step enters the recursion check's b(k): an inflated one loosens it
+    p, g, mix = fig1_instance
+    sched, paths, T = algo.geometric_schedule(0.98), [0, 3], 6
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
+                            seed=5, paths=paths)
+    streams = oracle.StreamFactory(5, paths)
+    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
+    noise = [st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star)]
+    for _ in range(T):
+        st = algo.step(st, mix, p, 0.01, sched, streams)
+        noise.append(st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star))
+    for q, trace in enumerate(traces):
+        expect = [0.0] + [np.linalg.norm(w1[q] - w0[q]) for w0, w1 in zip(noise, noise[1:])]
+        assert min(expect[1:]) > 0.0
+        np.testing.assert_allclose(trace.w_step, expect, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("algorithm,ratio,stop", [
@@ -433,11 +447,11 @@ def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop)
     sched = algo.geometric_schedule(ratio)
     paths = [0, 3, 1]
     stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
-                             seed=5, paths=paths, record_noise=True)
+                             seed=5, paths=paths)
     assert len(stacked) == len(paths)
     for path, trace in zip(paths, stacked):
         single = algo.run_path(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
-                               seed=5, path=path, record_noise=True)
+                               seed=5, path=path)
         _assert_same_trace(trace, single)
     assert not np.array_equal(stacked[0].z, stacked[1].z)
 

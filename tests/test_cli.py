@@ -29,16 +29,16 @@ def test_load_config_preset_and_overrides(tmp_path):
 
 def test_validate_config_itemized():
     cfg = cli.load_config("fig1")
-    assert cli.validate_config(cfg) == []
+    assert cli.resolve_config(cfg)[1] == []
     bad = cli.load_config("fig1")
     bad["alpha"] = -1.0
     bad["graph"]["p"] = 2.0
     bad["algorithm"] = "adam"
     bad["schedule"]["ratio"] = 1.5
     bad["stop"] = {"max_iters": 10, "target_eps": 0.1}
-    errors = cli.validate_config(bad)
+    errors = cli.resolve_config(bad)[1]
     assert len(errors) == 5
-    assert cli.validate_config({}) != []
+    assert cli.resolve_config({})[1] != []
 
 
 def test_cmd_run_deterministic_csvs(tmp_path):
@@ -99,6 +99,8 @@ def test_config_error_exit_code(tmp_path):
     ("--grid", "ratio=a,b", "schedule.ratio must be a number, got 'a'"),
     ("--grid", "n=2.5", "problem.n must be an integer, got 2.5"),
     ("alpha", 10**400, "alpha must be a number, got 1000"),
+    ("paths", 3_000_000, "problem.n = 10 and problem.d = 5 need dense arrays of "
+                         "max(n*n, n*d*d, paths*n*d) = 150000000 elements at paths = 3000000"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, key, value, message):
     cfg = cli.load_config("fig1")
@@ -227,6 +229,18 @@ def test_theory_report(tmp_path):
     assert json.loads((out / "config.json").read_text())["paths"] == 2
 
 
+def test_theory_oracle_counts_follow_the_schedule_cap(tmp_path):
+    path = small_cfg(tmp_path, schedule={"cap": 100})
+    out = tmp_path / "th"
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "theory.json").read_text())
+    capped = algo.geometric_schedule(0.98, cap=100)
+    for table in report["complexity"].values():
+        assert table["oracle_exact"] == algo.batch_total(capped, table["K"])
+        assert table["oracle_exact"] <= 100 * (table["K"] + 1)
+
+
 def test_theory_bound_overflow_is_null(tmp_path):
     # at q = sqrt(0.5) against rho near 1, (B/eps)^exponent exceeds the float range
     path = small_cfg(tmp_path, schedule={"kind": "geometric", "ratio": 0.5})
@@ -326,3 +340,8 @@ def test_batch_sizes_and_dense_arrays_are_bounded():
     assert cli.resolve_config(wide)[1] != []
     edge = cli.load_config("fig1", overrides={"problem": {"n": 2048}, "graph": {"n": 2048}})
     assert cli.resolve_config(edge)[1] == []
+    # the stacked (paths, n, d) iterates: at n = 10 and d = 5, up to 83,886 paths
+    most = cli.load_config("fig1", overrides={"paths": 83_886})
+    assert cli.resolve_config(most)[1] == []
+    [error] = cli.resolve_config(cli.load_config("fig1", overrides={"paths": 83_887}))[1]
+    assert "paths*n*d) = 4194350 elements at paths = 83887, over the limit" in error

@@ -138,7 +138,7 @@ def test_degenerate_regime_flagged():
     with pytest.raises(ValueError):
         theory.iteration_complexity(rb, 0.1)
     with pytest.raises(ValueError):
-        theory.oracle_complexity(rb, 0.1)
+        theory.oracle_complexity(rb, 0.1, algo.geometric_schedule(0.95**2))
 
 
 def test_iteration_complexity_examples():
@@ -173,7 +173,8 @@ def test_communication_complexity():
 def test_oracle_complexity_exact_vs_bound():
     q = math.sqrt(0.98)
     rb = theory.RateBound(0.9, q, 1.0, 10.0)
-    oc = theory.oracle_complexity(rb, 0.05)
+    sched = algo.geometric_schedule(0.98)
+    oc = theory.oracle_complexity(rb, 0.05, sched)
     expect_exact = sum(oracles.exact_geometric_batch(98, 100, k)
                        for k in range(oc.iterations + 1))
     assert oc.exact == expect_exact
@@ -183,7 +184,7 @@ def test_oracle_complexity_exact_vs_bound():
     assert oc.exact <= oc.closed_form_bound / q**2 + oc.iterations + 1
     assert oc.exact >= 0.5 * oc.closed_form_bound
     # K = 0 consumes exactly the single initialization sample
-    easy = theory.oracle_complexity(rb, rb.prefactor + 1.0)
+    easy = theory.oracle_complexity(rb, rb.prefactor + 1.0, sched)
     assert easy.iterations == 0
     assert easy.exact == 1
 
@@ -191,14 +192,14 @@ def test_oracle_complexity_exact_vs_bound():
 def test_oracle_complexity_rho_dominant_branch():
     rb = theory.RateBound(0.995, math.sqrt(0.98), 1.0, 10.0)
     assert rb.regime == "rho_dominant"
-    oc = theory.oracle_complexity(rb, 0.05)
+    oc = theory.oracle_complexity(rb, 0.05, algo.geometric_schedule(0.98))
     assert oc.exact <= oc.closed_form_bound / 0.98 + oc.iterations + 1
 
 
 def test_oracle_complexity_bound_overflow_is_none():
     # q = 0.5 against rho = 0.999 raises B/eps to the power 2 ln 2 / ln(1/0.999)
     rb = theory.RateBound(0.999, 0.5, 1.0, 10.0)
-    oc = theory.oracle_complexity(rb, 1e-4)
+    oc = theory.oracle_complexity(rb, 1e-4, algo.geometric_schedule(0.25))
     assert oc.closed_form_bound is None
     assert oc.iterations == theory.iteration_complexity(rb, 1e-4)
     assert oc.exact > 0
@@ -208,7 +209,8 @@ def test_oracle_complexity_quadratic_slope():
     q = math.sqrt(0.98)
     rb = theory.RateBound(0.9, q, 1.0, 10.0)
     eps_grid = np.logspace(-1, -3, 7)
-    counts = [theory.oracle_complexity(rb, eps).exact for eps in eps_grid]
+    sched = algo.geometric_schedule(0.98)
+    counts = [theory.oracle_complexity(rb, eps, sched).exact for eps in eps_grid]
     slope = np.polyfit(np.log(1.0 / eps_grid), np.log(counts), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
 
@@ -241,13 +243,29 @@ def test_check_error_recursion_zero_noise_run(zero_noise_trace, fig1_instance):
     assert report.max_violation <= 1e-9
 
 
-def test_check_error_recursion_requires_noise_stacks(fig1_instance):
+def _per_step_worst(trace, cm):
+    """Componentwise max over k of z(k+1) - (J z(k) + b(k)), one k at a time."""
+    alpha, lips, n = cm.alpha, cm.inputs["lips"], cm.inputs["n"]
+    worst = np.full(3, -np.inf)
+    for k in range(trace.iterations):
+        sum_w = trace.sum_w_norms[k]
+        b = np.array([alpha / n * sum_w, 0.0,
+                      trace.w_step[k + 1] + alpha * lips / math.sqrt(n) * sum_w])
+        worst = np.maximum(worst, trace.z[k + 1] - (cm.J @ trace.z[k] + b))
+    return worst
+
+
+def test_check_error_recursion_equals_a_per_step_loop(fig1_instance, fig1_run):
     problem, g, mix = fig1_instance
-    trace = algo.run_path(problem, mix, g, "dvss-sgt", 0.01,
-                          algo.geometric_schedule(0.98),
-                          algo.StopRule("max_iters", 10), seed=1,
-                          record_noise=False)
     cm = theory.build_J(0.01, problem.eta, problem.lips, mix.sigma_A,
                         problem.n, mix.norm_A_minus_I)
-    with pytest.raises(ValueError):
-        theory.check_error_recursion(trace, cm)
+    # a budget below the first draw stops the path at k = 0
+    empty = algo.run_path(problem, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
+                          algo.StopRule("budget_samples", 1), seed=2024)
+    assert empty.iterations == 0
+    for trace in fig1_run[0].traces[:5] + [empty]:
+        report = theory.check_error_recursion(trace, cm)
+        worst = _per_step_worst(trace, cm)
+        assert report.steps == trace.iterations
+        np.testing.assert_allclose(report.per_component_max, worst, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.max_violation, worst.max(), rtol=0, atol=1e-12)
