@@ -14,6 +14,7 @@ DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_BATCH_CAP = 2**31 - 1
 TARGET_EPS_ITER_CAP = 100_000
 SUM_CHUNK = 1 << 20   # terms per numpy chunk of batch_total
+RECORD_BLOCK_BYTES = 64 << 10   # per stacked array of the states awaiting their trace rows
 
 
 class DivergenceError(RuntimeError):
@@ -119,10 +120,11 @@ def start(p: Problem, x0, s: BatchSchedule, streams: StreamFactory,
 
 
 def _guard(x, k):
+    if np.abs(x).max() <= DIVERGENCE_THRESHOLD:   # False on NaN
+        return
     worst = np.abs(x).max(axis=(-2, -1))
-    bad = np.flatnonzero(~(worst <= DIVERGENCE_THRESHOLD))   # NaN included
-    if len(bad):
-        raise DivergenceError(k, float(np.ravel(worst)[bad[0]]), int(bad[0]))
+    bad = np.flatnonzero(~(worst <= DIVERGENCE_THRESHOLD))
+    raise DivergenceError(k, float(np.ravel(worst)[bad[0]]), int(bad[0]))
 
 
 def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
@@ -209,7 +211,9 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     Each path stops by its own rule, with the outcome of running the paths
     one after another: on divergence, once the paths before it have run to
     their end, the lowest diverging path's partial trace is attached to the
-    raised error as `exc.trace`.
+    raised error as `exc.trace`. The trace rows are computed once per block
+    of recorded states, each stacked array within RECORD_BLOCK_BYTES, and
+    before a stop decision reads them or stopped paths are dropped.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -224,28 +228,32 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     # a budget below the first draw leaves the trackers at zero
     st = start(p, x0, sched, streams, tracking and p.n * batch_size(sched, 0) <= budget)
     live = np.arange(len(paths))   # the path behind each slice of the state
-    rows, samples, counts, ends = [], [], [], {}   # ends: path -> (k, reason)
-    w_prev = None   # the live paths' noise w = g - grad f at the last record
-
-    def spread(a):
-        """a, one row per live path, over all paths: NaN where a path stopped."""
-        if len(live) == len(paths):
-            return a
-        out = np.full((len(paths),) + a.shape[1:], np.nan)
-        out[live] = a
-        return out
+    rows, samples, pending, ends = [], [], [], {}   # ends: path -> (k, reason)
+    w_prev = None   # the live paths' noise w = g - grad f at the last flushed record
 
     def record(st):
-        nonlocal w_prev
-        w = st.g_prev - oracle.exact_gradients(p, st.x)
-        dw = np.zeros_like(w) if w_prev is None else w - w_prev
-        w_prev = w
-        ev = metrics.error_vector(st, p)
-        rows.append(spread(np.array([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                                     np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
-                                     np.sqrt((dw * dw).sum((-2, -1)))]).T))
+        pending.append(st)
         samples.append(int(st.oracle_count.sum()))
-        counts.append(st.oracle_count)
+        if (len(pending) + 1) * st.x.nbytes > RECORD_BLOCK_BYTES:
+            flush()
+
+    def flush():
+        """Trace rows of the pending states, from one (B, P, n, d) stack per array."""
+        nonlocal w_prev
+        if not pending:
+            return
+        x, y, g_prev = (np.array([getattr(s, f) for s in pending]) for f in ("x", "y", "g_prev"))
+        w = g_prev - oracle.exact_gradients(p, x)
+        dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
+        if w_prev is None:
+            dw[0] = 0.0   # w_step is 0 at k = 0
+        w_prev = w[-1]
+        ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, None), p)
+        rows.append(np.full((len(pending), len(paths), 6), np.nan))   # NaN where a path stopped
+        rows[-1][:, live] = np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                                      np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
+                                      np.sqrt((dw * dw).sum((-2, -1)))], axis=-1)
+        pending.clear()
 
     def stop_reason(st):
         """Why the live paths stop at st.k, '' where a path goes on: one
@@ -255,8 +263,9 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         if stop.kind == "budget_samples":
             next_cost = p.n * batch_size(sched, st.k + 1 if tracking else st.k)
             return "budget_samples" if samples[-1] + next_cost > budget else ""
+        flush()
         capped = "target_eps_iter_cap" if st.k >= TARGET_EPS_ITER_CAP else ""
-        return np.where(rows[-1][live, 3] <= stop.value, "target_eps", capped)
+        return np.where(rows[-1][-1, live, 3] <= stop.value, "target_eps", capped)
 
     record(st)
     diverged = None
@@ -272,6 +281,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
             else:
                 record(st)
                 continue
+        flush()
         reasons = np.broadcast_to(reasons, live.shape)
         ends.update((int(q), (st.k, str(why))) for q, why in zip(live, reasons) if why)
         keep = reasons == ""
@@ -279,14 +289,14 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         st = NetworkState(st.k, st.x[keep], st.y[keep], st.g_prev[keep], st.oracle_count)
         streams = StreamFactory(seed, [paths[q] for q in live])
 
-    table = np.stack(rows)
+    table = np.concatenate(rows)
     traces = {q: PathTrace(
         algorithm=algorithm,
         z=table[:k + 1, q, :3],
         combined=table[:k + 1, q, 3],
         cum_samples=np.array(samples[:k + 1], dtype=np.int64),
         cum_messages=np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
-        per_agent_samples=counts[k].copy(),
+        per_agent_samples=np.full(p.n, samples[k] // p.n, dtype=np.int64),
         per_agent_messages=k * msg_per_iter,
         x0=x0[q],
         sum_w_norms=table[:k + 1, q, 4],

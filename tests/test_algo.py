@@ -497,6 +497,128 @@ def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
         assert first.value.k < err.value.k
 
 
+def _hand_stepped_trace(p, mix, g, algorithm, alpha, sched, stop, seed, path, x0=None):
+    """One path stepped with algo.start/algo.step, its trace row computed from
+    each state as it is reached: the unblocked reference for run_paths."""
+    tracking = algorithm != "d-sgd"
+    streams = oracle.StreamFactory(seed, path)
+    x0 = algo.default_x0(p, streams) if x0 is None else x0
+    st = algo.start(p, x0, sched, streams, tracking)
+    rows, samples, w_prev = [], [], None
+    while True:
+        w = st.g_prev - oracle.exact_gradients(p, st.x)
+        dw = np.zeros_like(w) if w_prev is None else w - w_prev
+        w_prev = w
+        ev = metrics.error_vector(st, p)
+        rows.append([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                     np.sqrt((w * w).sum(-1)).sum(-1), np.sqrt((dw * dw).sum())])
+        samples.append(int(st.oracle_count.sum()))
+        if stop.kind == "max_iters" and st.k >= stop.value:
+            reason = "max_iters"
+        elif stop.kind == "budget_samples" and samples[-1] + p.n * algo.batch_size(
+                sched, st.k + 1 if tracking else st.k) > stop.value:
+            reason = "budget_samples"
+        elif stop.kind == "target_eps" and rows[-1][3] <= stop.value:
+            reason = "target_eps"
+        else:
+            try:
+                st = algo.step(st, mix, p, alpha, sched, streams, tracking)
+                continue
+            except algo.DivergenceError:
+                reason = "diverged"
+        break
+    rows, k = np.array(rows), st.k
+    msg_per_iter = (2 if tracking else 1) * g.degrees()
+    return algo.PathTrace(algorithm, rows[:, :3], rows[:, 3], np.array(samples),
+                          np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
+                          k * msg_per_iter, x0, rows[:, 4], rows[:, 5], reason)
+
+
+def _block_of(monkeypatch, states, p, paths):
+    """Bound the record block to `states` stacked states of `paths` paths."""
+    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", states * paths * p.n * p.d * 8)
+
+
+@pytest.mark.parametrize("algorithm,stop", [
+    # 4 states a block: 19, 20 and 21 recorded states
+    ("dvss-sgt", ("max_iters", 18)),
+    ("dvss-sgt", ("max_iters", 19)),
+    ("dvss-sgt", ("max_iters", 20)),
+    ("d-sgd", ("max_iters", 19)),
+    ("dvss-sgt", ("budget_samples", 3000)),
+    ("d-sgd", ("budget_samples", 3000)),
+])
+def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algorithm, stop):
+    p, g, mix = fig1_instance
+    sched = algo.geometric_schedule(0.98) if algorithm == "dvss-sgt" else algo.constant_schedule(1)
+    stop, paths = algo.StopRule(*stop), [0, 3, 1]
+    _block_of(monkeypatch, 4, p, len(paths))
+    blocks = []
+    monkeypatch.setattr(metrics, "error_vector",
+                        lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
+    traces = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
+    assert max(len(st.x) for st in blocks) == 4
+    if stop.kind == "max_iters":   # one error-vector pass per block
+        assert len(blocks) == -(-(stop.value + 1) // 4)
+    for path, trace in zip(paths, traces):
+        assert trace.stop_reason == stop.kind
+        _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, algorithm, 0.01, sched,
+                                                      stop, seed=5, path=path))
+
+
+def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance):
+    p, g, mix = fig1_instance
+    sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
+    _block_of(monkeypatch, 16, p, 6)
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
+                            paths=range(6))
+    assert [tr.iterations for tr in traces] == [273, 268, 256, 288, 252, 260]
+    for path, trace in enumerate(traces):
+        _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
+                                                      stop, seed=2024, path=path))
+
+
+def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
+    p, g, mix = path3_instance()
+    # path 0 sits at the fixed point and never diverges; path 1 does
+    x0 = [np.tile(p.x_star + off, (p.n, 1)) for off in (0.0, 1.0)]
+    args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1),
+            algo.StopRule("max_iters", 400))
+
+    def diverge():
+        with pytest.raises(algo.DivergenceError) as err:
+            algo.run_paths(*args, seed=0, paths=[0, 1], x0=x0)
+        return err.value
+
+    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", 1)   # one state a block: unblocked
+    ref = diverge()
+    assert ref.slot == 1
+    # recorded states 0 .. k - 1, so k not a multiple of the block is mid-block
+    states = next(b for b in (3, 4, 5, 7) if ref.k % b)
+    _block_of(monkeypatch, states, p, 2)
+    exc = diverge()
+    assert (exc.k, exc.slot, str(exc)) == (ref.k, ref.slot, str(ref))
+    _assert_same_trace(exc.trace, ref.trace)
+    _assert_same_trace(exc.trace, _hand_stepped_trace(*args, seed=0, path=1, x0=x0[1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_guard_names_the_slot_and_worst_value_of_a_later_path(bad):
+    x = np.zeros((3, 2, 2))
+    x[0, 1, 0] = -algo.DIVERGENCE_THRESHOLD   # exactly at the threshold passes
+    x[1, 0, 1] = algo.DIVERGENCE_THRESHOLD
+    algo._guard(x, 7)
+    x[2, 1, 1] = bad
+    with pytest.raises(algo.DivergenceError) as err:
+        algo._guard(x, 7)
+    assert (err.value.k, err.value.slot) == (7, 2)
+    assert f"magnitude {abs(bad):.3e} exceeded" in str(err.value)
+    x[1, 1, 1] = np.nextafter(algo.DIVERGENCE_THRESHOLD, np.inf)
+    with pytest.raises(algo.DivergenceError) as err:
+        algo._guard(x, 7)
+    assert err.value.slot == 1
+
+
 @pytest.mark.parametrize("batch", [40, 1000])
 def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=2)
