@@ -9,12 +9,12 @@ from .graph import (Graph, MixingMatrix, erdos_renyi, metropolis_weights,
 from .metrics import (ErrorVector, RunResult, aggregate, combined_error,
                       error_vector, fit_geometric_rate, oracle_vs_epsilon)
 from .oracle import (Problem, StreamFactory, bartlett_gradients, deterministic,
-                     empirical_noise_level, exact_gradients, gradient_stream,
-                     make_regression_problem, sample_gradients)
+                     exact_gradients, gradient_stream, make_regression_problem,
+                     noise_level, sample_gradients)
 from .theory import (ContractionMatrix, RateBound, build_J, check_error_recursion,
                      find_alpha, iteration_complexity, noise_constant,
                      oracle_complexity, rate_bound, spectral_radius_3x3)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

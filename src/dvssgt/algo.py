@@ -76,6 +76,19 @@ def batch_size(s: BatchSchedule, k):
     return min(int(math.ceil(val)), s.cap)
 
 
+def cap_reached_at(s: BatchSchedule):
+    """Smallest k with batch_size(s, k) == s.cap on a geometric schedule:
+    N(k) = ceil(ratio^-k) reaches it between ratio^-k > cap - 1 and ratio^-k
+    >= cap, and batch_size's float-dust rule decides where, by bisection."""
+    step = -math.log(s.ratio)
+    lo = max(0, math.floor(math.log(max(1, s.cap - 1)) / step) - 1)   # N(lo) < cap
+    hi = math.ceil(math.log(s.cap) / step)   # N(hi) == cap; lo = hi = 0 at cap 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if batch_size(s, mid) == s.cap else (mid, hi)
+    return hi
+
+
 def batch_total(s: BatchSchedule, K):
     """sum_{k=0}^{K} batch_size(s, k) by batch_size's rule, in numpy chunks
     of at most SUM_CHUNK terms; the terms past the cap are added as cap x count."""

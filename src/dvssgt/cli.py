@@ -311,7 +311,7 @@ def theory_report(cfg):
     ev = metrics.error_vector(algo.start(problem, x0s, sched, streams), problem)
     z0 = np.stack([ev.opt_err, ev.cons_x, ev.cons_y], axis=-1)   # one row per path
     z0_norm = float(np.linalg.norm(np.mean(z0, axis=0)))
-    emp_nu = oracle.empirical_noise_level(problem, x0s[0], seed=cfg["seed"])
+    emp_nu = oracle.noise_level(problem, x0s[0])
 
     rhos = {convention: _rho_at(alpha, problem, mix, convention)
             for convention in ("eta", "L")}
@@ -359,6 +359,7 @@ def theory_report(cfg):
         "z0_norm": z0_norm,
         "regime": rb.regime,
         "complexity": tables,
+        "cap_reached_at": algo.cap_reached_at(sched),
         "recursion_max_violation": lem.max_violation,
     }
 

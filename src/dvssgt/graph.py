@@ -103,9 +103,7 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     deg = g.degrees()
     A = np.zeros((g.n, g.n))
     for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        A[i, j] = w
-        A[j, i] = w
+        A[i, j] = A[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(A, 1.0 - A.sum(axis=1))
     return MixingMatrix(A, spectral_radius_deviation(A), spectral_norm_A_minus_I(A))
 

@@ -146,21 +146,11 @@ def write_csv(result: RunResult, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for k in range(result.mean_z.shape[0]):
-            writer.writerow([
-                k,
-                repr(float(result.mean_z[k, 0])),
-                repr(float(result.mean_z[k, 1])),
-                repr(float(result.mean_z[k, 2])),
-                repr(float(result.mean_combined[k])),
-                int(result.cum_samples[k]),
-                int(result.cum_messages[k]),
-            ])
+        floats = (map(repr, col.tolist()) for col in (*result.mean_z.T, result.mean_combined))
+        writer.writerows(zip(range(len(result.mean_z)), *floats,
+                             result.cum_samples.tolist(), result.cum_messages.tolist()))
 
 
 def read_csv(path):
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({key: float(val) for key, val in row.items()})
-    return rows
+        return [{key: float(val) for key, val in row.items()} for row in csv.DictReader(fh)]

@@ -123,8 +123,8 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
 
     noise_spec is a single observation-noise sigma or one per agent. The
     recorded nu is the analytic single-sample noise bound over the ball of
-    radius 3*sqrt(d) around x_star; see empirical_noise_level for the
-    at-x0 estimate used in reported bounds.
+    radius 3*sqrt(d) around x_star; noise_level gives the exact level at a
+    point, which `dvssgt theory` reports at x0.
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got n={n}")
@@ -146,7 +146,7 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
             raise ValueError(f"covariance for agent {i} is not positive definite")
         lam_lo, lam_hi = min(lam_lo, lo), max(lam_hi, hi)
         tr = float(np.trace(R))
-        # E||w||^2 at offset e: tr(R) e'Re + e'R^2 e + sigma^2 tr(R)
+        # noise_level's E||w||^2 at offset e is at most hi |e|^2 (tr + hi) + sigma^2 tr
         nu_sq = max(nu_sq, hi * radius**2 * (tr + hi) + sigmas[i] ** 2 * tr)
 
     R = np.stack(covs)
@@ -240,17 +240,15 @@ def bartlett_gradients(p: Problem, E, batch, rng):
     return (LB @ r[..., None])[..., 0] / batch
 
 
-def empirical_noise_level(p: Problem, x0, draws=10_000, seed=0):
-    """max over agents of sqrt(E||w_i||^2) at the rows of x0, by Monte Carlo."""
+def noise_level(p: Problem, x0):
+    """max over agents of sqrt(E||w_i||^2) for the single-sample gradient noise
+    w_i = u (u'e_i - sigma_i xi) - R_i e_i, u ~ N(0, R_i), at e_i = x0_i - x_star,
+    exactly by Isserlis' (1918) identity: tr(R_i) e_i'R_i e_i + e_i'R_i^2 e_i +
+    sigma_i^2 tr(R_i). x0 is (n, d) or one shared (d,) row; an exact oracle has none."""
     if p.exact_oracle:
         return 0.0
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(p.n):
-        e = x0[i % x0.shape[0]] - p.x_star
-        z = rng.standard_normal((draws, p.d))
-        w = _single_gradients(p.chol[i], p.sigmas[i], e, z,
-                             rng.standard_normal(draws)) - p.R[i] @ e
-        worst = max(worst, float(np.mean(np.sum(w**2, axis=1))))
-    return float(np.sqrt(worst))
+    E = np.broadcast_to(np.asarray(x0, dtype=float) - p.x_star, (p.n, p.d))
+    RE = (p.R @ E[..., None])[..., 0]
+    tr = np.trace(p.R, axis1=1, axis2=2)
+    nu_sq = tr * np.sum(E * RE, axis=1) + np.sum(RE**2, axis=1) + p.sigmas**2 * tr
+    return float(np.sqrt(nu_sq.max()))

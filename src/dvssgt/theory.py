@@ -132,9 +132,7 @@ def _check_regime(rb: RateBound):
 def rate_bound(rb: RateBound, k):
     """Mean-error bound at iteration k in the applicable regime."""
     _check_regime(rb)
-    if rb.q > rb.rho:
-        return rb.rho**k * rb.z0_norm + rb.C / (rb.q - rb.rho) * rb.q**k
-    return rb.rho**k * rb.z0_norm + rb.C / (rb.rho - rb.q) * rb.rho**k
+    return rb.rho**k * rb.z0_norm + rb.C / abs(rb.q - rb.rho) * rb.envelope_base**k
 
 
 def iteration_complexity(rb: RateBound, eps):
@@ -145,7 +143,7 @@ def iteration_complexity(rb: RateBound, eps):
     B = rb.prefactor
     if B <= eps:
         return 0
-    base = rb.q if rb.q > rb.rho else rb.rho
+    base = rb.envelope_base
     if base >= 1.0:
         raise ValueError(f"no geometric decay: max(rho, q) = {base} >= 1")
     return int(math.ceil(math.log(B / eps) / math.log(1.0 / base)))

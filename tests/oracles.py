@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's numerical core: eigenvalues come
 from the characteristic polynomial (Faddeev-LeVerrier + np.roots), batch
-sizes from exact rational arithmetic, gradients from central differences.
+sizes from exact rational arithmetic, gradients from central differences,
+gradient-noise levels from Monte Carlo draws.
 """
 from fractions import Fraction
 
@@ -51,3 +52,15 @@ def finite_difference_gradient(f, x, h=1e-6):
         e[j] = h
         g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def noise_level_mc(R, sigma, e, draws, rng):
+    """(mean, standard error) of ||w||^2 over `draws` samples of one agent's
+    single-sample gradient noise w = u (u'e - sigma xi) - R e at offset e,
+    with u = chol(R) z and z, xi standard normal."""
+    R, e = np.asarray(R, dtype=float), np.asarray(e, dtype=float)
+    u = rng.standard_normal((draws, len(e))) @ np.linalg.cholesky(R).T
+    xi = rng.standard_normal(draws)
+    w = u * (u @ e - sigma * xi)[:, None] - R @ e
+    sq = np.sum(w * w, axis=1)
+    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(draws))

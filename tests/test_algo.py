@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def test_batch_size_nondecreasing_and_capped():
     assert sizes[-1] == 500
     # log-space evaluation survives exponents that overflow a float power
     assert algo.batch_size(algo.geometric_schedule(0.5), 10_000) == algo.DEFAULT_BATCH_CAP
+
+
+def test_cap_reached_at_matches_a_scan():
+    # ratio 0.5 meets the caps at exact powers of two, where the float-dust rule decides
+    for ratio in (0.5, 0.7, 0.9, 0.98, 0.999):
+        for cap in (1, 2, 3, 4, 5, 8, 9, 100, 1024, 1025, 10**6):
+            s = algo.geometric_schedule(ratio, cap=cap)
+            scan = next(k for k in itertools.count() if algo.batch_size(s, k) == cap)
+            assert algo.cap_reached_at(s) == scan, (ratio, cap)
+    s = algo.geometric_schedule(0.98)
+    k = algo.cap_reached_at(s)
+    assert algo.batch_size(s, k - 1) < algo.DEFAULT_BATCH_CAP == algo.batch_size(s, k)
 
 
 def test_batch_size_constant():

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvssgt import algo, charts, cli, graph
+import dvssgt
+from dvssgt import algo, charts, cli, graph, oracle
 
 
 def small_cfg(tmp_path, **extra):
@@ -227,6 +228,15 @@ def test_theory_report(tmp_path):
     assert isinstance(report["rho_at_alpha"]["eta"], float)
     assert isinstance(report["rho_at_alpha"]["L"], float)
     assert json.loads((out / "config.json").read_text())["paths"] == 2
+    # N(k) = ceil(0.98^-k) first reaches the default cap 2^31 - 1 at k = 1064
+    assert report["cap_reached_at"] == 1064
+    # empirical_nu is the exact noise level at path 0's x0
+    p = cli.build_instance(cli.resolve_config(cli.load_config("fig1", path), "theory")[0])[0]
+    E = algo.default_x0(p, oracle.StreamFactory(2024, 0)) - p.x_star
+    RE = np.einsum("ijk,ik->ij", p.R, E)
+    tr = np.trace(p.R, axis1=1, axis2=2)
+    nu_sq = tr * np.einsum("ij,ij->i", E, RE) + np.einsum("ij,ij->i", RE, RE) + p.sigmas**2 * tr
+    assert report["empirical_nu"] == pytest.approx(math.sqrt(nu_sq.max()), rel=1e-12)
 
 
 def test_theory_oracle_counts_follow_the_schedule_cap(tmp_path):
@@ -236,9 +246,18 @@ def test_theory_oracle_counts_follow_the_schedule_cap(tmp_path):
                      "--out", str(out)]) == 0
     report = json.loads((out / "theory.json").read_text())
     capped = algo.geometric_schedule(0.98, cap=100)
+    assert report["cap_reached_at"] == 228
+    assert [algo.batch_size(capped, k) for k in (227, 228)] == [99, 100]
     for table in report["complexity"].values():
         assert table["oracle_exact"] == algo.batch_total(capped, table["K"])
         assert table["oracle_exact"] <= 100 * (table["K"] + 1)
+
+
+def test_version_strings_agree():
+    # a regex, not tomllib, which needs Python 3.11
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == dvssgt.__version__
 
 
 def test_theory_bound_overflow_is_null(tmp_path):

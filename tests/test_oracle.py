@@ -1,7 +1,9 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dvssgt import algo, oracle
@@ -312,11 +314,44 @@ def test_deterministic_copy():
     assert np.all(s - oracle.exact_gradients(det, X) == 0.0)
     # an exact oracle never touches its stream
     assert np.array_equal(oracle.sample_gradients(det, X, 9, None), s)
-    assert oracle.empirical_noise_level(det, np.zeros((p.n, p.d))) == 0.0
+    assert oracle.noise_level(det, np.zeros((p.n, p.d))) == 0.0
+    assert oracle.noise_level(det, p.x_star + 5.0) == 0.0
 
 
-def test_empirical_noise_level_positive_and_below_analytic_bound():
-    p = make_small(seed=4)
-    x0 = p.x_star + np.ones(p.d) / np.sqrt(p.d)  # inside the analytic region
-    emp = oracle.empirical_noise_level(p, x0, draws=5000, seed=1)
-    assert 0.0 < emp <= p.nu
+@pytest.mark.parametrize("covariance_spec", ["diag-uniform[1,2]", "rot-spd[0.5,3]"])
+@pytest.mark.parametrize("shared_row", [False, True])
+def test_noise_level_matches_monte_carlo_per_agent(covariance_spec, shared_row):
+    p = make_small(covariance_spec, noise_spec=[0.5, 1.0, 2.0, 0.0], seed=3)
+    rng = np.random.default_rng(11)
+    x0 = p.x_star + (rng.standard_normal(p.d) if shared_row
+                     else rng.standard_normal((p.n, p.d)))
+    E = np.broadcast_to(x0 - p.x_star, (p.n, p.d))
+    levels = []
+    for i in range(p.n):
+        mean, se = oracles.noise_level_mc(p.R[i], p.sigmas[i], E[i], 100_000, rng)
+        # agent i alone: the others sit at x_star without observation noise
+        alone = dataclasses.replace(p, sigmas=np.where(np.arange(p.n) == i, p.sigmas, 0.0))
+        level = oracle.noise_level(alone, np.where(np.arange(p.n)[:, None] == i, E, 0.0)
+                                   + p.x_star)
+        assert abs(level**2 - mean) <= 5.0 * se
+        levels.append(level)
+    assert oracle.noise_level(p, x0) == pytest.approx(max(levels), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 4), d=st.integers(1, 4),
+       spec=st.sampled_from(["identity", "diag-uniform[0.2,5]", "rot-spd[0.5,3]"]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_noise_level_within_the_analytic_bound(n, d, spec, seed, data):
+    sigmas = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    p = oracle.make_regression_problem(n, d, np.linspace(-1.0, 1.0, d),
+                                       covariance_spec=spec, noise_spec=sigmas, seed=seed)
+    # rows anywhere in the ball of radius 3 sqrt(d) around x_star that p.nu covers
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    directions = rng.standard_normal((n, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    x0 = p.x_star + (oracle.NOISE_REGION_RADIUS_FACTOR * np.sqrt(d)
+                     * np.asarray(radii)[:, None] * directions)
+    # equality holds on the sphere for identity covariances; allow rounding
+    assert oracle.noise_level(p, x0) <= p.nu * (1.0 + 1e-12)
