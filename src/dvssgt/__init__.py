@@ -15,6 +15,6 @@ from .theory import (ContractionMatrix, RateBound, build_J, check_error_recursio
                      find_alpha, iteration_complexity, noise_constant,
                      oracle_complexity, rate_bound, spectral_radius_3x3)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

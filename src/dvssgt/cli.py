@@ -54,9 +54,10 @@ AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 
 REQUIRED, OPTIONAL = object(), object()
 
-# largest n*n (graph, mixing matrix), n*d*d (covariances, draws) or
-# paths*n*d (the stacked iterates of a run) array a config may need: 32 MiB
-# of float64, so n <= 2048
+# largest n*n (graph, mixing matrix), n*d*d (covariances, draws), paths*n*d
+# (the stacked iterates of a run) or paths*(iterations + 1) (each trace
+# column, kept until the run ends) array a config may need: 32 MiB of
+# float64, so n <= 2048
 MAX_DENSE_ELEMENTS = 1 << 22
 
 # Every config key once, as (type, requirement or None, default). REQUIRED
@@ -188,6 +189,14 @@ def resolve_config(cfg, command="run"):
     if dense > MAX_DENSE_ELEMENTS:
         errors.append(f"problem.n = {n} and problem.d = {d} need dense arrays of "
                       f"max(n*n, n*d*d, paths*n*d) = {dense} elements at paths = {paths}, "
+                      f"over the limit of {MAX_DENSE_ELEMENTS}")
+    # every iteration draws at least one sample per agent
+    iters = (stop["max_iters"] if "max_iters" in stop else
+             int(stop["budget_samples"] // n) if "budget_samples" in stop
+             else algo.TARGET_EPS_ITER_CAP)
+    if paths * (iters + 1) > MAX_DENSE_ELEMENTS:
+        errors.append(f"paths = {paths} over up to {iters} iterations need trace arrays of "
+                      f"paths*(iterations + 1) = {paths * (iters + 1)} elements, "
                       f"over the limit of {MAX_DENSE_ELEMENTS}")
     if command == "sweep":
         for value in sweep["grid"]:

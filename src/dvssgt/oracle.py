@@ -6,8 +6,8 @@ sampled gradient at x is u u^T x - d_obs u, an unbiased estimate of
 grad f_i(x) = R_i (x - x_star).
 
 A batch of N such gradients depends on its regressors only through their
-scatter matrix S = sum u u^T ~ Wishart_d(N, R_i), so from N >= max(d,
-BARTLETT_MIN_BATCH) on it is drawn from that law directly (Bartlett's
+scatter matrix S = sum u u^T ~ Wishart_d(N, R_i), so from N >=
+bartlett_crossover(d) on it is drawn from that law directly (Bartlett's
 decomposition) in O(d^3) time and O(d^2) memory, whatever N is.
 """
 from __future__ import annotations
@@ -29,14 +29,22 @@ INIT_STREAM_AGENT = (1 << 21) - 1
 
 _KEY_MASK = (1 << 64) - 1
 
-# batch size from which the Bartlett draw replaces the direct one: at d=5 both
-# cost 25-35 us per draw near 150 on a 2-core Xeon, the direct draw is cheaper
-# below and grows linearly in N above (1 ms at N=8,877)
-BARTLETT_MIN_BATCH = 150
+# smallest batch the Bartlett draw takes at any d; see bartlett_crossover
+BARTLETT_FLOOR = 12
 
 # bytes of random numbers per chunk of stacked paths (or one path's, if more):
-# 469 paths of the largest direct draw, N = 149, at n = 10 and d = 5
+# 6,355 paths of the largest direct draw, N = 11, at n = 10 and d = 5
 MAX_DRAW_BLOCK_BYTES = 32 << 20
+
+
+def bartlett_crossover(d):
+    """Smallest batch drawn by Bartlett's decomposition at dimension d. The
+    direct draw's cost grows linearly in N; the Bartlett draw's is flat in N
+    but pays one more generator call per path and O(d^3) products. On stacked
+    network draws (n = 10, 2 or 5 paths, 2-core Xeon) the two cost the same
+    at N of about 8-20 for d <= 5 and 1.3 d for d >= 20, and at this rule the
+    dearer draw is within ~20% of the cheaper one at each d measured."""
+    return max(BARTLETT_FLOOR, d + d // 3)
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def sample_gradients(p: Problem, X, batch, rng):
 
     X is (n, d), or (P, n, d) for P stacked paths, and `rng` one Generator
     that the paths draw from in turn, or an iterable of one per path. Per
-    path, below the Bartlett crossover the draws are (n, batch, d) regressor
+    path, below bartlett_crossover(d) the draws are (n, batch, d) regressor
     normals, then (n, batch) noise normals. Paths are drawn in chunks whose
     random numbers fill at most max(one path's, MAX_DRAW_BLOCK_BYTES) bytes.
     An exact oracle never touches `rng`."""
@@ -188,7 +196,7 @@ def sample_gradients(p: Problem, X, batch, rng):
     E = _offsets(p, X)
     rngs = itertools.repeat(rng) if isinstance(rng, np.random.Generator) else iter(rng)
     stacked = E.reshape(-1, p.n, p.d)
-    bartlett = batch >= max(p.d, BARTLETT_MIN_BATCH)
+    bartlett = batch >= bartlett_crossover(p.d)
     width = 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
     chunk = max(1, MAX_DRAW_BLOCK_BYTES // width)
     draw = bartlett_gradients if bartlett else _direct_gradients
@@ -220,23 +228,27 @@ def bartlett_gradients(p: Problem, E, batch, rng):
     Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
     (1933) decomposition S = L B B' L', with L = chol(R) and B lower
     triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
-    both from O(d^2) random numbers per agent, drawn per path as (n, d, d)
-    normals, (n, d) chi-squares and (n, d) normals. E is (n, d) with one
-    Generator, or (P, n, d) with an iterable of one per path. Needs batch >= d.
+    both from O(d^2) random numbers per agent. Per path one call draws
+    (n, d, d + 1) normals Z, a second (n, d) chi-squares with batch - d + 1
+    degrees of freedom: B is Z's strict lower triangle, nu its last column,
+    and the d - 1 - j normals right of Z's diagonal in row j, squared, raise
+    row j's chi-square to chi^2_{batch-j}. E is (n, d) with one Generator,
+    or (P, n, d) with an iterable of one per path. Needs batch >= d.
     """
     d = p.d
     if batch < d:
         raise ValueError(f"Bartlett draw needs batch >= d={d}, got {batch}")
     if isinstance(rng, np.random.Generator):
         return bartlett_gradients(p, E[None], batch, [rng])[0]
-    diag = np.arange(d)
-    draws = [(r.standard_normal((p.n, d, d)), r.chisquare(batch - diag, size=(p.n, d)),
-              r.standard_normal((p.n, d))) for r in rng]
-    B, chi, nu = (np.array(a) for a in zip(*draws))
-    B = np.tril(B, -1)
-    B[..., diag, diag] = np.sqrt(chi)
+    draws = [(r.standard_normal((p.n, d, d + 1)), r.chisquare(batch - d + 1, size=(p.n, d)))
+             for r in rng]
+    Z, chi = (np.array(a) for a in zip(*draws))
+    j = np.arange(d)
+    B = np.where(j[:, None] > j, Z[..., :d], 0.0)
+    right = np.where(j[:, None] < j, Z[..., :d], 0.0)
+    B[..., j, j] = np.sqrt(chi + (right * right).sum(axis=-1))
     LB = p.chol @ B
-    r = (np.swapaxes(LB, -1, -2) @ E[..., None])[..., 0] - p.sigmas[:, None] * nu
+    r = (np.swapaxes(LB, -1, -2) @ E[..., None])[..., 0] - p.sigmas[:, None] * Z[..., d]
     return (LB @ r[..., None])[..., 0] / batch
 
 

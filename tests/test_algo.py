@@ -452,12 +452,14 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     ("dvss-sgt", 0.98, ("budget_samples", 3000)),
     ("d-sgt", 0.98, ("budget_samples", 3000)),
     ("d-sgd", 0.98, ("budget_samples", 3000)),
-    # N(k) = ceil(0.9^-k) crosses the Bartlett crossover 150 at k = 48
+    # N(k) = ceil(0.9^-k) crosses the Bartlett crossover (12 at d = 5) at k = 23
     ("dvss-sgt", 0.9, ("max_iters", 60)),
 ])
 def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop):
     p, g, mix = fig1_instance
     sched = algo.geometric_schedule(ratio)
+    if stop[0] == "max_iters":
+        assert algo.batch_size(sched, stop[1]) >= oracle.bartlett_crossover(p.d)
     paths = [0, 3, 1]
     stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
                              seed=5, paths=paths)
@@ -585,7 +587,7 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     _block_of(monkeypatch, 16, p, 6)
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
                             paths=range(6))
-    assert [tr.iterations for tr in traces] == [273, 268, 256, 288, 252, 260]
+    assert [tr.iterations for tr in traces] == [296, 238, 281, 261, 250, 275]
     for path, trace in enumerate(traces):
         _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
                                                       stop, seed=2024, path=path))
@@ -632,21 +634,24 @@ def test_guard_names_the_slot_and_worst_value_of_a_later_path(bad):
     assert err.value.slot == 1
 
 
-@pytest.mark.parametrize("batch", [40, 1000])
+# the largest direct draw at d = 3, and a Bartlett one
+@pytest.mark.parametrize("batch", [oracle.bartlett_crossover(3) - 1, 1000])
 def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=2)
     X = np.random.default_rng(0).standard_normal((7, p.n, p.d))
     whole = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
                                     .generators(4))
     # the random numbers of one path at this batch: regressors and noise, or
-    # the Bartlett normals, chi-squares and noise
-    per_path = 8 * p.n * (batch * (p.d + 1) if batch < 150 else p.d * (p.d + 2))
-    sizes = []
+    # the Bartlett normals, noise included, and chi-squares
+    direct = batch < oracle.bartlett_crossover(p.d)
+    per_path = 8 * p.n * (batch * (p.d + 1) if direct else p.d * (p.d + 2))
+    sizes, drawn_by = [], set()
     for name in ("_direct_gradients", "bartlett_gradients"):
         real = getattr(oracle, name)
 
-        def spy(p, E, batch, rngs, real=real):
+        def spy(p, E, batch, rngs, real=real, name=name):
             sizes.append(len(E))
+            drawn_by.add(name)
             return real(p, E, batch, rngs)
         monkeypatch.setattr(oracle, name, spy)
     for limit in (1, 2 * per_path + 1, 10**9):
@@ -658,3 +663,4 @@ def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
         assert sum(sizes) == 7
         assert all(size * per_path <= max(per_path, limit) for size in sizes)
         assert sizes[0] == min(7, max(1, limit // per_path))
+    assert drawn_by == {"_direct_gradients" if direct else "bartlett_gradients"}

@@ -280,12 +280,18 @@ def test_theory_noiseless_C_zero(tmp_path):
     cfg["paths"] = 2
     cfg["problem"]["noise_sigmas"] = 0.0
     report = cli.theory_report(cfg)
-    # observation noise is zero but regressor scatter still contributes;
-    # force a true noiseless check through the formula itself
+    # without observation noise the regressor scatter is left: at path 0's x0,
+    # E||w_i||^2 = tr(R_i) e_i'R_i e_i + e_i'R_i^2 e_i with e_i = x0_i - x*
+    p, _g, _mix = cli.build_instance(cfg)
+    e = algo.default_x0(p, oracle.StreamFactory(cfg["seed"], 0)) - p.x_star
+    Re = np.einsum("ijk,ik->ij", p.R, e)
+    level = math.sqrt(np.max(np.einsum("ijj->i", p.R) * np.einsum("ij,ij->i", e, Re)
+                             + np.einsum("ij,ij->i", Re, Re)))
+    assert level > 0.0
+    assert report["empirical_nu"] == pytest.approx(level, rel=1e-12)
     from dvssgt import theory
-    assert theory.noise_constant(0.0, report["table_alpha"], report["q"],
-                                 report["lips"], 10) == 0.0
-    assert report["C_empirical_nu"] >= 0.0
+    assert report["C_empirical_nu"] == pytest.approx(theory.noise_constant(
+        level, report["table_alpha"], report["q"], report["lips"], p.n), rel=1e-12)
 
 
 def test_sweep_singleton_matches_run(tmp_path):
@@ -359,8 +365,37 @@ def test_batch_sizes_and_dense_arrays_are_bounded():
     assert cli.resolve_config(wide)[1] != []
     edge = cli.load_config("fig1", overrides={"problem": {"n": 2048}, "graph": {"n": 2048}})
     assert cli.resolve_config(edge)[1] == []
-    # the stacked (paths, n, d) iterates: at n = 10 and d = 5, up to 83,886 paths
-    most = cli.load_config("fig1", overrides={"paths": 83_886})
+    # the stacked (paths, n, d) iterates: at n = 10 and d = 5, up to 83,886
+    # paths (over one iteration, within the trace rule below)
+    one = {"stop": {"max_iters": 1}}
+    most = cli.load_config("fig1", overrides={"paths": 83_886, **one})
     assert cli.resolve_config(most)[1] == []
-    [error] = cli.resolve_config(cli.load_config("fig1", overrides={"paths": 83_887}))[1]
+    [error] = cli.resolve_config(cli.load_config("fig1", overrides={"paths": 83_887, **one}))[1]
     assert "paths*n*d) = 4194350 elements at paths = 83887, over the limit" in error
+
+
+def test_trace_arrays_are_bounded():
+    def errors(**sections):
+        return cli.resolve_config({**cli.load_config("fig1"), **sections})[1]
+
+    # 83,886 paths x 100,001 rows of 6 floats used to end in an _ArrayMemoryError
+    assert errors(paths=83_886, stop={"max_iters": 100_000},
+                  schedule={"kind": "constant", "size": 1}) == [
+        "paths = 83886 over up to 100000 iterations need trace arrays of "
+        "paths*(iterations + 1) = 8388683886 elements, over the limit of 4194304"]
+    # the iteration bound of each stop rule, at the limit and one step past it
+    limit = cli.MAX_DENSE_ELEMENTS
+    assert errors(paths=64, stop={"max_iters": limit // 64 - 1}) == []
+    assert len(errors(paths=64, stop={"max_iters": limit // 64})) == 1
+    # a budget allows at most budget // n iterations, since each draws n samples or more
+    assert errors(paths=2, stop={"budget_samples": 10 * (limit // 2 - 1) + 9}) == []
+    assert len(errors(paths=2, stop={"budget_samples": 10 * (limit // 2)})) == 1
+    most = limit // (algo.TARGET_EPS_ITER_CAP + 1)
+    assert errors(paths=most, stop={"target_eps": 0.05}) == []
+    assert len(errors(paths=most + 1, stop={"target_eps": 0.05})) == 1
+    # every preset and the 6-path target_eps run resolve
+    for name in cli.PRESETS:
+        for command in ("run", "compare", "theory"):
+            if command != "run" or "algorithm" in cli.PRESETS[name]:
+                assert cli.resolve_config(cli.load_config(name), command)[1] == [], name
+    assert errors(paths=6, stop={"target_eps": 0.05}) == []

@@ -181,9 +181,9 @@ def _direct_draw(p, X, batch, rng):
     return out
 
 
-@pytest.mark.parametrize("d,batch", [(3, 1), (3, 7),
-                                     (3, oracle.BARTLETT_MIN_BATCH - 1),
-                                     (200, oracle.BARTLETT_MIN_BATCH + 10)])
+# d = 200 at N = 160 < d: no Bartlett factor exists, whatever the crossover
+@pytest.mark.parametrize("d,batch", [(3, 1), (3, 7), (3, oracle.bartlett_crossover(3) - 1),
+                                     (200, 160)])
 def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     p = make_small(d=d, n=2)
     X = p.x_star + np.array([[0.5], [-0.25]])
@@ -192,10 +192,25 @@ def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     assert np.array_equal(s, ref)
 
 
+@pytest.mark.parametrize("d", [1, 5, 20])
+def test_crossover_switches_draws_on_the_same_stream(d):
+    p = make_small(d=d, n=2)
+    X = p.x_star + np.array([[0.5], [-0.25]])
+    below, at = oracle.bartlett_crossover(d) - 1, oracle.bartlett_crossover(d)
+    assert below >= 1 and at >= d
+    draw = [oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+            for batch in (below, at)]
+    assert np.array_equal(draw[0], _direct_draw(p, X, below, oracle.gradient_stream(8, 2, 0, 4)))
+    assert np.array_equal(draw[1], oracle.bartlett_gradients(
+        p, X - p.x_star, at, oracle.gradient_stream(8, 2, 0, 4)))
+    # at the crossover the direct draw is no longer taken
+    assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracle.gradient_stream(8, 2, 0, 4)))
+
+
 def test_bartlett_draw_from_crossover_uses_the_same_stream():
     p = make_small()
     X = rows(p, p.x_star + 0.5)
-    for batch in (oracle.BARTLETT_MIN_BATCH, 10**6):
+    for batch in (oracle.bartlett_crossover(p.d), 10**6):
         s = oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
         ref = oracle.bartlett_gradients(p, X - p.x_star, batch,
                                         oracle.gradient_stream(8, 2, 0, 4))
@@ -205,7 +220,7 @@ def test_bartlett_draw_from_crossover_uses_the_same_stream():
                                   oracle.gradient_stream(8, 2, 0, 4))
 
 
-@pytest.mark.parametrize("batch", [3, 30, 1000])
+@pytest.mark.parametrize("batch", [3, oracle.bartlett_crossover(3), 30, 1000])
 def test_bartlett_moments_match_analytic(batch):
     p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=1.5, seed=3)
     R, sigma = p.R[0], p.sigmas[0]
@@ -227,7 +242,7 @@ def test_bartlett_moments_match_analytic(batch):
 
 @pytest.mark.parametrize("batch", [3, 30, 1000])
 def test_every_row_of_a_batched_draw_follows_the_agent_law(batch):
-    # 3 and 30 take the direct draw, 1000 the Bartlett one
+    # 3 takes the direct draw, 30 and 1000 the Bartlett one
     p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=(0.5, 1.0, 1.5, 2.0),
                    seed=3)
     E = np.array([[1.0, -0.5, 0.25], [0.0, 0.5, -1.0], [-0.75, 0.0, 0.5],
