@@ -190,11 +190,19 @@ def resolve_config(cfg, command="run"):
         errors.append(f"problem.n = {n} and problem.d = {d} need dense arrays of "
                       f"max(n*n, n*d*d, paths*n*d) = {dense} elements at paths = {paths}, "
                       f"over the limit of {MAX_DENSE_ELEMENTS}")
-    # every iteration draws at least one sample per agent
-    iters = (stop["max_iters"] if "max_iters" in stop else
-             int(stop["budget_samples"] // n) if "budget_samples" in stop
-             else algo.TARGET_EPS_ITER_CAP)
-    if paths * (iters + 1) > MAX_DENSE_ELEMENTS:
+    # no run may reach iteration `limit`. A budget run reaches iteration K once
+    # n*batch_total(schedule, K) fits, D-SGD (drawing at x(k-1)) once the sum to
+    # K - 1 does; both are at least n*K, so a budget below n*limit skips the sums
+    limit = MAX_DENSE_ELEMENTS // paths
+    iters = stop.get("max_iters", algo.TARGET_EPS_ITER_CAP)
+    if "budget_samples" in stop:
+        budget = stop["budget_samples"]
+        runs = ALGORITHMS if command == "compare" else [out.get("algorithm", "dvss-sgt")]
+        iters = limit if budget >= n * limit and any(n * algo.batch_total(
+            algo.BatchSchedule(**sched) if a == "dvss-sgt"
+            else algo.constant_schedule(out["baseline_batch"]), limit - (a == "d-sgd"))
+            <= budget for a in runs) else 0
+    if iters >= limit:
         errors.append(f"paths = {paths} over up to {iters} iterations need trace arrays of "
                       f"paths*(iterations + 1) = {paths * (iters + 1)} elements, "
                       f"over the limit of {MAX_DENSE_ELEMENTS}")
@@ -350,7 +358,7 @@ def theory_report(cfg):
     det = oracle.deterministic(problem)
     trace = algo.run_path(det, mix, g, "dvss-sgt", cm_eta.alpha, sched,
                           algo.StopRule("max_iters", 200), cfg["seed"])
-    lem = theory.check_error_recursion(trace, cm_eta)
+    worst = theory.check_error_recursion(trace, cm_eta)
 
     return {
         "table_alpha": table_alpha,
@@ -369,7 +377,7 @@ def theory_report(cfg):
         "regime": rb.regime,
         "complexity": tables,
         "cap_reached_at": algo.cap_reached_at(sched),
-        "recursion_max_violation": lem.max_violation,
+        "recursion_max_violation": float(worst.max()),
     }
 
 

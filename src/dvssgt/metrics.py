@@ -47,7 +47,6 @@ class RateFit:
     rate: float
     r_squared: float
     window: tuple
-    intercept: float
 
 
 def fit_geometric_rate(trace, window=None) -> RateFit:
@@ -66,7 +65,7 @@ def fit_geometric_rate(trace, window=None) -> RateFit:
     resid = logs - (slope * ks + intercept)
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateFit(float(np.exp(slope)), r2, (k0, k1), float(intercept))
+    return RateFit(float(np.exp(slope)), r2, (k0, k1))
 
 
 @dataclass
@@ -114,7 +113,6 @@ def aggregate(traces, algorithm=None) -> RunResult:
 
 @dataclass(frozen=True)
 class OracleCostTable:
-    epsilons: np.ndarray
     samples: np.ndarray   # -1 where the target was never reached
     slope: float          # log(samples) vs log(1/eps) regression slope
 
@@ -135,7 +133,7 @@ def oracle_vs_epsilon(result: RunResult, eps_grid) -> OracleCostTable:
                                  np.log(samples[ok].astype(float)), 1)[0])
     else:
         slope = float("nan")
-    return OracleCostTable(eps_grid, samples, slope)
+    return OracleCostTable(samples, slope)
 
 
 CSV_FIELDS = ["k", "mean_opt_err", "mean_cons_x", "mean_cons_y",
@@ -150,7 +148,3 @@ def write_csv(result: RunResult, path):
         writer.writerows(zip(range(len(result.mean_z)), *floats,
                              result.cum_samples.tolist(), result.cum_messages.tolist()))
 
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        return [{key: float(val) for key, val in row.items()} for row in csv.DictReader(fh)]

@@ -58,8 +58,6 @@ class Problem:
     R: np.ndarray        # (n, d, d) regressor covariances R_i
     chol: np.ndarray     # (n, d, d) lower Cholesky factors of R_i
     sigmas: np.ndarray   # (n,) observation-noise standard deviations
-    covariance_spec: str
-    seed: int
     exact_oracle: bool = False
 
 
@@ -74,17 +72,11 @@ def stream_key(seed, path, slot, iteration):
     return [seed & _KEY_MASK, ((path << 42) | (slot << 21) | iteration) & _KEY_MASK]
 
 
-def gradient_stream(seed, path, slot, iteration):
-    """A fresh counter-keyed Philox stream for one cell; see stream_key."""
-    key = np.array(stream_key(seed, path, slot, iteration), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class StreamFactory:
     """The streams of one path, or of paths stacked on a leading axis, under
     one seed. One Philox generator is re-keyed in place to each cell, which
-    gives a fresh gradient_stream's draws without building one (and seeding
-    an unused SeedSequence from OS entropy) per path and iteration."""
+    gives the draws of a fresh Philox keyed by stream_key without building one
+    (and seeding an unused SeedSequence from OS entropy) per path and iteration."""
 
     def __init__(self, seed, path=0):
         self.seed = seed
@@ -159,7 +151,7 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
 
     R = np.stack(covs)
     return Problem(n, d, x_star, float(lam_lo), float(lam_hi), float(np.sqrt(nu_sq)),
-                   R, np.linalg.cholesky(R), sigmas, covariance_spec, seed)
+                   R, np.linalg.cholesky(R), sigmas)
 
 
 def deterministic(p: Problem) -> Problem:
@@ -200,9 +192,11 @@ def sample_gradients(p: Problem, X, batch, rng):
     width = 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
     chunk = max(1, MAX_DRAW_BLOCK_BYTES // width)
     draw = bartlett_gradients if bartlett else _direct_gradients
-    chunks = [stacked[lo:lo + chunk] for lo in range(0, len(stacked), chunk)]
-    return np.concatenate([draw(p, e, batch, itertools.islice(rngs, len(e)))
-                           for e in chunks]).reshape(E.shape)
+    out = np.empty_like(stacked)
+    for lo in range(0, len(stacked), chunk):
+        e = stacked[lo:lo + chunk]
+        out[lo:lo + chunk] = draw(p, e, batch, itertools.islice(rngs, len(e)))
+    return out.reshape(E.shape)
 
 
 def _direct_gradients(p: Problem, E, batch, rngs):
@@ -232,14 +226,12 @@ def bartlett_gradients(p: Problem, E, batch, rng):
     (n, d, d + 1) normals Z, a second (n, d) chi-squares with batch - d + 1
     degrees of freedom: B is Z's strict lower triangle, nu its last column,
     and the d - 1 - j normals right of Z's diagonal in row j, squared, raise
-    row j's chi-square to chi^2_{batch-j}. E is (n, d) with one Generator,
-    or (P, n, d) with an iterable of one per path. Needs batch >= d.
+    row j's chi-square to chi^2_{batch-j}. E is (P, n, d), with an iterable
+    of one Generator per path. Needs batch >= d.
     """
     d = p.d
     if batch < d:
         raise ValueError(f"Bartlett draw needs batch >= d={d}, got {batch}")
-    if isinstance(rng, np.random.Generator):
-        return bartlett_gradients(p, E[None], batch, [rng])[0]
     draws = [(r.standard_normal((p.n, d, d + 1)), r.chisquare(batch - d + 1, size=(p.n, d)))
              for r in rng]
     Z, chi = (np.array(a) for a in zip(*draws))

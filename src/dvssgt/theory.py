@@ -18,7 +18,6 @@ DEGENERATE_TOL = 1e-9
 class ContractionMatrix:
     J: np.ndarray
     alpha: float
-    theta_convention: str  # "eta" (derived value) or "L" (printed value)
     inputs: dict
 
 
@@ -40,9 +39,8 @@ def build_J(alpha, eta, lips, sigma_A, n, norm_AI, convention="eta") -> Contract
         [alpha * math.sqrt(n) * lips**2, lips * norm_AI + alpha * lips**2,
          sigma_A + alpha * lips],
     ])
-    return ContractionMatrix(J, alpha, convention,
-                             {"eta": eta, "lips": lips, "sigma_A": sigma_A,
-                              "n": n, "norm_AI": norm_AI})
+    return ContractionMatrix(J, alpha, {"eta": eta, "lips": lips, "sigma_A": sigma_A,
+                                        "n": n, "norm_AI": norm_AI})
 
 
 def spectral_radius_3x3(M):
@@ -129,12 +127,6 @@ def _check_regime(rb: RateBound):
             "the two-regime bounds do not apply at the boundary")
 
 
-def rate_bound(rb: RateBound, k):
-    """Mean-error bound at iteration k in the applicable regime."""
-    _check_regime(rb)
-    return rb.rho**k * rb.z0_norm + rb.C / abs(rb.q - rb.rho) * rb.envelope_base**k
-
-
 def iteration_complexity(rb: RateBound, eps):
     """Smallest K with the envelope bound below eps."""
     if eps <= 0.0:
@@ -178,23 +170,12 @@ def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule) -> OracleComp
     return OracleComplexity(K, exact, bound if math.isfinite(bound) else None)
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    steps: int
-    max_violation: float
-    per_component_max: np.ndarray
-
-    @property
-    def passed(self):
-        return self.max_violation <= DEGENERATE_TOL
-
-
-def check_error_recursion(trace, cm: ContractionMatrix) -> RecursionReport:
-    """Componentwise check of z(k+1) <= J z(k) + b(k) along a recorded path,
-    b(k) built from the trace's sum_i ||w_i(k)|| and ||w(k+1) - w(k)||_F."""
+def check_error_recursion(trace, cm: ContractionMatrix):
+    """Worst violation per component, (3,), of z(k+1) <= J z(k) + b(k) along
+    a recorded path (-inf without a step), b(k) built from the trace's
+    sum_i ||w_i(k)|| and ||w(k+1) - w(k)||_F."""
     z, sum_w = trace.z, trace.sum_w_norms[:-1]
     alpha, lips, n = cm.alpha, cm.inputs["lips"], cm.inputs["n"]
     b = np.stack([alpha / n * sum_w, np.zeros_like(sum_w),
                   trace.w_step[1:] + alpha * lips / math.sqrt(n) * sum_w], axis=-1)
-    worst = (z[1:] - (z[:-1] @ cm.J.T + b)).max(axis=0, initial=-np.inf)
-    return RecursionReport(len(z) - 1, float(worst.max()), worst)
+    return (z[1:] - (z[:-1] @ cm.J.T + b)).max(axis=0, initial=-np.inf)

@@ -3,7 +3,8 @@
 Nothing here shares code with the package's numerical core: eigenvalues come
 from the characteristic polynomial (Faddeev-LeVerrier + np.roots), batch
 sizes from exact rational arithmetic, gradients from central differences,
-gradient-noise levels from Monte Carlo draws.
+gradient-noise levels from Monte Carlo draws, random streams from a Philox
+key packed here.
 """
 from fractions import Fraction
 
@@ -64,3 +65,11 @@ def noise_level_mc(R, sigma, e, draws, rng):
     w = u * (u @ e - sigma * xi)[:, None] - R @ e
     sq = np.sum(w * w, axis=1)
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(draws))
+
+
+def philox_stream(seed, path, slot, iteration):
+    """A fresh Philox generator for one (path, slot, iteration) cell: key word
+    0 is the seed, word 1 the path times 2^42 plus the slot times 2^21 plus
+    the iteration, each modulo 2^64."""
+    key = [seed % 2**64, (path * 2**42 + slot * 2**21 + iteration) % 2**64]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))

@@ -59,9 +59,9 @@ def test_criterion_4_recursion_checker(fig1_instance, fig1_run):
     zero_trace = algo.run_path(det, mix, g, "dvss-sgt", 0.01,
                                algo.geometric_schedule(0.98),
                                algo.StopRule("max_iters", 200), seed=2024)
-    zero_violation = theory.check_error_recursion(zero_trace, cm).max_violation
+    zero_violation = theory.check_error_recursion(zero_trace, cm).max()
     result, _elapsed = fig1_run
-    path_violation = max(theory.check_error_recursion(trace, cm).max_violation
+    path_violation = max(theory.check_error_recursion(trace, cm).max()
                          for trace in result.traces)
     ok = zero_violation <= 1e-9 and path_violation <= 1e-9
     report(4, "per-step error recursion", ok,
@@ -142,10 +142,10 @@ def test_criterion_9_statistical_oracle(fig1_instance):
     true = oracle.exact_gradients(problem, X)[0]
     draws = 100_000
     s = oracle.sample_gradients(problem, X, draws,
-                                oracle.gradient_stream(101, 0, 0, 0))[0]
+                                oracles.philox_stream(101, 0, 0, 0))[0]
     singles = np.stack([
         oracle.sample_gradients(problem, X, 1,
-                                oracle.gradient_stream(101, 1, 0, t))[0]
+                                oracles.philox_stream(101, 1, 0, t))[0]
         for t in range(5000)])
     se = singles.std(axis=0) / math.sqrt(draws)
     unbiased_ok = bool(np.all(np.abs(s - true) <= 3.0 * se))
@@ -154,12 +154,12 @@ def test_criterion_9_statistical_oracle(fig1_instance):
     N = 10
     n1 = np.mean([
         np.sum((oracle.sample_gradients(problem, X, 1,
-                                        oracle.gradient_stream(102, 0, 0, t))[0]
+                                        oracles.philox_stream(102, 0, 0, t))[0]
                 - true) ** 2)
         for t in range(reps)])
     nN = np.mean([
         np.sum((oracle.sample_gradients(problem, X, N,
-                                        oracle.gradient_stream(102, 1, 0, t))[0]
+                                        oracles.philox_stream(102, 1, 0, t))[0]
                 - true) ** 2)
         for t in range(reps)])
     ratio = float(nN / n1)

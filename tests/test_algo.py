@@ -416,9 +416,7 @@ def test_rekeyed_stream_equals_a_fresh_philox():
     streams = oracle.StreamFactory(seed, [0, 3, 2**20])
     for slot, k in ((0, 0), (0, 7), (oracle.INIT_STREAM_AGENT, 0), (0, 2**21 - 2)):
         for path, rng in zip(streams.paths, streams.generators(k, slot)):
-            lane = (path << 42) | (slot << 21) | k
-            ref = np.random.Generator(np.random.Philox(
-                key=np.array([seed % 2**64, lane], dtype=np.uint64)))
+            ref = oracles.philox_stream(seed, path, slot, k)
             # an odd count leaves the Philox buffer part used for the next path
             assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
             assert np.array_equal(rng.chisquare([5.0, 40.0]), ref.chisquare([5.0, 40.0]))
@@ -632,6 +630,23 @@ def test_guard_names_the_slot_and_worst_value_of_a_later_path(bad):
     with pytest.raises(algo.DivergenceError) as err:
         algo._guard(x, 7)
     assert err.value.slot == 1
+
+
+@pytest.mark.parametrize("algorithm", ["dvss-sgt", "d-sgt", "d-sgd"])
+def test_budget_run_stops_by_the_rule_that_bounds_its_trace(fig1_instance, algorithm):
+    # cli.resolve_config bounds a budget run's trace by this rule: iteration K
+    # is reached once n*batch_total(schedule, K) <= budget (D-SGD: K - 1)
+    p, g, mix = fig1_instance
+    sched = algo.geometric_schedule(0.9) if algorithm == "dvss-sgt" else algo.constant_schedule(3)
+    budget = 2345
+    traces = algo.run_paths(p, mix, g, algorithm, 0.01, sched,
+                            algo.StopRule("budget_samples", budget), seed=5, paths=[0, 1])
+    lag = algorithm == "d-sgd"
+    for trace in traces:
+        last = trace.iterations
+        assert last > 5
+        assert p.n * algo.batch_total(sched, last - lag) <= budget
+        assert p.n * algo.batch_total(sched, last + 1 - lag) > budget
 
 
 # the largest direct draw at d = 3, and a Bartlett one

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -9,6 +10,11 @@ import pytest
 
 import dvssgt
 from dvssgt import algo, charts, cli, graph, oracle
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def small_cfg(tmp_path, **extra):
@@ -203,9 +209,8 @@ def test_compare_degenerate_budget(tmp_path):
     out = tmp_path / "cmp0"
     assert cli.main(["compare", "--preset", "fig3", "--config", path,
                      "--out", str(out)]) == 0
-    from dvssgt import metrics
     for algorithm in cli.ALGORITHMS:
-        rows = metrics.read_csv(out / f"compare_{algorithm}.csv")
+        rows = read_rows(out / f"compare_{algorithm}.csv")
         assert len(rows) == 1  # zero-iteration trace, clean exit
 
 
@@ -303,15 +308,12 @@ def test_sweep_singleton_matches_run(tmp_path):
     out_run = tmp_path / "r"
     assert cli.main(["run", "--preset", "fig1", "--config", path,
                      "--out", str(out_run)]) == 0
-    from dvssgt import metrics
-    run_rows = metrics.read_csv(out_run / "run_dvss-sgt.csv")
-    with open(out_sweep / "sweep_ratio.csv") as fh:
-        import csv as csv_mod
-        sweep_rows = list(csv_mod.DictReader(fh))
+    run_rows = read_rows(out_run / "run_dvss-sgt.csv")
+    sweep_rows = read_rows(out_sweep / "sweep_ratio.csv")
     assert len(sweep_rows) == len(run_rows)
     for srow, rrow in zip(sweep_rows, run_rows):
         assert srow["status"] == "ok"
-        assert float(srow["mean_combined"]) == rrow["mean_combined"]
+        assert float(srow["mean_combined"]) == float(rrow["mean_combined"])
 
 
 def test_sweep_flags_infeasible_alpha(tmp_path):
@@ -387,9 +389,26 @@ def test_trace_arrays_are_bounded():
     limit = cli.MAX_DENSE_ELEMENTS
     assert errors(paths=64, stop={"max_iters": limit // 64 - 1}) == []
     assert len(errors(paths=64, stop={"max_iters": limit // 64})) == 1
-    # a budget allows at most budget // n iterations, since each draws n samples or more
-    assert errors(paths=2, stop={"budget_samples": 10 * (limit // 2 - 1) + 9}) == []
-    assert len(errors(paths=2, stop={"budget_samples": 10 * (limit // 2)})) == 1
+    # a budget run reaches iteration K once n*batch_total(schedule, K) <= budget,
+    # D-SGD (drawing at x(k-1)) once n*batch_total(schedule, K - 1) <= budget;
+    # at 65,536 paths no run may reach K = 64
+    paths = 1 << 16
+    last = limit // paths
+    geometric, baseline = algo.geometric_schedule(0.98), algo.constant_schedule(3)
+    cost = {"dvss-sgt": 10 * algo.batch_total(geometric, last),
+            "d-sgt": 10 * algo.batch_total(baseline, last),
+            "d-sgd": 10 * algo.batch_total(baseline, last - 1)}
+    assert len(set(cost.values())) == 3
+    for command, algorithm, budget in [*(("run", a, c) for a, c in cost.items()),
+                                       ("compare", "dvss-sgt", min(cost.values()))]:
+        for spent, rejected in ((budget, 1), (budget - 1, 0)):
+            cfg = {**cli.load_config("fig1"), "algorithm": algorithm, "paths": paths,
+                   "baseline_batch": 3, "stop": {"budget_samples": spent}}
+            assert len(cli.resolve_config(cfg, command)[1]) == rejected, (command, algorithm)
+    # fig1 stops at k = 490 under 10^7 samples; fig3's baselines would run 10^6 iterations
+    assert errors(stop={"budget_samples": 1e7}) == []
+    assert len(cli.resolve_config({**cli.load_config("fig3"), "stop": {"budget_samples": 1e7}},
+                                  "compare")[1]) == 1
     most = limit // (algo.TARGET_EPS_ITER_CAP + 1)
     assert errors(paths=most, stop={"target_eps": 0.05}) == []
     assert len(errors(paths=most + 1, stop={"target_eps": 0.05})) == 1

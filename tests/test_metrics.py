@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -152,7 +153,8 @@ def test_csv_round_trip(tmp_path):
     res = metrics.aggregate([trace])
     path = tmp_path / "run.csv"
     metrics.write_csv(res, path)
-    rows = metrics.read_csv(path)
+    with open(path, newline="") as fh:
+        rows = [{key: float(val) for key, val in row.items()} for row in csv.DictReader(fh)]
     assert len(rows) == 26
     assert [row["k"] for row in rows] == list(range(26))
     for k, row in enumerate(rows):

@@ -109,7 +109,7 @@ def test_mean_gradient_vanishes_at_x_star():
 
 def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
     p = make_small(noise_spec=0.0)
-    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracle.gradient_stream(1, 0, 0, 0))
+    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracles.philox_stream(1, 0, 0, 0))
     # u u^T x* - (u^T x*) u = 0 for every draw, so the average is exactly 0
     assert np.all(s == 0.0)
     assert s.shape == (p.n, p.d)
@@ -118,21 +118,21 @@ def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
 def test_sample_gradients_input_checks():
     p = make_small()
     X = rows(p, p.x_star + 0.5)
-    s = oracle.sample_gradients(p, X, 4, oracle.gradient_stream(1, 0, 2, 3))
+    s = oracle.sample_gradients(p, X, 4, oracles.philox_stream(1, 0, 2, 3))
     assert s.shape == (p.n, p.d)
     # each agent draws its own regressors, so no two rows coincide
     assert len({tuple(row) for row in s}) == p.n
     with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X, 0, oracle.gradient_stream(1, 0, 2, 3))
+        oracle.sample_gradients(p, X, 0, oracles.philox_stream(1, 0, 2, 3))
     with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X[1:], 4, oracle.gradient_stream(1, 0, 2, 3))
+        oracle.sample_gradients(p, X[1:], 4, oracles.philox_stream(1, 0, 2, 3))
 
 
 def test_stream_reproducibility_and_independence():
     p = make_small()
     X = rows(p, p.x_star + 1.0)
-    a = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 9))
-    b = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 9))
+    a = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 9))
+    b = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 9))
     assert np.array_equal(a, b)
     # draws at one iteration do not depend on how much was drawn at another
     f1 = oracle.StreamFactory(42, 3)
@@ -143,10 +143,10 @@ def test_stream_reproducibility_and_independence():
     d = oracle.sample_gradients(p, X, 5, next(f2.generators(9)))
     assert np.array_equal(c, d)
     # distinct labels give distinct draws
-    e = oracle.sample_gradients(p, X, 5, oracle.gradient_stream(42, 3, 0, 10))
+    e = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 10))
     assert not np.array_equal(c, e)
     assert np.array_equal(c, oracle.sample_gradients(p, X, 5,
-                                                     oracle.gradient_stream(42, 3, 0, 9)))
+                                                     oracles.philox_stream(42, 3, 0, 9)))
 
 
 def test_changing_one_batch_leaves_other_iterations_bit_identical():
@@ -187,8 +187,8 @@ def _direct_draw(p, X, batch, rng):
 def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     p = make_small(d=d, n=2)
     X = p.x_star + np.array([[0.5], [-0.25]])
-    s = oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
-    ref = _direct_draw(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+    s = oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
+    ref = _direct_draw(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
     assert np.array_equal(s, ref)
 
 
@@ -198,26 +198,26 @@ def test_crossover_switches_draws_on_the_same_stream(d):
     X = p.x_star + np.array([[0.5], [-0.25]])
     below, at = oracle.bartlett_crossover(d) - 1, oracle.bartlett_crossover(d)
     assert below >= 1 and at >= d
-    draw = [oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
+    draw = [oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
             for batch in (below, at)]
-    assert np.array_equal(draw[0], _direct_draw(p, X, below, oracle.gradient_stream(8, 2, 0, 4)))
+    assert np.array_equal(draw[0], _direct_draw(p, X, below, oracles.philox_stream(8, 2, 0, 4)))
     assert np.array_equal(draw[1], oracle.bartlett_gradients(
-        p, X - p.x_star, at, oracle.gradient_stream(8, 2, 0, 4)))
+        p, (X - p.x_star)[None], at, [oracles.philox_stream(8, 2, 0, 4)])[0])
     # at the crossover the direct draw is no longer taken
-    assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracle.gradient_stream(8, 2, 0, 4)))
+    assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracles.philox_stream(8, 2, 0, 4)))
 
 
 def test_bartlett_draw_from_crossover_uses_the_same_stream():
     p = make_small()
     X = rows(p, p.x_star + 0.5)
     for batch in (oracle.bartlett_crossover(p.d), 10**6):
-        s = oracle.sample_gradients(p, X, batch, oracle.gradient_stream(8, 2, 0, 4))
-        ref = oracle.bartlett_gradients(p, X - p.x_star, batch,
-                                        oracle.gradient_stream(8, 2, 0, 4))
+        s = oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
+        ref = oracle.bartlett_gradients(p, (X - p.x_star)[None], batch,
+                                        [oracles.philox_stream(8, 2, 0, 4)])[0]
         assert np.array_equal(s, ref)
     with pytest.raises(ValueError):
-        oracle.bartlett_gradients(p, X - p.x_star, p.d - 1,
-                                  oracle.gradient_stream(8, 2, 0, 4))
+        oracle.bartlett_gradients(p, (X - p.x_star)[None], p.d - 1,
+                                  [oracles.philox_stream(8, 2, 0, 4)])
 
 
 @pytest.mark.parametrize("batch", [3, oracle.bartlett_crossover(3), 30, 1000])
@@ -227,7 +227,7 @@ def test_bartlett_moments_match_analytic(batch):
     e = np.array([1.0, -0.5, 0.25])
     rng = np.random.default_rng(17)
     draws = 20_000
-    values = np.stack([oracle.bartlett_gradients(p, rows(p, e), batch, rng)[0]
+    values = np.stack([oracle.bartlett_gradients(p, rows(p, e)[None], batch, [rng])[0, 0]
                        for _ in range(draws)])
     # single-sample noise covariance (e'Re) R + R e e' R + sigma^2 R, over batch
     cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
@@ -267,7 +267,7 @@ def test_draw_at_default_cap_is_finite_and_fast():
     X = rows(p, p.x_star + 1.0)
     start = time.perf_counter()
     s = oracle.sample_gradients(p, X, algo.DEFAULT_BATCH_CAP,
-                                oracle.gradient_stream(1, 0, 0, 1000))
+                                oracles.philox_stream(1, 0, 0, 1000))
     assert time.perf_counter() - start < 0.5
     assert np.all(np.isfinite(s))
     # at 2^31 - 1 samples the batch mean sits on the exact gradient
@@ -278,11 +278,11 @@ def test_unbiasedness_quick():
     p = make_small(seed=2)
     X = rows(p, p.x_star + np.array([1.0, -0.5, 0.25]))
     draws = 20_000
-    s = oracle.sample_gradients(p, X, draws, oracle.gradient_stream(3, 0, 0, 0))[0]
+    s = oracle.sample_gradients(p, X, draws, oracles.philox_stream(3, 0, 0, 0))[0]
     # a batch average over M draws is the empirical mean itself; bound each
     # coordinate by 4 standard errors of a fresh single-draw sample
     singles = np.stack([
-        oracle.sample_gradients(p, X, 1, oracle.gradient_stream(3, 1, 0, t))[0]
+        oracle.sample_gradients(p, X, 1, oracles.philox_stream(3, 1, 0, t))[0]
         for t in range(2000)])
     se = singles.std(axis=0) / np.sqrt(draws)
     true = oracle.exact_gradients(p, X)[0]
@@ -296,11 +296,11 @@ def test_variance_scaling_quick():
     reps = 2000
     n1 = np.mean([
         np.sum((oracle.sample_gradients(p, X, 1,
-                                        oracle.gradient_stream(5, 0, 0, t))[0] - true) ** 2)
+                                        oracles.philox_stream(5, 0, 0, t))[0] - true) ** 2)
         for t in range(reps)])
     n8 = np.mean([
         np.sum((oracle.sample_gradients(p, X, 8,
-                                        oracle.gradient_stream(5, 1, 0, t))[0] - true) ** 2)
+                                        oracles.philox_stream(5, 1, 0, t))[0] - true) ** 2)
         for t in range(reps)])
     assert n8 / n1 == pytest.approx(1.0 / 8.0, rel=0.15)
 
@@ -324,7 +324,7 @@ def test_deterministic_copy():
     det = oracle.deterministic(p)
     assert det.nu == 0.0
     X = rows(p, p.x_star + 0.3)
-    s = oracle.sample_gradients(det, X, 9, oracle.gradient_stream(0, 0, 1, 0))
+    s = oracle.sample_gradients(det, X, 9, oracles.philox_stream(0, 0, 1, 0))
     assert np.array_equal(s, oracle.exact_gradients(det, X))
     assert np.all(s - oracle.exact_gradients(det, X) == 0.0)
     # an exact oracle never touches its stream

@@ -108,33 +108,9 @@ def test_noise_constant_formula():
     assert theory.noise_constant(0.0, 0.1, 0.9, 3.0, 4) == 0.0
 
 
-def test_rate_bound_values():
-    rb = theory.RateBound(0.9, 0.98, 1.0, 10.0)
-    assert rb.regime == "q_dominant"
-    assert theory.rate_bound(rb, 0) == pytest.approx(10.0 + 1.0 / 0.08)
-    expect = 10.0 * 0.9**100 + (1.0 / 0.08) * 0.98**100
-    assert theory.rate_bound(rb, 100) == pytest.approx(expect, rel=1e-12)
-    assert expect == pytest.approx(1.658, abs=2e-3)
-    noiseless = theory.RateBound(0.9, 0.98, 0.0, 10.0)
-    assert theory.rate_bound(noiseless, 7) == pytest.approx(10.0 * 0.9**7)
-    rho_dom = theory.RateBound(0.98, 0.9, 1.0, 10.0)
-    assert rho_dom.regime == "rho_dominant"
-    assert theory.rate_bound(rho_dom, 5) == pytest.approx(
-        (10.0 + 1.0 / 0.08) * 0.98**5)
-
-
-def test_rate_bound_monotone_nonincreasing():
-    for rb in (theory.RateBound(0.9, 0.98, 1.0, 10.0),
-               theory.RateBound(0.98, 0.9, 1.0, 10.0)):
-        vals = [theory.rate_bound(rb, k) for k in range(1, 300)]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-
 def test_degenerate_regime_flagged():
     rb = theory.RateBound(0.95, 0.95, 1.0, 10.0)
     assert rb.degenerate
-    with pytest.raises(ValueError):
-        theory.rate_bound(rb, 10)
     with pytest.raises(ValueError):
         theory.iteration_complexity(rb, 0.1)
     with pytest.raises(ValueError):
@@ -143,6 +119,7 @@ def test_degenerate_regime_flagged():
 
 def test_iteration_complexity_examples():
     rb = theory.RateBound(0.5, 0.98, 0.0, 10.0)  # prefactor B = 10
+    assert rb.regime == "q_dominant"
     assert theory.iteration_complexity(rb, 10.0) == 0
     assert theory.iteration_complexity(rb, 0.1) == 228
     with pytest.raises(ValueError):
@@ -229,9 +206,7 @@ def test_check_error_recursion_zero_state_fixed_point():
                           x0=np.tile(p.x_star, (3, 1)))
     assert np.allclose(trace.z, 0.0, atol=1e-14)
     cm = theory.build_J(0.1, p.eta, p.lips, mix.sigma_A, p.n, mix.norm_A_minus_I)
-    report = theory.check_error_recursion(trace, cm)
-    assert report.passed
-    assert report.steps == 30
+    assert theory.check_error_recursion(trace, cm).max() <= theory.DEGENERATE_TOL
 
 
 def test_check_error_recursion_zero_noise_run(zero_noise_trace, fig1_instance):
@@ -239,8 +214,7 @@ def test_check_error_recursion_zero_noise_run(zero_noise_trace, fig1_instance):
     trace, alpha = zero_noise_trace
     cm = theory.build_J(alpha, problem.eta, problem.lips, mix.sigma_A,
                         problem.n, mix.norm_A_minus_I, "eta")
-    report = theory.check_error_recursion(trace, cm)
-    assert report.max_violation <= 1e-9
+    assert theory.check_error_recursion(trace, cm).max() <= 1e-9
 
 
 def _per_step_worst(trace, cm):
@@ -264,8 +238,5 @@ def test_check_error_recursion_equals_a_per_step_loop(fig1_instance, fig1_run):
                           algo.StopRule("budget_samples", 1), seed=2024)
     assert empty.iterations == 0
     for trace in fig1_run[0].traces[:5] + [empty]:
-        report = theory.check_error_recursion(trace, cm)
-        worst = _per_step_worst(trace, cm)
-        assert report.steps == trace.iterations
-        np.testing.assert_allclose(report.per_component_max, worst, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.max_violation, worst.max(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(theory.check_error_recursion(trace, cm),
+                                   _per_step_worst(trace, cm), rtol=0, atol=1e-12)
