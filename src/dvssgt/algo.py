@@ -13,6 +13,11 @@ from .oracle import Problem, StreamFactory
 DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_BATCH_CAP = 2**31 - 1
 TARGET_EPS_ITER_CAP = 100_000
+# largest n*n (graph, mixing matrix), n*d*d (covariances, draws), paths*n*d
+# (the stacked iterates of a run) or paths*(iterations + 1) (each trace
+# column, kept until the run ends) array a run may need: 32 MiB of float64,
+# so n <= 2048
+MAX_DENSE_ELEMENTS = 1 << 22
 SUM_CHUNK = 1 << 20   # terms per numpy chunk of batch_total
 RECORD_BLOCK_BYTES = 64 << 10   # per stacked array of the states awaiting their trace rows
 
@@ -90,19 +95,17 @@ def cap_reached_at(s: BatchSchedule):
 
 
 def batch_total(s: BatchSchedule, K):
-    """sum_{k=0}^{K} batch_size(s, k) by batch_size's rule, in numpy chunks
-    of at most SUM_CHUNK terms; the terms past the cap are added as cap x count."""
+    """sum_{k=0}^{K} batch_size(s, k) by batch_size's rule: the terms before
+    cap_reached_at in numpy chunks of at most SUM_CHUNK, the rest as cap x count."""
     if s.kind == "constant":
         return (K + 1) * min(s.size, s.cap)
-    total, log_cap = 0, math.log(s.cap)
-    for lo in range(0, K + 1, SUM_CHUNK):
-        log_n = -np.arange(lo, min(K + 1, lo + SUM_CHUNK)) * math.log(s.ratio)
-        if log_n[0] > log_cap:    # log N(k) grows with k, so every later term is capped
-            return total + s.cap * (K + 1 - lo)
-        val = np.exp(np.minimum(log_n, log_cap))
+    end = min(K + 1, cap_reached_at(s))
+    total = s.cap * (K + 1 - end)
+    for lo in range(0, end, SUM_CHUNK):
+        val = np.exp(-np.arange(lo, min(end, lo + SUM_CHUNK)) * math.log(s.ratio))
         nearest = np.round(val)
         n = np.where(np.abs(val - nearest) < 1e-9 * np.maximum(1.0, nearest), nearest, np.ceil(val))
-        total += int(np.minimum(n, s.cap).astype(np.int64).sum())
+        total += int(n.astype(np.int64).sum())
     return total
 
 
@@ -224,9 +227,11 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     Each path stops by its own rule, with the outcome of running the paths
     one after another: on divergence, once the paths before it have run to
     their end, the lowest diverging path's partial trace is attached to the
-    raised error as `exc.trace`. The trace rows are computed once per block
-    of recorded states, each stacked array within RECORD_BLOCK_BYTES, and
-    before a stop decision reads them or stopped paths are dropped.
+    raised error as `exc.trace`. A target_eps run stops at the latest at
+    min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // P - 1), so its trace fits
+    the dense limit. The trace rows are computed once per block of recorded
+    states, each stacked array within RECORD_BLOCK_BYTES, and before stopped
+    paths are dropped.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -234,12 +239,11 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     streams = StreamFactory(seed, paths)
     x0 = default_x0(p, streams) if x0 is None else np.array(x0, dtype=float)
     tracking = algorithm in ("dvss-sgt", "d-sgt")
-    # D-SGT is the D-VSS-SGT update with a constant batch
-    sched = schedule if algorithm == "dvss-sgt" else constant_schedule(schedule.size)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
     budget = stop.value if stop.kind == "budget_samples" else math.inf
     # a budget below the first draw leaves the trackers at zero
-    st = start(p, x0, sched, streams, tracking and p.n * batch_size(sched, 0) <= budget)
+    st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
+    eps_cap = min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // len(paths) - 1)
     live = np.arange(len(paths))   # the path behind each slice of the state
     rows, samples, pending, ends = [], [], [], {}   # ends: path -> (k, reason)
     w_prev = None   # the live paths' noise w = g - grad f at the last flushed record
@@ -274,11 +278,11 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         if stop.kind == "max_iters":
             return "max_iters" if st.k >= stop.value else ""
         if stop.kind == "budget_samples":
-            next_cost = p.n * batch_size(sched, st.k + 1 if tracking else st.k)
+            next_cost = p.n * batch_size(schedule, st.k + 1 if tracking else st.k)
             return "budget_samples" if samples[-1] + next_cost > budget else ""
-        flush()
-        capped = "target_eps_iter_cap" if st.k >= TARGET_EPS_ITER_CAP else ""
-        return np.where(rows[-1][-1, live, 3] <= stop.value, "target_eps", capped)
+        capped = "target_eps_iter_cap" if st.k >= eps_cap else ""
+        eps = metrics.combined_error(metrics.error_vector(st, p))
+        return np.where(eps <= stop.value, "target_eps", capped)
 
     record(st)
     diverged = None
@@ -286,7 +290,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         reasons = np.asarray(stop_reason(st))
         if (reasons == "").all():
             try:
-                st = step(st, mix, p, alpha, sched, streams, tracking)
+                st = step(st, mix, p, alpha, schedule, streams, tracking)
             except DivergenceError as exc:
                 diverged = exc, int(live[exc.slot])
                 # it stops, and so do the paths after it, which would never have run

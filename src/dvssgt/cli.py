@@ -54,12 +54,6 @@ AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 
 REQUIRED, OPTIONAL = object(), object()
 
-# largest n*n (graph, mixing matrix), n*d*d (covariances, draws), paths*n*d
-# (the stacked iterates of a run) or paths*(iterations + 1) (each trace
-# column, kept until the run ends) array a config may need: 32 MiB of
-# float64, so n <= 2048
-MAX_DENSE_ELEMENTS = 1 << 22
-
 # Every config key once, as (type, requirement or None, default). REQUIRED
 # keys have no default; OPTIONAL ones stay absent unless given, and
 # resolve_config says when they are needed.
@@ -186,15 +180,17 @@ def resolve_config(cfg, command="run"):
                (("schedule.size", sched["size"]), ("schedule.cap", sched["cap"]),
                 ("baseline_batch", out["baseline_batch"])) if value > algo.DEFAULT_BATCH_CAP]
     dense = max(n * n, n * d * d, paths * n * d)
-    if dense > MAX_DENSE_ELEMENTS:
+    if dense > algo.MAX_DENSE_ELEMENTS:
         errors.append(f"problem.n = {n} and problem.d = {d} need dense arrays of "
                       f"max(n*n, n*d*d, paths*n*d) = {dense} elements at paths = {paths}, "
-                      f"over the limit of {MAX_DENSE_ELEMENTS}")
-    # no run may reach iteration `limit`. A budget run reaches iteration K once
-    # n*batch_total(schedule, K) fits, D-SGD (drawing at x(k-1)) once the sum to
-    # K - 1 does; both are at least n*K, so a budget below n*limit skips the sums
-    limit = MAX_DENSE_ELEMENTS // paths
-    iters = stop.get("max_iters", algo.TARGET_EPS_ITER_CAP)
+                      f"over the limit of {algo.MAX_DENSE_ELEMENTS}")
+    # no max_iters or budget run may reach iteration `limit` (algo.run_paths caps
+    # a target_eps run itself; theory runs no configured stop). A budget run reaches
+    # iteration K once n*batch_total(schedule, K) fits, D-SGD (drawing at x(k-1))
+    # once the sum to K - 1 does; both are at least n*K, so a budget below n*limit
+    # skips the sums
+    limit = algo.MAX_DENSE_ELEMENTS // paths
+    iters = stop.get("max_iters", 0)
     if "budget_samples" in stop:
         budget = stop["budget_samples"]
         runs = ALGORITHMS if command == "compare" else [out.get("algorithm", "dvss-sgt")]
@@ -202,10 +198,10 @@ def resolve_config(cfg, command="run"):
             algo.BatchSchedule(**sched) if a == "dvss-sgt"
             else algo.constant_schedule(out["baseline_batch"]), limit - (a == "d-sgd"))
             <= budget for a in runs) else 0
-    if iters >= limit:
+    if iters >= limit and command != "theory":
         errors.append(f"paths = {paths} over up to {iters} iterations need trace arrays of "
                       f"paths*(iterations + 1) = {paths * (iters + 1)} elements, "
-                      f"over the limit of {MAX_DENSE_ELEMENTS}")
+                      f"over the limit of {algo.MAX_DENSE_ELEMENTS}")
     if command == "sweep":
         for value in sweep["grid"]:
             errors += resolve_config(_sweep_point(out, value), "run")[1]

@@ -21,9 +21,6 @@ import numpy as np
 
 from . import spectral
 
-# radius of the compact region the analytic noise bound is taken over
-NOISE_REGION_RADIUS_FACTOR = 3.0
-
 # reserved agent slot for drawing initial iterates (outside any real agent index)
 INIT_STREAM_AGENT = (1 << 21) - 1
 
@@ -54,7 +51,6 @@ class Problem:
     x_star: np.ndarray
     eta: float
     lips: float
-    nu: float
     R: np.ndarray        # (n, d, d) regressor covariances R_i
     chol: np.ndarray     # (n, d, d) lower Cholesky factors of R_i
     sigmas: np.ndarray   # (n,) observation-noise standard deviations
@@ -121,10 +117,7 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
                             noise_spec=1.0, seed=0):
     """Build the n-agent regression instance with known eta, L, x_star.
 
-    noise_spec is a single observation-noise sigma or one per agent. The
-    recorded nu is the analytic single-sample noise bound over the ball of
-    radius 3*sqrt(d) around x_star; noise_level gives the exact level at a
-    point, which `dvssgt theory` reports at x0.
+    noise_spec is a single observation-noise sigma or one per agent.
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got n={n}")
@@ -138,25 +131,20 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
     covs = _agent_covariances(n, d, covariance_spec, rng)
 
     lam_lo, lam_hi = np.inf, 0.0
-    radius = NOISE_REGION_RADIUS_FACTOR * np.sqrt(d)
-    nu_sq = 0.0
     for i, R in enumerate(covs):
         lo, hi = spectral.sym_extreme_eigenvalues(R)
         if lo <= 0.0:
             raise ValueError(f"covariance for agent {i} is not positive definite")
         lam_lo, lam_hi = min(lam_lo, lo), max(lam_hi, hi)
-        tr = float(np.trace(R))
-        # noise_level's E||w||^2 at offset e is at most hi |e|^2 (tr + hi) + sigma^2 tr
-        nu_sq = max(nu_sq, hi * radius**2 * (tr + hi) + sigmas[i] ** 2 * tr)
 
     R = np.stack(covs)
-    return Problem(n, d, x_star, float(lam_lo), float(lam_hi), float(np.sqrt(nu_sq)),
-                   R, np.linalg.cholesky(R), sigmas)
+    return Problem(n, d, x_star, float(lam_lo), float(lam_hi), R, np.linalg.cholesky(R),
+                   sigmas)
 
 
 def deterministic(p: Problem) -> Problem:
     """Copy of the problem whose oracle returns exact gradients (zero noise)."""
-    return replace(p, exact_oracle=True, nu=0.0)
+    return replace(p, exact_oracle=True)
 
 
 def _offsets(p: Problem, X):

@@ -407,6 +407,11 @@ def test_batch_total_matches_the_per_iteration_sum():
     assert algo.batch_total(half, 10**12) == (sum(2**k for k in range(31))
                                               + (10**12 + 1 - 31) * half.cap)
     assert algo.batch_total(algo.constant_schedule(7, cap=5), 9) == 50
+    # around the first capped term, where the chunked sum hands over to cap x count
+    for s in (algo.geometric_schedule(r, cap=cap) for r in (0.5, 0.98) for cap in (1, 100)):
+        first = algo.cap_reached_at(s)
+        for K in (first - 1, first, first + 1):
+            assert algo.batch_total(s, K) == sum(algo.batch_size(s, k) for k in range(K + 1))
     with pytest.raises(ValueError):
         algo.geometric_schedule(0.98, cap=algo.DEFAULT_BATCH_CAP + 1)
 
@@ -583,12 +588,42 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
     _block_of(monkeypatch, 16, p, 6)
+    calls = []   # [k, a flush's stacked block?, the combined error computed from it]
+    error_vector, combined_error = metrics.error_vector, metrics.combined_error
+    monkeypatch.setattr(metrics, "error_vector",
+                        lambda st, p: calls.append([st.k, st.x.ndim == 4]) or error_vector(st, p))
+    monkeypatch.setattr(metrics, "combined_error",
+                        lambda ev: calls[-1].append(combined_error(ev)) or calls[-1][-1])
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
                             paths=range(6))
-    assert [tr.iterations for tr in traces] == [296, 238, 281, 261, 250, 275]
+    iterations = [tr.iterations for tr in traces]
+    assert iterations == [296, 238, 281, 261, 250, 275]
+    # each decision reads the newest state, bit for bit the live paths' rows at k;
+    # once paths stop at k, the others are decided again at that k
+    decisions = [(k, eps) for k, stacked, eps in calls if not stacked]
+    ks = [k for k, _ in decisions]
+    assert sorted(set(ks)) == list(range(max(iterations) + 1))
+    for i, (k, eps) in enumerate(decisions):
+        again = i > 0 and ks[i - 1] == k
+        assert np.array_equal(eps, [tr.combined[k] for tr in traces
+                                    if tr.iterations > k or tr.iterations == k and not again])
+    # rows wait for a full block or a stop; a flush for each decision would make 297
+    assert sum(stacked for _, stacked, _ in calls) <= 20
     for path, trace in enumerate(traces):
         _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
                                                       stop, seed=2024, path=path))
+
+
+def test_target_eps_cap_keeps_the_trace_within_the_dense_limit(monkeypatch, fig1_instance):
+    p, g, mix = fig1_instance
+    limit = 600
+    monkeypatch.setattr(algo, "MAX_DENSE_ELEMENTS", limit)
+    for paths in (1, 4, 7):
+        traces = algo.run_paths(p, mix, g, "d-sgt", 0.01, algo.constant_schedule(1),
+                                algo.StopRule("target_eps", 1e-30), seed=3, paths=range(paths))
+        assert {(tr.iterations, tr.stop_reason) for tr in traces} == {
+            (limit // paths - 1, "target_eps_iter_cap")}
+        assert paths * (traces[0].iterations + 1) <= limit
 
 
 def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):

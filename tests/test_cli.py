@@ -386,7 +386,7 @@ def test_trace_arrays_are_bounded():
         "paths = 83886 over up to 100000 iterations need trace arrays of "
         "paths*(iterations + 1) = 8388683886 elements, over the limit of 4194304"]
     # the iteration bound of each stop rule, at the limit and one step past it
-    limit = cli.MAX_DENSE_ELEMENTS
+    limit = algo.MAX_DENSE_ELEMENTS
     assert errors(paths=64, stop={"max_iters": limit // 64 - 1}) == []
     assert len(errors(paths=64, stop={"max_iters": limit // 64})) == 1
     # a budget run reaches iteration K once n*batch_total(schedule, K) <= budget,
@@ -409,9 +409,12 @@ def test_trace_arrays_are_bounded():
     assert errors(stop={"budget_samples": 1e7}) == []
     assert len(cli.resolve_config({**cli.load_config("fig3"), "stop": {"budget_samples": 1e7}},
                                   "compare")[1]) == 1
-    most = limit // (algo.TARGET_EPS_ITER_CAP + 1)
-    assert errors(paths=most, stop={"target_eps": 0.05}) == []
-    assert len(errors(paths=most + 1, stop={"target_eps": 0.05})) == 1
+    # run_paths caps a target_eps run by the limit itself, so fig1's 50 paths resolve;
+    # theory runs no configured stop, so only run bounds max_iters
+    assert errors(stop={"target_eps": 0.05}) == []
+    long = {**cli.load_config("fig1"), "stop": {"max_iters": 100_000}}
+    assert cli.resolve_config(long, "theory")[1] == []
+    assert len(cli.resolve_config(long, "run")[1]) == 1
     # every preset and the 6-path target_eps run resolve
     for name in cli.PRESETS:
         for command in ("run", "compare", "theory"):

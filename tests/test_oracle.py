@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from dvssgt import algo, oracle
@@ -46,7 +45,6 @@ def test_experiment_instance_shape():
     assert p.R.shape == p.chol.shape == (10, 5, 5)
     assert p.sigmas.shape == (10,)
     assert 0.0 < p.eta <= p.lips
-    assert p.nu > 0.0
 
 
 def test_rot_spd_spectrum_in_band():
@@ -322,7 +320,6 @@ def test_strong_convexity_and_lipschitz_1000_pairs():
 def test_deterministic_copy():
     p = make_small()
     det = oracle.deterministic(p)
-    assert det.nu == 0.0
     X = rows(p, p.x_star + 0.3)
     s = oracle.sample_gradients(det, X, 9, oracles.philox_stream(0, 0, 1, 0))
     assert np.array_equal(s, oracle.exact_gradients(det, X))
@@ -351,22 +348,3 @@ def test_noise_level_matches_monte_carlo_per_agent(covariance_spec, shared_row):
         assert abs(level**2 - mean) <= 5.0 * se
         levels.append(level)
     assert oracle.noise_level(p, x0) == pytest.approx(max(levels), rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(n=st.integers(2, 4), d=st.integers(1, 4),
-       spec=st.sampled_from(["identity", "diag-uniform[0.2,5]", "rot-spd[0.5,3]"]),
-       seed=st.integers(0, 2**16), data=st.data())
-def test_noise_level_within_the_analytic_bound(n, d, spec, seed, data):
-    sigmas = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
-    p = oracle.make_regression_problem(n, d, np.linspace(-1.0, 1.0, d),
-                                       covariance_spec=spec, noise_spec=sigmas, seed=seed)
-    # rows anywhere in the ball of radius 3 sqrt(d) around x_star that p.nu covers
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    directions = rng.standard_normal((n, d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    x0 = p.x_star + (oracle.NOISE_REGION_RADIUS_FACTOR * np.sqrt(d)
-                     * np.asarray(radii)[:, None] * directions)
-    # equality holds on the sphere for identity covariances; allow rounding
-    assert oracle.noise_level(p, x0) <= p.nu * (1.0 + 1e-12)
