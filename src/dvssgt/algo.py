@@ -25,13 +25,13 @@ RECORD_BLOCK_BYTES = 64 << 10   # per stacked array of the states awaiting their
 class DivergenceError(RuntimeError):
     """Raised when an iterate exceeds the divergence guard threshold."""
 
-    def __init__(self, k, worst, slot=0):
+    def __init__(self, k, worst, slot):
         super().__init__(
             f"iterate magnitude {worst:.3e} exceeded {DIVERGENCE_THRESHOLD:.0e} "
             f"at iteration {k}; the step size is likely infeasible"
         )
         self.k = k
-        self.slot = slot   # the first diverging path of a stacked state
+        self.slot = slot   # the lowest diverging path of a stacked state
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,13 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     """Execute sample paths `paths` of the chosen algorithm under a stop rule
     as one stacked (P, n, d) state; returns their traces in order.
 
-    Each path stops by its own rule, with the outcome of running the paths
-    one after another: on divergence, once the paths before it have run to
-    their end, the lowest diverging path's partial trace is attached to the
-    raised error as `exc.trace`. A target_eps run stops at the latest at
-    min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // P - 1), so its trace fits
-    the dense limit. The trace rows are computed once per block of recorded
-    states, each stacked array within RECORD_BLOCK_BYTES, and before stopped
-    paths are dropped.
+    Every path ends at the same k, for the same reason: target_eps reads the
+    paths' mean combined error (metrics.mean_over_paths, as aggregate does)
+    and stops at the latest at min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS
+    // P - 1), so the trace fits the dense limit. On divergence the lowest
+    diverging path's partial trace is attached to the raised error as
+    `exc.trace`. The trace rows are computed once per block of recorded
+    states, each stacked array within RECORD_BLOCK_BYTES.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -244,9 +243,8 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     # a budget below the first draw leaves the trackers at zero
     st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
     eps_cap = min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // len(paths) - 1)
-    live = np.arange(len(paths))   # the path behind each slice of the state
-    rows, samples, pending, ends = [], [], [], {}   # ends: path -> (k, reason)
-    w_prev = None   # the live paths' noise w = g - grad f at the last flushed record
+    rows, samples, pending = [], [], []
+    w_prev = None   # the noise w = g - grad f at the last flushed record
 
     def record(st):
         pending.append(st)
@@ -266,61 +264,49 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
             dw[0] = 0.0   # w_step is 0 at k = 0
         w_prev = w[-1]
         ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, None), p)
-        rows.append(np.full((len(pending), len(paths), 6), np.nan))   # NaN where a path stopped
-        rows[-1][:, live] = np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                                      np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
-                                      np.sqrt((dw * dw).sum((-2, -1)))], axis=-1)
+        rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                              np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
+                              np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
         pending.clear()
 
     def stop_reason(st):
-        """Why the live paths stop at st.k, '' where a path goes on: one
-        reason for all of them, or one each under target_eps."""
+        """Why the run stops at st.k, '' while it goes on."""
         if stop.kind == "max_iters":
             return "max_iters" if st.k >= stop.value else ""
         if stop.kind == "budget_samples":
             next_cost = p.n * batch_size(schedule, st.k + 1 if tracking else st.k)
             return "budget_samples" if samples[-1] + next_cost > budget else ""
-        capped = "target_eps_iter_cap" if st.k >= eps_cap else ""
-        eps = metrics.combined_error(metrics.error_vector(st, p))
-        return np.where(eps <= stop.value, "target_eps", capped)
+        eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(st, p)))
+        if eps <= stop.value:
+            return "target_eps"
+        return "target_eps_iter_cap" if st.k >= eps_cap else ""
 
     record(st)
     diverged = None
-    while len(live):
-        reasons = np.asarray(stop_reason(st))
-        if (reasons == "").all():
-            try:
-                st = step(st, mix, p, alpha, schedule, streams, tracking)
-            except DivergenceError as exc:
-                diverged = exc, int(live[exc.slot])
-                # it stops, and so do the paths after it, which would never have run
-                reasons = np.where(np.arange(len(live)) < exc.slot, "", "diverged")
-            else:
-                record(st)
-                continue
-        flush()
-        reasons = np.broadcast_to(reasons, live.shape)
-        ends.update((int(q), (st.k, str(why))) for q, why in zip(live, reasons) if why)
-        keep = reasons == ""
-        live, w_prev = live[keep], w_prev[keep]
-        st = NetworkState(st.k, st.x[keep], st.y[keep], st.g_prev[keep], st.oracle_count)
-        streams = StreamFactory(seed, [paths[q] for q in live])
+    while not (reason := stop_reason(st)):
+        try:
+            st = step(st, mix, p, alpha, schedule, streams, tracking)
+        except DivergenceError as exc:
+            diverged, reason = exc, "diverged"
+            break
+        record(st)
+    flush()
 
-    table = np.concatenate(rows)
-    traces = {q: PathTrace(
+    table, k = np.concatenate(rows), st.k
+    traces = [PathTrace(
         algorithm=algorithm,
-        z=table[:k + 1, q, :3],
-        combined=table[:k + 1, q, 3],
-        cum_samples=np.array(samples[:k + 1], dtype=np.int64),
+        z=table[:, q, :3],
+        combined=table[:, q, 3],
+        cum_samples=np.array(samples, dtype=np.int64),
         cum_messages=np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
         per_agent_samples=np.full(p.n, samples[k] // p.n, dtype=np.int64),
         per_agent_messages=k * msg_per_iter,
         x0=x0[q],
-        sum_w_norms=table[:k + 1, q, 4],
-        w_step=table[:k + 1, q, 5],
+        sum_w_norms=table[:, q, 4],
+        w_step=table[:, q, 5],
         stop_reason=reason,
-    ) for q, (k, reason) in ends.items()}
+    ) for q in range(len(paths))]
     if diverged:
-        diverged[0].trace = traces[diverged[1]]
-        raise diverged[0]
-    return [traces[q] for q in range(len(paths))]
+        diverged.trace = traces[diverged.slot]
+        raise diverged
+    return traces

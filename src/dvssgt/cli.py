@@ -227,14 +227,12 @@ def build_instance(cfg):
         seed=prob["seed"])
     try:
         if "edge_list" in gcfg:
-            g = graph_mod.Graph.load(gcfg["edge_list"])
+            g = graph_mod.Graph.load(gcfg["edge_list"], p.n)
         else:
             g = graph_mod.erdos_renyi(gcfg["n"], gcfg["p"], gcfg["seed"])
     except (OSError, RuntimeError) as exc:
         # a missing edge list, or a graph.p too small to give a connected graph
         raise ValueError(f"graph: {exc}") from exc
-    if g.n != p.n:
-        raise ValueError(f"graph has {g.n} nodes but problem.n is {p.n}")
     return p, g, graph_mod.metropolis_weights(g)
 
 
@@ -250,7 +248,7 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
     traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
                             algo.StopRule(*stop), cfg["seed"], range(cfg["paths"]))
 
-    result = metrics.aggregate(traces, algorithm=algorithm)
+    result = metrics.aggregate(traces)
     if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
         result.rate_fit = metrics.fit_geometric_rate(result.mean_combined)
     return result
@@ -277,7 +275,7 @@ def cmd_run(cfg, out):
     (out / f"run_{result.algorithm}.svg").write_text(_svg(
         [(result.algorithm, ks, result.mean_combined)], "Mean error vs iteration", "k"))
     fit = result.rate_fit
-    print(f"{result.algorithm}: {len(ks)-1} iterations, "
+    print(f"{result.algorithm}: {len(ks)-1} iterations ({result.traces[0].stop_reason}), "
           f"final mean error {result.mean_combined[-1]:.4e}"
           + (f", fitted rate {fit.rate:.4f} (R^2 {fit.r_squared:.4f})" if fit else ""))
     return result
@@ -292,7 +290,7 @@ def cmd_compare(cfg, out):
                                                   algorithm=algorithm)
         metrics.write_csv(res, out / f"compare_{algorithm}.csv")
         print(f"{algorithm}: final mean error {res.mean_combined[-1]:.4e} "
-              f"after {res.cum_samples[-1]} samples")
+              f"after {res.cum_samples[-1]} samples ({res.traces[0].stop_reason})")
     (out / "compare.svg").write_text(_svg(
         [(a, res.cum_samples, res.mean_combined) for a, res in results.items()],
         "Algorithm comparison", "cumulative sampled gradients"))

@@ -51,21 +51,25 @@ class Graph:
         return len(seen) == self.n
 
     @staticmethod
-    def from_edge_list(text):
+    def from_edge_list(text, n=None):
+        """The node count on the first line, then one 'i j' edge per line; a
+        count other than n, when given, is refused before any node is built."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty edge-list")
-        n = int(lines[0])
+        count = int(lines[0])
+        if n is not None and count != n:
+            raise ValueError(f"graph has {count} nodes but problem.n is {n}")
         edges = []
         for ln in lines[1:]:
             i, j = ln.split()
             edges.append((int(i), int(j)))
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(count, edges)
 
     @staticmethod
-    def load(path):
+    def load(path, n=None):
         with open(path) as fh:
-            return Graph.from_edge_list(fh.read())
+            return Graph.from_edge_list(fh.read(), n)
 
 
 @dataclass(frozen=True)

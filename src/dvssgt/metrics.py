@@ -81,33 +81,27 @@ class RunResult:
     rate_fit: RateFit = None
 
 
-def _mean_over_paths(stacked):
-    """Mean over axis 0 with exact (fsum) accumulation.
-
-    Exact summation makes the average independent of path ordering, so
-    aggregation is permutation invariant bit-for-bit.
-    """
+def mean_over_paths(stacked):
+    """Mean over axis 0 with exact (fsum) accumulation, so independent of the
+    path order bit-for-bit: the run's mean rows, and the error on which
+    algo.run_paths decides a target_eps stop."""
     flat = stacked.reshape(stacked.shape[0], -1)
     sums = np.fromiter((math.fsum(col) for col in flat.T), dtype=float,
                        count=flat.shape[1])
     return (sums / stacked.shape[0]).reshape(stacked.shape[1:])
 
 
-def aggregate(traces, algorithm=None) -> RunResult:
-    """Average per-iteration errors across paths, truncated to the shortest path."""
+def aggregate(traces) -> RunResult:
+    """Average per-iteration errors across the equally long paths of one run."""
     if not traces:
         raise ValueError("no traces to aggregate")
-    algorithm = algorithm or traces[0].algorithm
-    t_min = min(tr.z.shape[0] for tr in traces)
-    zs = np.stack([tr.z[:t_min] for tr in traces])
-    comb = np.stack([tr.combined[:t_min] for tr in traces])
     return RunResult(
-        algorithm=algorithm,
+        algorithm=traces[0].algorithm,
         traces=list(traces),
-        mean_z=_mean_over_paths(zs),
-        mean_combined=_mean_over_paths(comb),
-        cum_samples=traces[0].cum_samples[:t_min].copy(),
-        cum_messages=traces[0].cum_messages[:t_min].copy(),
+        mean_z=mean_over_paths(np.stack([tr.z for tr in traces])),
+        mean_combined=mean_over_paths(np.stack([tr.combined for tr in traces])),
+        cum_samples=traces[0].cum_samples,
+        cum_messages=traces[0].cum_messages,
     )
 
 

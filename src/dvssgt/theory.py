@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .algo import BatchSchedule, batch_total
+from .algo import MAX_DENSE_ELEMENTS, BatchSchedule, batch_total, cap_reached_at
 
 FEASIBILITY_MARGIN = 1e-6
 DEGENERATE_TOL = 1e-9
@@ -150,14 +150,15 @@ def communication_complexity(g, rb: RateBound, eps):
 @dataclass(frozen=True)
 class OracleComplexity:
     iterations: int
-    exact: int            # sum_{k=0}^{K} N(k) from the schedule in force
+    exact: int            # sum_{k=0}^{K} N(k); None past MAX_DENSE_ELEMENTS terms
     closed_form_bound: float   # None where it exceeds the float range
 
 
 def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule) -> OracleComplexity:
     _check_regime(rb)
     K = iteration_complexity(rb, eps)
-    exact = batch_total(schedule, K)
+    terms = 1 if schedule.kind == "constant" else min(K + 1, cap_reached_at(schedule))
+    exact = batch_total(schedule, K) if terms <= MAX_DENSE_ELEMENTS else None
     B = rb.prefactor
     try:
         if rb.q > rb.rho:

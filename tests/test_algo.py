@@ -474,25 +474,31 @@ def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop)
     assert not np.array_equal(stacked[0].z, stacked[1].z)
 
 
-def test_target_eps_paths_stop_at_different_k(fig1_instance):
+def test_target_eps_stops_every_path_at_one_k(fig1_instance):
     p, g, mix = fig1_instance
     stop = algo.StopRule("target_eps", 0.05)
     sched = algo.geometric_schedule(0.98)
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
                             paths=range(6))
-    assert len({tr.iterations for tr in traces}) > 1
+    k = traces[0].iterations
+    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(k, "target_eps")}
+    # the run's mean decides: it meets the target first at k ...
+    mean = metrics.aggregate(traces).mean_combined
+    assert mean[k] <= 0.05 and np.all(mean[:k] > 0.05)
+    # ... where one path met it long before and another has not met it yet
+    assert min(tr.combined[:k].min() for tr in traces) <= 0.05
+    assert max(tr.combined[k] for tr in traces) > 0.05
     for path, tr in enumerate(traces):
-        assert tr.stop_reason == "target_eps"
-        assert tr.combined[-1] <= 0.05 and np.all(tr.combined[:-1] > 0.05)
-        _assert_same_trace(tr, algo.run_path(p, mix, g, "dvss-sgt", 0.01, sched, stop,
-                                             seed=2024, path=path))
+        single = algo.run_path(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", k),
+                               seed=2024, path=path)
+        _assert_same_trace(tr, dataclasses.replace(single, stop_reason="target_eps"))
 
 
 @pytest.mark.parametrize("offsets,winner", [
     # path 0 sits at the fixed point and never diverges: path 1's error
     ((0.0, 1.0), 1),
-    # both diverge, path 1 first; running in order, path 0's error comes first
-    ((1e-3, 1e3), 0),
+    # both diverge, path 1 first: the run ends there, with path 1's error
+    ((1e-3, 1e3), 1),
 ])
 def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
     p = oracle.deterministic(oracle.make_regression_problem(
@@ -509,10 +515,10 @@ def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
     assert err.value.k == ref.value.k and str(err.value) == str(ref.value)
     assert err.value.trace.stop_reason == "diverged"
     _assert_same_trace(err.value.trace, ref.value.trace)
-    if winner == 0:
-        with pytest.raises(algo.DivergenceError) as first:
-            algo.run_path(*args, seed=0, path=1, x0=x0[1])
-        assert first.value.k < err.value.k
+    if offsets[0]:   # path 0 alone would have run on past the run's end
+        with pytest.raises(algo.DivergenceError) as later:
+            algo.run_path(*args, seed=0, path=0, x0=x0[0])
+        assert later.value.k > err.value.k
 
 
 def _hand_stepped_trace(p, mix, g, algorithm, alpha, sched, stop, seed, path, x0=None):
@@ -588,30 +594,29 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
     _block_of(monkeypatch, 16, p, 6)
-    calls = []   # [k, a flush's stacked block?, the combined error computed from it]
-    error_vector, combined_error = metrics.error_vector, metrics.combined_error
+    calls = []   # [k, a flush's stacked block?, the mean combined error a decision read]
+    error_vector, mean_over_paths = metrics.error_vector, metrics.mean_over_paths
     monkeypatch.setattr(metrics, "error_vector",
                         lambda st, p: calls.append([st.k, st.x.ndim == 4]) or error_vector(st, p))
-    monkeypatch.setattr(metrics, "combined_error",
-                        lambda ev: calls[-1].append(combined_error(ev)) or calls[-1][-1])
+    monkeypatch.setattr(metrics, "mean_over_paths",
+                        lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
                             paths=range(6))
-    iterations = [tr.iterations for tr in traces]
-    assert iterations == [296, 238, 281, 261, 250, 275]
-    # each decision reads the newest state, bit for bit the live paths' rows at k;
-    # once paths stop at k, the others are decided again at that k
-    decisions = [(k, eps) for k, stacked, eps in calls if not stacked]
-    ks = [k for k, _ in decisions]
-    assert sorted(set(ks)) == list(range(max(iterations) + 1))
-    for i, (k, eps) in enumerate(decisions):
-        again = i > 0 and ks[i - 1] == k
-        assert np.array_equal(eps, [tr.combined[k] for tr in traces
-                                    if tr.iterations > k or tr.iterations == k and not again])
-    # rows wait for a full block or a stop; a flush for each decision would make 297
-    assert sum(stacked for _, stacked, _ in calls) <= 20
+    monkeypatch.undo()
+    k = traces[0].iterations
+    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(275, "target_eps")}
+    # each decision reads the newest state, bit for bit the run's mean row at its k
+    mean = metrics.aggregate(traces).mean_combined
+    decisions = [(kd, eps) for kd, stacked, *eps in calls if not stacked]
+    assert [kd for kd, _ in decisions] == list(range(k + 1))
+    for kd, [eps] in decisions:
+        assert eps == mean[kd]
+    # rows wait for a full block or the end; a flush for each decision would make 276
+    assert sum(stacked for _, stacked, *_ in calls) <= 20
     for path, trace in enumerate(traces):
-        _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
-                                                      stop, seed=2024, path=path))
+        ref = _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
+                                  algo.StopRule("max_iters", k), seed=2024, path=path)
+        _assert_same_trace(trace, dataclasses.replace(ref, stop_reason="target_eps"))
 
 
 def test_target_eps_cap_keeps_the_trace_within_the_dense_limit(monkeypatch, fig1_instance):

@@ -171,6 +171,18 @@ def test_edge_list_node_count_must_match_problem(tmp_path, capsys):
     assert "graph has 8 nodes but problem.n is 10" in capsys.readouterr().err
 
 
+def test_edge_list_node_count_is_checked_before_any_node_is_built(tmp_path, capsys,
+                                                                 monkeypatch):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("100000000\n0 1\n")
+    monkeypatch.setattr(graph.Graph, "from_edges", staticmethod(
+        lambda n, edges: pytest.fail(f"built a graph of {n} nodes")))
+    path = small_cfg(tmp_path, graph={"edge_list": str(edges)})
+    assert cli.main(["run", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG_ERROR
+    assert "graph has 100000000 nodes but problem.n is 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("graph_cfg,message", [
     ({"p": 1e-9}, "config error: graph: no connected graph after"),
     ({"edge_list": "missing.txt"}, "config error: graph: [Errno 2]"),
@@ -192,6 +204,16 @@ def test_divergence_exit_and_partial_trace(tmp_path):
     assert cli.main(["run", "--preset", "fig1", "--config", path,
                      "--out", str(out)]) == cli.EXIT_DIVERGENCE
     assert (out / "partial_trace.csv").exists()
+
+
+def test_target_eps_run_stops_at_its_target(tmp_path, capsys):
+    path = small_cfg(tmp_path, **{**cli.load_config("fig1"), "paths": 3,
+                                  "stop": {"target_eps": 0.1}})
+    out = tmp_path / "eps"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    means = [float(row["mean_combined"]) for row in read_rows(out / "run_dvss-sgt.csv")]
+    assert means[-1] <= 0.1 < min(means[:-1])
+    assert f"{len(means) - 1} iterations (target_eps)" in capsys.readouterr().out
 
 
 def test_compare_outputs(tmp_path):
@@ -278,6 +300,20 @@ def test_theory_bound_overflow_is_null(tmp_path):
     bounds = [table["oracle_bound"] for table in report["complexity"].values()]
     assert None in bounds
     assert all(b is None or math.isfinite(b) for b in bounds)
+
+
+def test_theory_near_ratio_one_reports_no_exact_count(tmp_path):
+    # N(k) = ceil(ratio^-k) reaches the cap only at k ~ 2e11: the exact count
+    # would sum that many batch sizes
+    path = small_cfg(tmp_path, schedule={"kind": "geometric", "ratio": 0.9999999999})
+    out = tmp_path / "th"
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "theory.json").read_text())
+    assert report["cap_reached_at"] > algo.MAX_DENSE_ELEMENTS
+    for table in report["complexity"].values():
+        assert table["K"] > algo.MAX_DENSE_ELEMENTS
+        assert table["oracle_exact"] is None and table["oracle_bound"] > 0
 
 
 def test_theory_noiseless_C_zero(tmp_path):
