@@ -143,30 +143,42 @@ def _guard(x, k):
     raise DivergenceError(k, float(np.ravel(worst)[bad[0]]), int(bad[0]))
 
 
+def _check_alpha(alpha, tracking):
+    if tracking and alpha <= 0.0:
+        raise ValueError(f"step size must be positive, got {alpha}")
+    if alpha < 0.0:
+        raise ValueError(f"step size must be nonnegative, got {alpha}")
+
+
+def _advance(st: NetworkState, A, alpha, gradients, count, tracking) -> NetworkState:
+    """The iteration itself: gradients(x) are the sampled gradients at x of
+    the cell it draws, count the new oracle_count."""
+    k1 = st.k + 1
+    if tracking:
+        x = A @ st.x - alpha * st.y
+        _guard(x, k1)
+        g = gradients(x)
+        y = A @ st.y + g - st.g_prev
+    else:
+        g = gradients(st.x)
+        x = A @ st.x - alpha * g
+        _guard(x, k1)
+        y = st.y
+    return NetworkState(k1, x, y, g, count)
+
+
 def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
          streams: StreamFactory, tracking=True) -> NetworkState:
     """One iteration of D-VSS-SGT (D-SGT: a constant schedule) or, without
     tracking, D-SGD: g(k) is drawn at x(k), then x(k+1) = A x - alpha g(k),
     so alpha = 0 is pure mixing. Raises DivergenceError naming the first
     stacked path whose iterate exceeds the guard."""
-    k1 = st.k + 1
-    if tracking:
-        if alpha <= 0.0:
-            raise ValueError(f"step size must be positive, got {alpha}")
-        x = mix.A @ st.x - alpha * st.y
-        _guard(x, k1)
-        nb = batch_size(s, k1)
-        g = oracle.sample_gradients(p, x, nb, streams.generators(k1))
-        y = mix.A @ st.y + g - st.g_prev
-    else:
-        if alpha < 0.0:
-            raise ValueError(f"step size must be nonnegative, got {alpha}")
-        nb = batch_size(s, st.k)
-        g = oracle.sample_gradients(p, st.x, nb, streams.generators(st.k))
-        x = mix.A @ st.x - alpha * g
-        _guard(x, k1)
-        y = st.y
-    return NetworkState(k1, x, y, g, st.oracle_count + nb)
+    _check_alpha(alpha, tracking)
+    k = st.k + tracking   # the cell drawn: at x(k + 1) with tracking, else at x(k)
+    nb = batch_size(s, k)
+    return _advance(st, mix.A, alpha,
+                    lambda x: oracle.sample_gradients(p, x, nb, streams.generators(k)),
+                    st.oracle_count + nb, tracking)
 
 
 @dataclass(frozen=True)
@@ -229,8 +241,19 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     and stops at the latest at min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS
     // P - 1), so the trace fits the dense limit. On divergence the lowest
     diverging path's partial trace is attached to the raised error as
-    `exc.trace`. The trace rows are computed once per block of recorded
-    states, each stacked array within RECORD_BLOCK_BYTES.
+    `exc.trace`.
+
+    The run goes a block of iterations at a time: the next ones whose cells'
+    random numbers fit RECORD_BLOCK_BYTES (or MAX_DRAW_BLOCK_BYTES, where
+    smaller; at least one, at most as many as the recorded states a block
+    holds) and, under budget_samples, that the budget pays for. Per block the batch sizes and sample counts are
+    computed and the cells drawn at once (oracle.draw_cells); an iteration
+    whose cells alone exceed MAX_DRAW_BLOCK_BYTES draws its paths in chunks
+    (oracle.sample_gradients). Per iteration only the state-dependent
+    arithmetic is left, and under target_eps the decision. A block that
+    ends early (target_eps, divergence) leaves its later cells unread. The
+    trace rows are computed once per block of recorded states, as many as
+    fit RECORD_BLOCK_BYTES stacked.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -238,19 +261,19 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     streams = StreamFactory(seed, paths)
     x0 = default_x0(p, streams) if x0 is None else np.array(x0, dtype=float)
     tracking = algorithm in ("dvss-sgt", "d-sgt")
+    _check_alpha(alpha, tracking)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
     budget = stop.value if stop.kind == "budget_samples" else math.inf
     # a budget below the first draw leaves the trackers at zero
     st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
-    eps_cap = min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // len(paths) - 1)
-    rows, samples, pending = [], [], []
+    # the last iteration the run may reach; a budget run's follows from its batches
+    end = (int(stop.value) if stop.kind == "max_iters"
+           else min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // len(paths) - 1)
+           if stop.kind == "target_eps" else math.inf)
+    per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
+    block_bytes = min(RECORD_BLOCK_BYTES, oracle.MAX_DRAW_BLOCK_BYTES)
+    rows, samples, pending = [], [int(st.oracle_count.sum())], [st]
     w_prev = None   # the noise w = g - grad f at the last flushed record
-
-    def record(st):
-        pending.append(st)
-        samples.append(int(st.oracle_count.sum()))
-        if (len(pending) + 1) * st.x.nbytes > RECORD_BLOCK_BYTES:
-            flush()
 
     def flush():
         """Trace rows of the pending states, from one (B, P, n, d) stack per array."""
@@ -269,27 +292,49 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
         pending.clear()
 
-    def stop_reason(st):
-        """Why the run stops at st.k, '' while it goes on."""
-        if stop.kind == "max_iters":
-            return "max_iters" if st.k >= stop.value else ""
-        if stop.kind == "budget_samples":
-            next_cost = p.n * batch_size(schedule, st.k + 1 if tracking else st.k)
-            return "budget_samples" if samples[-1] + next_cost > budget else ""
+    def target_met(st):
         eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(st, p)))
-        if eps <= stop.value:
-            return "target_eps"
-        return "target_eps_iter_cap" if st.k >= eps_cap else ""
+        return eps <= stop.value
 
-    record(st)
+    reason = "target_eps" if stop.kind == "target_eps" and target_met(st) else ""
     diverged = None
-    while not (reason := stop_reason(st)):
+    while not reason:
+        if st.k >= end:
+            reason = "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap"
+            break
+        # the block: the next cells (at x(k + 1) with tracking, else at x(k))
+        # that the budget pays for and whose random numbers fit the block
+        # bytes, the first one always
+        ks, batches, counts, size = [], [], [], 0
+        for c in range(st.k + tracking, st.k + tracking + min(per_block, end - st.k)):
+            b = batch_size(schedule, c)
+            size += len(paths) * oracle.draw_bytes(p, b)
+            count = (counts[-1] if counts else samples[-1]) + p.n * b
+            if count > budget or ks and size > block_bytes:
+                break
+            ks.append(c)
+            batches.append(b)
+            counts.append(count)
+        if not ks:
+            reason = "budget_samples"
+            break
+        if len(paths) * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
+            cells = oracle.draw_cells(p, batches, map(streams.generators, ks))
+            grads = [lambda x, c=c: oracle.apply_cell(p, x, c) for c in cells]
+        else:   # one iteration's cells alone exceed the bound: its paths in chunks
+            grads = [lambda x: oracle.sample_gradients(p, x, batches[0], streams.generators(ks[0]))]
         try:
-            st = step(st, mix, p, alpha, schedule, streams, tracking)
+            for gradients, count in zip(grads, counts):
+                st = _advance(st, mix.A, alpha, gradients, None, tracking)
+                samples.append(count)
+                pending.append(st)
+                if len(pending) == per_block:
+                    flush()
+                if stop.kind == "target_eps" and target_met(st):
+                    reason = "target_eps"
+                    break
         except DivergenceError as exc:
             diverged, reason = exc, "diverged"
-            break
-        record(st)
     flush()
 
     table, k = np.concatenate(rows), st.k

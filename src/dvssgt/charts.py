@@ -23,8 +23,24 @@ def _ticks(lo, hi, count=6):
     return ticks
 
 
+def _thin(pts):
+    """The first and last of the (x, y) pixel points and, per pixel column,
+    its lowest and highest, in their order: the line drawn at the chart's
+    resolution from at most two points a column."""
+    extremes = {}   # pixel column -> [index of its smallest y, of its largest]
+    for i, (px, py) in enumerate(pts):
+        ext = extremes.setdefault(int(px), [i, i])
+        if py < pts[ext[0]][1]:
+            ext[0] = i
+        elif py > pts[ext[1]][1]:
+            ext[1] = i
+    return [pts[i] for i in sorted({0, len(pts) - 1}.union(*extremes.values()))]
+
+
 def line_chart_svg(series, title="", xlabel="", ylabel="", log_y=True):
-    """series: list of (label, xs, ys). Returns the SVG document as a string."""
+    """series: list of (label, xs, ys). Returns the SVG document as a string.
+    A series of more than twice the plot's pixel width in points is thinned
+    to its first and last point and each pixel column's extremes."""
     pts = []
     for _label, xs, ys in series:
         for x, y in zip(xs, ys):
@@ -71,10 +87,11 @@ def line_chart_svg(series, title="", xlabel="", ylabel="", log_y=True):
                'fill="none" stroke="#333"/>')
     for idx, (label, xs, ys) in enumerate(series):
         color = COLORS[idx % len(COLORS)]
-        coords = [
-            f"{sx(float(x)):.2f},{sy(math.log10(y) if log_y else float(y)):.2f}"
-            for x, y in zip(xs, ys) if not log_y or y > 0
-        ]
+        pts = [(sx(float(x)), sy(math.log10(y) if log_y else float(y)))
+               for x, y in zip(xs, ys) if not log_y or y > 0]
+        if len(pts) > 2 * pw:
+            pts = _thin(pts)
+        coords = [f"{px:.2f},{py:.2f}" for px, py in pts]
         if coords:
             out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')

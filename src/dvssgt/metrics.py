@@ -86,8 +86,7 @@ def mean_over_paths(stacked):
     path order bit-for-bit: the run's mean rows, and the error on which
     algo.run_paths decides a target_eps stop."""
     flat = stacked.reshape(stacked.shape[0], -1)
-    sums = np.fromiter((math.fsum(col) for col in flat.T), dtype=float,
-                       count=flat.shape[1])
+    sums = np.fromiter(map(math.fsum, flat.T.tolist()), dtype=float, count=flat.shape[1])
     return (sums / stacked.shape[0]).reshape(stacked.shape[1:])
 
 

@@ -16,6 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,15 +131,12 @@ def make_regression_problem(n, d, x_star, covariance_spec="diag-uniform[1,2]",
     rng = np.random.default_rng(seed)
     covs = _agent_covariances(n, d, covariance_spec, rng)
 
-    lam_lo, lam_hi = np.inf, 0.0
-    for i, R in enumerate(covs):
-        lo, hi = spectral.sym_extreme_eigenvalues(R)
-        if lo <= 0.0:
-            raise ValueError(f"covariance for agent {i} is not positive definite")
-        lam_lo, lam_hi = min(lam_lo, lo), max(lam_hi, hi)
-
     R = np.stack(covs)
-    return Problem(n, d, x_star, float(lam_lo), float(lam_hi), R, np.linalg.cholesky(R),
+    lo, hi = spectral.sym_extreme_eigenvalues(R)
+    bad = np.flatnonzero(lo <= 0.0)
+    if len(bad):
+        raise ValueError(f"covariance for agent {bad[0]} is not positive definite")
+    return Problem(n, d, x_star, float(lo.min()), float(hi.max()), R, np.linalg.cholesky(R),
                    sigmas)
 
 
@@ -157,18 +155,109 @@ def _offsets(p: Problem, X):
 def exact_gradients(p: Problem, X):
     """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) or
     stacked (P, n, d) array X."""
-    return (p.R @ _offsets(p, X)[..., None])[..., 0]
+    return apply_cell(p, X, None)
+
+
+class Cell(NamedTuple):
+    """The state-independent part of the sampled gradients of P stacked paths
+    at one iteration: below bartlett_crossover(d) the regressors U = Z L'
+    (P, n, batch, d) and noises s = sigma xi (P, n, batch), from it Bartlett's
+    M = L B (P, n, d, d) and s = sigma nu (P, n, d). apply_cell turns it into
+    gradients at any point."""
+
+    batch: int
+    M: np.ndarray
+    s: np.ndarray
+
+
+def draw_bytes(p: Problem, batch):
+    """Bytes of random numbers in one path's cell at `batch`: regressor and
+    noise normals below the crossover, Bartlett normals and chi-squares from
+    it, none for an exact oracle."""
+    if p.exact_oracle:
+        return 0
+    bartlett = batch >= bartlett_crossover(p.d)
+    return 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
+
+
+def draw_cells(p: Problem, batches, rngs):
+    """One Cell per row of a block: row j has batch batches[j] and draws from
+    rngs[j], an iterable of one Generator per path taken in turn (all of a
+    path's numbers are drawn before the next path's). Per path, below
+    bartlett_crossover(d) one call draws (n, batch, d) regressor normals and
+    then (n, batch) noise normals; from it one call draws (n, d, d + 1)
+    normals Z and a second (n, d) chi-squares with batch - d + 1 degrees of
+    freedom (see apply_cell). Rows of one draw shape are stacked for the
+    arithmetic. An exact oracle draws nothing: None per row."""
+    if p.exact_oracle:
+        return [None] * len(batches)
+    n, d = p.n, p.d
+    cross = bartlett_crossover(d)
+    raw = [[(r.standard_normal((n, d, d + 1)), r.chisquare(b - d + 1, size=(n, d)))
+            if b >= cross else r.standard_normal(n * b * (d + 1)) for r in gens]
+           for b, gens in zip(batches, rngs)]
+    groups = {}
+    for j, b in enumerate(batches):
+        groups.setdefault(min(b, cross), []).append(j)
+    cells = [None] * len(batches)
+    for b, rows in groups.items():
+        if b < cross:
+            block = np.array([raw[j] for j in rows])
+            lead = block.shape[:2] + (n, b)
+            z = block[..., :n * b * d].reshape(lead + (d,))
+            xi = block[..., n * b * d:].reshape(lead)
+            M, s = z @ np.swapaxes(p.chol, -1, -2), p.sigmas[:, None] * xi
+        else:
+            low = min(batches[j] for j in rows)
+            if low < d:
+                raise ValueError(f"Bartlett draw needs batch >= d={d}, got {low}")
+            Z = np.array([[z for z, _chi in raw[j]] for j in rows])
+            chi = np.array([[c for _z, c in raw[j]] for j in rows])
+            k = np.arange(d)
+            B = np.where(k[:, None] > k, Z[..., :d], 0.0)
+            right = np.where(k[:, None] < k, Z[..., :d], 0.0)
+            B[..., k, k] = np.sqrt(chi + (right * right).sum(axis=-1))
+            M, s = p.chol @ B, p.sigmas[:, None] * Z[..., d]
+        for i, j in enumerate(rows):
+            cells[j] = Cell(batches[j], M[i], s[i])
+    return cells
+
+
+def apply_cell(p: Problem, X, cell):
+    """Mini-batch averaged sampled gradients at the rows of X, (P, n, d), from
+    the cell drawn for them; exact gradients for an exact oracle's None.
+
+    A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so
+    below the crossover agent i's average is U_i'(U_i e_i - s_i)/batch. From
+    it, agent i's batch sum is S_i e_i - sigma_i U_i' nu_i with S_i = U_i' U_i
+    ~ Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
+    (1933) decomposition S = L B B' L', with L = chol(R) and B lower
+    triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
+    both from O(d^2) random numbers per agent: B is Z's strict lower
+    triangle, nu its last column, and the d - 1 - j normals right of Z's
+    diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}.
+    So the average is M (M'e_i - s_i)/batch with M = L B."""
+    return _apply(p, _offsets(p, X), cell)
+
+
+def _apply(p: Problem, E, cell):
+    if cell is None:
+        return (p.R @ E[..., None])[..., 0]
+    batch, M, s = cell
+    if batch < bartlett_crossover(p.d):
+        return (M * ((M @ E[..., None])[..., 0] - s)[..., None]).sum(axis=-2) / batch
+    r = (np.swapaxes(M, -1, -2) @ E[..., None])[..., 0] - s
+    return (M @ r[..., None])[..., 0] / batch
 
 
 def sample_gradients(p: Problem, X, batch, rng):
-    """Mini-batch averaged sampled gradients of all n agents at the rows of X.
+    """Mini-batch averaged sampled gradients of all n agents at the rows of X:
+    one cell drawn and applied.
 
     X is (n, d), or (P, n, d) for P stacked paths, and `rng` one Generator
-    that the paths draw from in turn, or an iterable of one per path. Per
-    path, below bartlett_crossover(d) the draws are (n, batch, d) regressor
-    normals, then (n, batch) noise normals. Paths are drawn in chunks whose
-    random numbers fill at most max(one path's, MAX_DRAW_BLOCK_BYTES) bytes.
-    An exact oracle never touches `rng`."""
+    that the paths draw from in turn, or an iterable of one per path. Paths
+    are drawn in chunks whose random numbers fill at most max(one path's,
+    MAX_DRAW_BLOCK_BYTES) bytes. An exact oracle never touches `rng`."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if p.exact_oracle:
@@ -176,60 +265,13 @@ def sample_gradients(p: Problem, X, batch, rng):
     E = _offsets(p, X)
     rngs = itertools.repeat(rng) if isinstance(rng, np.random.Generator) else iter(rng)
     stacked = E.reshape(-1, p.n, p.d)
-    bartlett = batch >= bartlett_crossover(p.d)
-    width = 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
-    chunk = max(1, MAX_DRAW_BLOCK_BYTES // width)
-    draw = bartlett_gradients if bartlett else _direct_gradients
+    chunk = max(1, MAX_DRAW_BLOCK_BYTES // draw_bytes(p, batch))
     out = np.empty_like(stacked)
     for lo in range(0, len(stacked), chunk):
         e = stacked[lo:lo + chunk]
-        out[lo:lo + chunk] = draw(p, e, batch, itertools.islice(rngs, len(e)))
+        [cell] = draw_cells(p, [batch], [itertools.islice(rngs, len(e))])
+        out[lo:lo + chunk] = _apply(p, e, cell)
     return out.reshape(E.shape)
-
-
-def _direct_gradients(p: Problem, E, batch, rngs):
-    # one call per path draws its regressor normals and then its noise normals
-    block = np.array([rng.standard_normal(p.n * batch * (p.d + 1)) for rng in rngs])
-    z = block[:, :p.n * batch * p.d].reshape(E.shape[:-1] + (batch, p.d))
-    xi = block[:, p.n * batch * p.d:].reshape(E.shape[:-1] + (batch,))
-    return _single_gradients(p.chol, p.sigmas[:, None], E, z, xi).sum(axis=-2) / batch
-
-
-def _single_gradients(chol, sigma, e, z, xi):
-    """Gradients u (u'e - sigma xi), u = L z, at offsets e = x - x_star for
-    normals z (..., N, d) and xi (..., N); leading axes are paths and agents,
-    so one agent's L, sigma and e give that agent's row."""
-    u = z @ np.swapaxes(chol, -1, -2)
-    return u * ((u @ e[..., None])[..., 0] - sigma * xi)[..., None]
-
-
-def bartlett_gradients(p: Problem, E, batch, rng):
-    """Exact draw of batch-`batch` averaged gradients at offsets E = X - x_star.
-
-    Agent i's batch sum is S_i e_i - sigma_i U_i' nu_i with S_i = U_i' U_i ~
-    Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
-    (1933) decomposition S = L B B' L', with L = chol(R) and B lower
-    triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
-    both from O(d^2) random numbers per agent. Per path one call draws
-    (n, d, d + 1) normals Z, a second (n, d) chi-squares with batch - d + 1
-    degrees of freedom: B is Z's strict lower triangle, nu its last column,
-    and the d - 1 - j normals right of Z's diagonal in row j, squared, raise
-    row j's chi-square to chi^2_{batch-j}. E is (P, n, d), with an iterable
-    of one Generator per path. Needs batch >= d.
-    """
-    d = p.d
-    if batch < d:
-        raise ValueError(f"Bartlett draw needs batch >= d={d}, got {batch}")
-    draws = [(r.standard_normal((p.n, d, d + 1)), r.chisquare(batch - d + 1, size=(p.n, d)))
-             for r in rng]
-    Z, chi = (np.array(a) for a in zip(*draws))
-    j = np.arange(d)
-    B = np.where(j[:, None] > j, Z[..., :d], 0.0)
-    right = np.where(j[:, None] < j, Z[..., :d], 0.0)
-    B[..., j, j] = np.sqrt(chi + (right * right).sum(axis=-1))
-    LB = p.chol @ B
-    r = (np.swapaxes(LB, -1, -2) @ E[..., None])[..., 0] - p.sigmas[:, None] * Z[..., d]
-    return (LB @ r[..., None])[..., 0] / batch
 
 
 def noise_level(p: Problem, x0):

@@ -32,56 +32,75 @@ def build_J(alpha, eta, lips, sigma_A, n, norm_AI, convention="eta") -> Contract
         raise ValueError(f"sigma_A must be in [0,1), got {sigma_A}")
     if convention not in ("eta", "L"):
         raise ValueError(f"unknown theta convention {convention!r}")
-    theta = 1.0 - alpha * (eta if convention == "eta" else lips)
-    J = np.array([
-        [theta, alpha * lips / math.sqrt(n), 0.0],
-        [0.0, sigma_A, alpha],
-        [alpha * math.sqrt(n) * lips**2, lips * norm_AI + alpha * lips**2,
-         sigma_A + alpha * lips],
-    ])
-    return ContractionMatrix(J, alpha, {"eta": eta, "lips": lips, "sigma_A": sigma_A,
-                                        "n": n, "norm_AI": norm_AI})
+    return ContractionMatrix(_coupling(alpha, eta, lips, sigma_A, n, norm_AI, convention),
+                             alpha, {"eta": eta, "lips": lips, "sigma_A": sigma_A,
+                                     "n": n, "norm_AI": norm_AI})
+
+
+def _coupling(alpha, eta, lips, sigma_A, n, norm_AI, convention="eta"):
+    """J(alpha) for a step size, or a (..., 3, 3) stack for an array of them."""
+    a = np.asarray(alpha, dtype=float)
+    theta = 1.0 - a * (eta if convention == "eta" else lips)
+    zero = np.zeros_like(a)
+    return np.stack([theta, a * lips / math.sqrt(n), zero,
+                     zero, zero + sigma_A, a,
+                     a * math.sqrt(n) * lips**2, lips * norm_AI + a * lips**2, sigma_A + a * lips],
+                    axis=-1).reshape(a.shape + (3, 3))
 
 
 def spectral_radius_3x3(M):
-    """Perron root of a nonnegative 3x3 matrix."""
+    """Perron root of a nonnegative 3x3 matrix, or of each of a stack."""
     return spectral.perron_root_3x3(M)
 
 
 def find_alpha(eta, lips, sigma_A, n, norm_AI):
     """Largest step size with spectral radius below 1 - margin.
 
-    Geometric grid down from 2/(eta+L), then 40 bisection steps between the
-    first feasible point and its infeasible predecessor.
+    Geometric grid down from 2/(eta+L), evaluated in one batched eigvals
+    call, then 40 bisection steps between the first feasible point and its
+    infeasible predecessor. The steps go in rounds of up to 3: a round
+    evaluates the 7 midpoints its 3 steps can reach in one call and takes
+    the same decisions as one step at a time.
     """
     if sigma_A >= 1.0:
         raise ValueError(f"sigma_A must be < 1, got {sigma_A}")
-
-    def rho_at(a):
-        return spectral_radius_3x3(
-            build_J(a, eta, lips, sigma_A, n, norm_AI).J)
-
     a_top = 2.0 / (eta + lips)
-    a = a_top
-    feasible = None
+    build_J(a_top, eta, lips, sigma_A, n, norm_AI)   # checks the inputs
+
+    def feasible(alphas):
+        """rho(J) at each step size, and whether it is below 1 - margin."""
+        rho = spectral_radius_3x3(_coupling(np.array(alphas), eta, lips, sigma_A, n, norm_AI))
+        return rho, rho <= 1.0 - FEASIBILITY_MARGIN
+
+    grid, a = [], a_top
     while a >= 1e-12:
-        if rho_at(a) <= 1.0 - FEASIBILITY_MARGIN:
-            feasible = a
-            break
+        grid.append(a)
         a /= 2.0
-    if feasible is None:
+    rho, ok = feasible(grid)
+    if not ok.any():
         raise ValueError("no feasible step size found down to 1e-12; "
                          "the network is too poorly connected or conditioned")
-    if feasible == a_top:
-        return feasible, rho_at(feasible)
-    lo, hi = feasible, feasible * 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if rho_at(mid) <= 1.0 - FEASIBILITY_MARGIN:
-            lo = mid
-        else:
-            hi = mid
-    return lo, rho_at(lo)
+    first = int(ok.argmax())
+    lo, rho_lo = grid[first], rho[first]
+    if first == 0:
+        return lo, float(rho_lo)
+    hi, steps = lo * 2.0, 40
+    while steps:
+        depth = min(3, steps)
+        nodes, mids = [(lo, hi)], []   # node j's halves are nodes 2j + 1 and 2j + 2
+        for j in range(2**depth - 1):
+            a, b = nodes[j]
+            mids.append(0.5 * (a + b))
+            nodes += [(a, mids[-1]), (mids[-1], b)]
+        rho, ok = feasible(mids)
+        j = 0
+        for _ in range(depth):
+            if ok[j]:
+                lo, rho_lo, j = mids[j], rho[j], 2 * j + 2
+            else:
+                hi, j = mids[j], 2 * j + 1
+        steps -= depth
+    return lo, float(rho_lo)
 
 
 def noise_constant(nu, alpha, q, lips, n):

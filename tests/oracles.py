@@ -73,3 +73,30 @@ def philox_stream(seed, path, slot, iteration):
     the iteration, each modulo 2^64."""
     key = [seed % 2**64, (path * 2**42 + slot * 2**21 + iteration) % 2**64]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def sequential_alpha_star(eta, lips, sigma_A, n, norm_AI, margin=1e-6):
+    """(alpha, rho) of the plain step-size search, one eigvals call per step
+    size: halve from 2/(eta + L) to the first alpha with rho(J) <= 1 - margin,
+    then 40 bisection steps between it and its double. None if no alpha down
+    to 1e-12 is feasible. J is written out entry by entry here."""
+    def rho(a):
+        J = np.array([
+            [1.0 - a * eta, a * lips / np.sqrt(n), 0.0],
+            [0.0, sigma_A, a],
+            [a * np.sqrt(n) * lips**2, lips * norm_AI + a * lips**2, sigma_A + a * lips],
+        ])
+        return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+    top = a = 2.0 / (eta + lips)
+    while rho(a) > 1.0 - margin:
+        a /= 2.0
+        if a < 1e-12:
+            return None
+    if a == top:
+        return a, rho(a)
+    lo, hi = a, 2.0 * a
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rho(mid) <= 1.0 - margin else (lo, mid)
+    return lo, rho(lo)

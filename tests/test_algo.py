@@ -393,6 +393,14 @@ def test_one_stream_per_path_and_iteration(monkeypatch):
     algo.run_path(p, mix, g, "d-sgd", 0.05, algo.constant_schedule(1),
                   stop, seed=3, path=2)
     assert calls == [init] + [(3, 2, 0, k) for k in range(10)]
+    # a budget run draws ahead only the cells its budget pays for
+    budget = algo.StopRule("budget_samples", 100)
+    for algorithm, sched, lag in (("dvss-sgt", algo.geometric_schedule(0.98), 0),
+                                  ("d-sgd", algo.constant_schedule(2), 1)):
+        calls.clear()
+        trace = algo.run_path(p, mix, g, algorithm, 0.05, sched, budget, seed=3, path=2)
+        assert trace.stop_reason == "budget_samples" and trace.iterations > 10
+        assert calls == [init] + [(3, 2, 0, k) for k in range(trace.iterations + 1 - lag)]
 
 
 def test_batch_total_matches_the_per_iteration_sum():
@@ -700,22 +708,136 @@ def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     # the Bartlett normals, noise included, and chi-squares
     direct = batch < oracle.bartlett_crossover(p.d)
     per_path = 8 * p.n * (batch * (p.d + 1) if direct else p.d * (p.d + 2))
-    sizes, drawn_by = [], set()
-    for name in ("_direct_gradients", "bartlett_gradients"):
-        real = getattr(oracle, name)
-
-        def spy(p, E, batch, rngs, real=real, name=name):
-            sizes.append(len(E))
-            drawn_by.add(name)
-            return real(p, E, batch, rngs)
-        monkeypatch.setattr(oracle, name, spy)
+    calls = []
+    _draw_spy(monkeypatch, calls)
     for limit in (1, 2 * per_path + 1, 10**9):
-        sizes.clear()
+        calls.clear()
         monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
         chunked = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
                                           .generators(4))
         assert np.array_equal(chunked, whole)
+        sizes = [n_paths for [[_batch, n_paths]] in calls]
         assert sum(sizes) == 7
         assert all(size * per_path <= max(per_path, limit) for size in sizes)
         assert sizes[0] == min(7, max(1, limit // per_path))
-    assert drawn_by == {"_direct_gradients" if direct else "bartlett_gradients"}
+    # regressors below the crossover, Bartlett's L B from it
+    [cell] = oracle.draw_cells(p, [batch], [oracle.StreamFactory(9, range(7)).generators(4)])
+    assert cell.M.shape == (7, p.n) + ((batch, p.d) if direct else (p.d, p.d))
+
+
+def _draw_spy(monkeypatch, calls):
+    """Record each draw_cells call as a list of (batch, paths drawn) rows."""
+    real = oracle.draw_cells
+
+    def spy(p, batches, rngs):
+        rows = []
+
+        def counted(batch, gens):
+            rows.append([batch, 0])
+            for rng in gens:   # re-keyed in place, so counted as taken
+                rows[-1][1] += 1
+                yield rng
+        cells = real(p, batches, [counted(b, gens) for b, gens in zip(batches, rngs)])
+        calls.append(rows)
+        return cells
+    monkeypatch.setattr(oracle, "draw_cells", spy)
+
+
+def _blocks(p, sched, n_paths, states, first, last):
+    """Cells first..last in the blocks run_paths takes them in under
+    _block_of(states): the next cells whose random numbers fit the bytes of
+    `states` recorded states, at most `states` of them."""
+    limit, blocks, total = states * n_paths * p.n * p.d * 8, [], 0
+    for c in range(first, last + 1):
+        size = n_paths * oracle.draw_bytes(p, algo.batch_size(sched, c))
+        if blocks and len(blocks[-1]) < states and total + size <= limit:
+            blocks[-1].append(c)
+            total += size
+        else:
+            blocks.append([c])
+            total = size
+    return blocks
+
+
+# N(k) = ceil(0.9^-k) changes at k = 1, 7, 11, 14, ... and reaches the Bartlett
+# crossover, 12 at d = 5, at k = 23. The engine draws cells k + 1, ... from
+# state k with tracking and k, ... without; the block size is picked so that
+# one block holds cells 22 and 23, or one starts at cell 23.
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("stop", [("max_iters", 40), ("budget_samples", 3000),
+                                  ("target_eps", 0.5)])
+@pytest.mark.parametrize("algorithm", ["dvss-sgt", "d-sgt", "d-sgd"])
+def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_instance,
+                                                              algorithm, stop, edge):
+    p, g, mix = fig1_instance
+    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule(*stop), [0, 3, 1]
+    tracking = algorithm != "d-sgd"
+    switch = oracle.bartlett_crossover(p.d)
+    assert algo.batch_size(sched, 22) < switch == algo.batch_size(sched, 23)
+    states = next(b for b in range(2, 100) if any(
+        (block[0] == 23) if edge else (22 in block and 23 in block)
+        for block in _blocks(p, sched, len(paths), b, int(tracking), 30)))
+    _block_of(monkeypatch, states, p, len(paths))
+    calls = []
+    _draw_spy(monkeypatch, calls)
+    traces = algo.run_paths(p, mix, g, algorithm, 0.05, sched, stop, seed=5, paths=paths)
+    monkeypatch.undo()
+    blocks = [[b for b, _paths in rows] for rows in calls]
+    crossing = [b for b in blocks if min(b) < switch <= max(b) or b[0] == switch]
+    assert len(crossing) == 1 and (crossing[0][0] == switch) == edge
+    k = traces[0].iterations
+    assert k > 30 and {tr.stop_reason for tr in traces} == {stop.kind}
+    for path, trace in zip(paths, traces):
+        ref = _hand_stepped_trace(p, mix, g, algorithm, 0.05, sched,
+                                  algo.StopRule("max_iters", k) if stop.kind == "target_eps"
+                                  else stop, seed=5, path=path)
+        _assert_same_trace(trace, dataclasses.replace(ref, stop_reason=stop.kind))
+
+
+def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
+    p, g, mix = fig1_instance
+    sched, paths = algo.geometric_schedule(0.9), [0, 3, 1]
+    _block_of(monkeypatch, 20, p, len(paths))
+    calls, counts = [], {"batch_size": 0, "sample_gradients": 0}
+    _draw_spy(monkeypatch, calls)
+    for module, name in ((algo, "batch_size"), (oracle, "sample_gradients")):
+        def counting(*args, real=getattr(module, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", 30),
+                   seed=5, paths=paths)
+    monkeypatch.undo()
+    # a block takes the next cells while their random numbers fit the 20
+    # states' 24,000 bytes: 7 cells of N = 2 and 3, 4 of N = 3 and 4, ...,
+    # one a block at N = 8 to 11, two Bartlett cells a block from k = 23
+    expect = [len(block) for block in _blocks(p, sched, len(paths), 20, 1, 30)]
+    assert expect == [7, 4, 3, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]
+    # start draws cell 0; then one call per block, every path of every cell
+    assert [len(rows) for rows in calls] == [1] + expect
+    assert all(n_paths == 3 for rows in calls for _b, n_paths in rows)
+    # only start samples through sample_gradients; batch sizes are taken per
+    # block: each cell's, the next one's for every block it does not fit,
+    # and two for start
+    assert counts == {"batch_size": 2 + 30 + len(expect) - 1, "sample_gradients": 1}
+
+
+def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
+    p, g, mix = fig1_instance
+    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule("max_iters", 30), [0, 3, 1]
+    ref = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
+    # a few small cells of 3 paths fit together; a batch-11 cell of 3 paths
+    # alone does not, so its paths are drawn 2 and 1; a Bartlett cell fits alone
+    limit = 2 * oracle.draw_bytes(p, 11)
+    assert 3 * oracle.draw_bytes(p, 12) <= limit < 3 * oracle.draw_bytes(p, 11)
+    monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
+    calls = []
+    _draw_spy(monkeypatch, calls)
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
+    for trace, expect in zip(traces, ref):
+        _assert_same_trace(trace, expect)
+    for rows in calls:
+        size = sum(n_paths * oracle.draw_bytes(p, b) for b, n_paths in rows)
+        assert size <= max(limit, max(oracle.draw_bytes(p, b) for b, _n in rows))
+    assert [[11, 2]] in calls and [[11, 1]] in calls and [[12, 3]] in calls
+    assert [[2, 3], [2, 3], [2, 3]] in calls

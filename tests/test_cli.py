@@ -384,6 +384,27 @@ def test_chart_svg_structure():
     assert "alg-a" in svg and "alg-b" in svg and "demo" in svg
 
 
+def test_chart_thins_a_long_series_and_keeps_its_extremes():
+    ks = np.arange(100_000, dtype=float)
+    ys = np.exp(-ks / 30_000) * (1.0 + 0.5 * np.sin(ks / 7.0))
+    svg = charts.line_chart_svg([("long", ks, ys)])
+    assert len(svg) < 25_000   # one point per iteration would take ~1.4 MB
+    [line] = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+    pts = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+    # at most the first, the last and two points per pixel column
+    width = charts.WIDTH - charts.MARGIN_L - charts.MARGIN_R
+    assert len(pts) <= 2 * (width + 1) + 2
+    assert [x for x, _y in pts] == sorted(x for x, _y in pts)
+    assert pts[0][0] == charts.MARGIN_L and pts[-1][0] == charts.WIDTH - charts.MARGIN_R
+    # the series' largest and smallest values span the plot top to bottom
+    ys_px = [y for _x, y in pts]
+    assert min(ys_px) == charts.MARGIN_T and max(ys_px) == charts.HEIGHT - charts.MARGIN_B
+    # up to twice the width in points a series is drawn point by point
+    short = charts.line_chart_svg([("short", ks[:2 * width], ys[:2 * width])])
+    [line] = ET.fromstring(short).iter("{http://www.w3.org/2000/svg}polyline")
+    assert len(line.get("points").split()) == 2 * width
+
+
 def test_batch_sizes_and_dense_arrays_are_bounded():
     cap = algo.DEFAULT_BATCH_CAP
     cfg = cli.load_config("fig1", overrides={

@@ -179,6 +179,26 @@ def _direct_draw(p, X, batch, rng):
     return out
 
 
+def _bartlett_draw(p, X, batch, rng):
+    """Reference agent-by-agent Bartlett draw from the network layout: an
+    (n, d, d + 1) block of normals Z, then (n, d) chi-squares with batch - d
+    + 1 degrees of freedom. Agent i's factor B is Z_i's strict lower
+    triangle with B_jj^2 the chi-square plus the squares right of Z_i's
+    diagonal in row j, its noise Z_i's last column, and its gradient
+    L B (B'L' e_i - sigma_i nu) / batch. From the crossover on the oracle
+    must reproduce it bit for bit from the same stream."""
+    d = p.d
+    Z = rng.standard_normal((p.n, d, d + 1))
+    chi = rng.chisquare(batch - d + 1, size=(p.n, d))
+    out = np.empty((p.n, d))
+    for i in range(p.n):
+        B, right = np.tril(Z[i, :, :d], -1), np.triu(Z[i, :, :d], 1)
+        B[np.arange(d), np.arange(d)] = np.sqrt(chi[i] + (right * right).sum(axis=1))
+        LB = p.chol[i] @ B
+        out[i] = LB @ (LB.T @ (X[i] - p.x_star) - p.sigmas[i] * Z[i, :, d]) / batch
+    return out
+
+
 # d = 200 at N = 160 < d: no Bartlett factor exists, whatever the crossover
 @pytest.mark.parametrize("d,batch", [(3, 1), (3, 7), (3, oracle.bartlett_crossover(3) - 1),
                                      (200, 160)])
@@ -199,34 +219,37 @@ def test_crossover_switches_draws_on_the_same_stream(d):
     draw = [oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
             for batch in (below, at)]
     assert np.array_equal(draw[0], _direct_draw(p, X, below, oracles.philox_stream(8, 2, 0, 4)))
-    assert np.array_equal(draw[1], oracle.bartlett_gradients(
-        p, (X - p.x_star)[None], at, [oracles.philox_stream(8, 2, 0, 4)])[0])
+    assert np.array_equal(draw[1], _bartlett_draw(p, X, at, oracles.philox_stream(8, 2, 0, 4)))
     # at the crossover the direct draw is no longer taken
     assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracles.philox_stream(8, 2, 0, 4)))
 
 
-def test_bartlett_draw_from_crossover_uses_the_same_stream():
+def test_bartlett_draw_from_crossover_uses_the_same_stream(monkeypatch):
     p = make_small()
     X = rows(p, p.x_star + 0.5)
     for batch in (oracle.bartlett_crossover(p.d), 10**6):
         s = oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
-        ref = oracle.bartlett_gradients(p, (X - p.x_star)[None], batch,
-                                        [oracles.philox_stream(8, 2, 0, 4)])[0]
+        ref = _bartlett_draw(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
         assert np.array_equal(s, ref)
+    # a crossover below d would ask for a Bartlett factor that does not exist
+    monkeypatch.setattr(oracle, "bartlett_crossover", lambda d: 1)
     with pytest.raises(ValueError):
-        oracle.bartlett_gradients(p, (X - p.x_star)[None], p.d - 1,
-                                  [oracles.philox_stream(8, 2, 0, 4)])
+        oracle.draw_cells(p, [p.d - 1], [[oracles.philox_stream(8, 2, 0, 4)]])
 
 
 @pytest.mark.parametrize("batch", [3, oracle.bartlett_crossover(3), 30, 1000])
-def test_bartlett_moments_match_analytic(batch):
+def test_bartlett_moments_match_analytic(monkeypatch, batch):
+    # the drawer takes Bartlett's decomposition from N = d on, here d = 3
+    monkeypatch.setattr(oracle, "bartlett_crossover", lambda d: d)
     p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=1.5, seed=3)
     R, sigma = p.R[0], p.sigmas[0]
     e = np.array([1.0, -0.5, 0.25])
     rng = np.random.default_rng(17)
     draws = 20_000
-    values = np.stack([oracle.bartlett_gradients(p, rows(p, e)[None], batch, [rng])[0, 0]
-                       for _ in range(draws)])
+    X = rows(p, p.x_star + e)[None]
+    cells = oracle.draw_cells(p, [batch] * draws, [[rng]] * draws)
+    assert cells[0].M.shape == (1, p.n, p.d, p.d)
+    values = np.stack([oracle.apply_cell(p, X, cell)[0, 0] for cell in cells])
     # single-sample noise covariance (e'Re) R + R e e' R + sigma^2 R, over batch
     cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
     w = values - R @ e

@@ -91,6 +91,25 @@ def test_find_alpha_on_experiment_instance(fig1_instance, fig1_alpha_star):
     assert theory.spectral_radius_3x3(cm2.J) < 1.0
 
 
+def test_find_alpha_equals_a_sequential_bisection():
+    # the batched grid and the 3-step rounds take the plain search's decisions,
+    # so they return its alpha and rho bit for bit
+    rng = np.random.default_rng(20)
+    found = 0
+    for _ in range(300):
+        eta = rng.uniform(0.05, 2.0)
+        args = (eta, eta + rng.uniform(0.0, 3.0), rng.uniform(0.0, 0.999),
+                int(rng.integers(1, 60)), rng.uniform(0.0, 2.0))
+        ref = oracles.sequential_alpha_star(*args)
+        if ref is None:
+            with pytest.raises(ValueError):
+                theory.find_alpha(*args)
+            continue
+        assert theory.find_alpha(*args) == ref, args
+        found += 1
+    assert found > 250
+
+
 def test_find_alpha_degenerate_single_agent():
     alpha, rho = theory.find_alpha(1.0, 1.0, 0.0, 1, 0.0)
     assert alpha > 0.0
