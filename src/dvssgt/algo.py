@@ -150,9 +150,9 @@ def _check_alpha(alpha, tracking):
         raise ValueError(f"step size must be nonnegative, got {alpha}")
 
 
-def _advance(st: NetworkState, A, alpha, gradients, count, tracking) -> NetworkState:
+def _advance(st: NetworkState, A, alpha, gradients, nb, tracking) -> NetworkState:
     """The iteration itself: gradients(x) are the sampled gradients at x of
-    the cell it draws, count the new oracle_count."""
+    the cell it draws, a batch of nb samples per agent."""
     k1 = st.k + 1
     if tracking:
         x = A @ st.x - alpha * st.y
@@ -164,7 +164,7 @@ def _advance(st: NetworkState, A, alpha, gradients, count, tracking) -> NetworkS
         x = A @ st.x - alpha * g
         _guard(x, k1)
         y = st.y
-    return NetworkState(k1, x, y, g, count)
+    return NetworkState(k1, x, y, g, st.oracle_count + nb)
 
 
 def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
@@ -178,7 +178,7 @@ def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedul
     nb = batch_size(s, k)
     return _advance(st, mix.A, alpha,
                     lambda x: oracle.sample_gradients(p, x, nb, streams.generators(k)),
-                    st.oracle_count + nb, tracking)
+                    nb, tracking)
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         if w_prev is None:
             dw[0] = 0.0   # w_step is 0 at k = 0
         w_prev = w[-1]
-        ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, None), p)
+        ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, pending[-1].oracle_count), p)
         rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
                               np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
@@ -324,12 +324,12 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         else:   # one iteration's cells alone exceed the bound: its paths in chunks
             grads = [lambda x: oracle.sample_gradients(p, x, batches[0], streams.generators(ks[0]))]
         try:
-            for gradients, count in zip(grads, counts):
-                st = _advance(st, mix.A, alpha, gradients, None, tracking)
+            for gradients, nb, count in zip(grads, batches, counts):
+                st = _advance(st, mix.A, alpha, gradients, nb, tracking)
                 samples.append(count)
-                pending.append(st)
                 if len(pending) == per_block:
                     flush()
+                pending.append(st)
                 if stop.kind == "target_eps" and target_met(st):
                     reason = "target_eps"
                     break

@@ -598,14 +598,39 @@ def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algori
                                                       stop, seed=5, path=path))
 
 
+@pytest.mark.parametrize("record_bytes", [1, "1.5 states"])
+def test_states_over_half_a_record_block_are_stacked_one_at_a_time(
+        monkeypatch, fig1_instance, record_bytes):
+    p, g, mix = fig1_instance
+    paths, stop = [0, 2], algo.StopRule("max_iters", 12)
+    if record_bytes != 1:
+        record_bytes = 3 * len(paths) * p.n * p.d * 8 // 2
+    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", record_bytes)
+    blocks = []
+    monkeypatch.setattr(metrics, "error_vector",
+                        lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
+                            stop, seed=5, paths=paths)
+    # one stacked error-vector pass per recorded state, never two states at once
+    assert [len(st.x) for st in blocks] == [1] * (stop.value + 1)
+    _assert_same_trace(traces[1], _hand_stepped_trace(
+        p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, path=2))
+
+
 def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
     _block_of(monkeypatch, 16, p, 6)
     calls = []   # [k, a flush's stacked block?, the mean combined error a decision read]
+    counts = {}   # the oracle_count of each state a decision read, by k
     error_vector, mean_over_paths = metrics.error_vector, metrics.mean_over_paths
-    monkeypatch.setattr(metrics, "error_vector",
-                        lambda st, p: calls.append([st.k, st.x.ndim == 4]) or error_vector(st, p))
+
+    def spy(st, p):
+        calls.append([st.k, st.x.ndim == 4])
+        if st.x.ndim == 3:
+            counts[st.k] = st.oracle_count
+        return error_vector(st, p)
+    monkeypatch.setattr(metrics, "error_vector", spy)
     monkeypatch.setattr(metrics, "mean_over_paths",
                         lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
@@ -619,6 +644,8 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     assert [kd for kd, _ in decisions] == list(range(k + 1))
     for kd, [eps] in decisions:
         assert eps == mean[kd]
+        # and carries its per-agent sample count
+        assert np.array_equal(counts[kd], np.full(p.n, traces[0].cum_samples[kd] // p.n))
     # rows wait for a full block or the end; a flush for each decision would make 276
     assert sum(stacked for _, stacked, *_ in calls) <= 20
     for path, trace in enumerate(traces):
