@@ -150,20 +150,20 @@ def _check_alpha(alpha, tracking):
         raise ValueError(f"step size must be nonnegative, got {alpha}")
 
 
-def _advance(st: NetworkState, A, alpha, gradients, nb, tracking) -> NetworkState:
-    """The iteration itself: gradients(x) are the sampled gradients at x of
-    the cell it draws, a batch of nb samples per agent."""
+def _advance(st: NetworkState, A, alpha, p: Problem, cell, nb, tracking) -> NetworkState:
+    """The iteration itself, with the sampled gradients of `cell` (an
+    oracle.Cell, None for an exact oracle, or a function of x that draws
+    them), a batch of nb samples per agent."""
     k1 = st.k + 1
+    at = A @ st.x - alpha * st.y if tracking else st.x   # where the cell is applied
     if tracking:
-        x = A @ st.x - alpha * st.y
-        _guard(x, k1)
-        g = gradients(x)
-        y = A @ st.y + g - st.g_prev
+        _guard(at, k1)
+    g = cell(at) if callable(cell) else oracle.apply_cell(p, at, cell)
+    if tracking:
+        x, y = at, A @ st.y + g - st.g_prev
     else:
-        g = gradients(st.x)
-        x = A @ st.x - alpha * g
+        x, y = A @ st.x - alpha * g, st.y
         _guard(x, k1)
-        y = st.y
     return NetworkState(k1, x, y, g, st.oracle_count + nb)
 
 
@@ -176,7 +176,7 @@ def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedul
     _check_alpha(alpha, tracking)
     k = st.k + tracking   # the cell drawn: at x(k + 1) with tracking, else at x(k)
     nb = batch_size(s, k)
-    return _advance(st, mix.A, alpha,
+    return _advance(st, mix.A, alpha, p,
                     lambda x: oracle.sample_gradients(p, x, nb, streams.generators(k)),
                     nb, tracking)
 
@@ -320,12 +320,11 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
             break
         if len(paths) * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
             cells = oracle.draw_cells(p, batches, map(streams.generators, ks))
-            grads = [lambda x, c=c: oracle.apply_cell(p, x, c) for c in cells]
         else:   # one iteration's cells alone exceed the bound: its paths in chunks
-            grads = [lambda x: oracle.sample_gradients(p, x, batches[0], streams.generators(ks[0]))]
+            cells = [lambda x: oracle.sample_gradients(p, x, batches[0], streams.generators(ks[0]))]
         try:
-            for gradients, nb, count in zip(grads, batches, counts):
-                st = _advance(st, mix.A, alpha, gradients, nb, tracking)
+            for cell, nb, count in zip(cells, batches, counts):
+                st = _advance(st, mix.A, alpha, p, cell, nb, tracking)
                 samples.append(count)
                 if len(pending) == per_block:
                     flush()

@@ -152,10 +152,19 @@ def _offsets(p: Problem, X):
     return E
 
 
+def _per_agent(X, F):
+    """X_i F_i for every agent i, with X (..., n, m, a) and F (n, a, c): n
+    stacked products over the agent axis, not F broadcast over X's leading
+    axes (one small product per leading index)."""
+    n, m, a = X.shape[-3:]
+    out = X.reshape(-1, n, m * a).swapaxes(0, 1).reshape(n, -1, a) @ F
+    return out.reshape(n, -1, m * F.shape[-1]).swapaxes(0, 1).reshape(X.shape[:-1] + F.shape[-1:])
+
+
 def exact_gradients(p: Problem, X):
     """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) or
-    stacked (P, n, d) array X."""
-    return apply_cell(p, X, None)
+    stacked (..., n, d) array X."""
+    return _apply(p, _offsets(p, X), None)
 
 
 class Cell(NamedTuple):
@@ -168,6 +177,7 @@ class Cell(NamedTuple):
     batch: int
     M: np.ndarray
     s: np.ndarray
+    direct: bool
 
 
 def draw_bytes(p: Problem, batch):
@@ -206,7 +216,7 @@ def draw_cells(p: Problem, batches, rngs):
             lead = block.shape[:2] + (n, b)
             z = block[..., :n * b * d].reshape(lead + (d,))
             xi = block[..., n * b * d:].reshape(lead)
-            M, s = z @ np.swapaxes(p.chol, -1, -2), p.sigmas[:, None] * xi
+            M, s = _per_agent(z, p.chol.swapaxes(-1, -2)), p.sigmas[:, None] * xi
         else:
             low = min(batches[j] for j in rows)
             if low < d:
@@ -219,13 +229,14 @@ def draw_cells(p: Problem, batches, rngs):
             B[..., k, k] = np.sqrt(chi + (right * right).sum(axis=-1))
             M, s = p.chol @ B, p.sigmas[:, None] * Z[..., d]
         for i, j in enumerate(rows):
-            cells[j] = Cell(batches[j], M[i], s[i])
+            cells[j] = Cell(batches[j], M[i], s[i], b < cross)
     return cells
 
 
 def apply_cell(p: Problem, X, cell):
-    """Mini-batch averaged sampled gradients at the rows of X, (P, n, d), from
-    the cell drawn for them; exact gradients for an exact oracle's None.
+    """Mini-batch averaged sampled gradients at the rows of X, a float
+    (P, n, d) array taken as it is, from the cell drawn for them; exact
+    gradients for an exact oracle's None.
 
     A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so
     below the crossover agent i's average is U_i'(U_i e_i - s_i)/batch. From
@@ -237,16 +248,16 @@ def apply_cell(p: Problem, X, cell):
     triangle, nu its last column, and the d - 1 - j normals right of Z's
     diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}.
     So the average is M (M'e_i - s_i)/batch with M = L B."""
-    return _apply(p, _offsets(p, X), cell)
+    return _apply(p, X - p.x_star, cell)
 
 
 def _apply(p: Problem, E, cell):
     if cell is None:
-        return (p.R @ E[..., None])[..., 0]
-    batch, M, s = cell
-    if batch < bartlett_crossover(p.d):
+        return _per_agent(E[..., None, :], p.R.swapaxes(-1, -2))[..., 0, :]
+    batch, M, s, direct = cell
+    if direct:
         return (M * ((M @ E[..., None])[..., 0] - s)[..., None]).sum(axis=-2) / batch
-    r = (np.swapaxes(M, -1, -2) @ E[..., None])[..., 0] - s
+    r = (M.swapaxes(-1, -2) @ E[..., None])[..., 0] - s
     return (M @ r[..., None])[..., 0] / batch
 
 
