@@ -122,16 +122,16 @@ class NetworkState:
 
 def start(p: Problem, x0, s: BatchSchedule, streams: StreamFactory,
           tracking=True) -> NetworkState:
-    """k = 0 state of the paths of `streams`; with tracking y(0) = g(0) drawn
-    at x0 with batch N(0), else zeros."""
+    """k = 0 state of path 0 (x0 is (n, d)) or paths 0..P-1 (x0 is (P, n,
+    d)); with tracking y(0) = g(0) drawn at x0 with batch N(0), else zeros."""
     x0 = np.array(x0, dtype=float)
-    if x0.shape != streams.lead + (p.n, p.d):
-        raise ValueError(f"x0 has shape {x0.shape}, expected {streams.lead + (p.n, p.d)}")
+    if x0.shape[-2:] != (p.n, p.d) or x0.ndim > 3:
+        raise ValueError(f"x0 has shape {x0.shape}, expected ([P,] {p.n}, {p.d})")
     if not tracking:
         zero = np.zeros_like(x0)
         return NetworkState(0, x0, zero, zero, np.zeros(p.n, dtype=np.int64))
     n0 = batch_size(s, 0)
-    g = oracle.sample_gradients(p, x0, n0, streams.generators(0))
+    g = oracle.sample_gradients(p, x0, n0, streams, 0)
     return NetworkState(0, x0, g.copy(), g, np.full(p.n, n0, dtype=np.int64))
 
 
@@ -151,9 +151,8 @@ def _check_alpha(alpha, tracking):
 
 
 def _advance(st: NetworkState, A, alpha, p: Problem, cell, nb, tracking) -> NetworkState:
-    """The iteration itself, with the sampled gradients of `cell` (an
-    oracle.Cell, None for an exact oracle, or a function of x that draws
-    them), a batch of nb samples per agent."""
+    """The iteration itself, with the sampled gradients of `cell` (an oracle.Cell,
+    None for an exact oracle, or a function of x), nb samples per agent."""
     k1 = st.k + 1
     at = A @ st.x - alpha * st.y if tracking else st.x   # where the cell is applied
     if tracking:
@@ -176,8 +175,7 @@ def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedul
     _check_alpha(alpha, tracking)
     k = st.k + tracking   # the cell drawn: at x(k + 1) with tracking, else at x(k)
     nb = batch_size(s, k)
-    return _advance(st, mix.A, alpha, p,
-                    lambda x: oracle.sample_gradients(p, x, nb, streams.generators(k)),
+    return _advance(st, mix.A, alpha, p, lambda x: oracle.sample_gradients(p, x, nb, streams, k),
                     nb, tracking)
 
 
@@ -218,23 +216,25 @@ class PathTrace:
         return self.z.shape[0] - 1
 
 
-def default_x0(p: Problem, streams: StreamFactory):
-    """Per-agent i.i.d. standard normal initial iterates of the paths of `streams`."""
-    return np.array([rng.standard_normal((p.n, p.d)) for rng in streams.generators(
-        0, oracle.INIT_STREAM_AGENT)]).reshape(streams.lead + (p.n, p.d))
+def default_x0(p: Problem, streams: StreamFactory, paths):
+    """Per-agent i.i.d. standard normal initial iterates of paths 0..paths-1,
+    (paths, n, d), in one call."""
+    return streams.generator(0, oracle.INIT_STREAM_AGENT).standard_normal((paths, p.n, p.d))
 
 
-def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, path=0, x0=None) -> PathTrace:
-    """One sample path: run_paths with P = 1."""
-    return run_paths(p, mix, g, algorithm, alpha, schedule, stop, seed, [path],
+def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, x0=None) -> PathTrace:
+    """Sample path 0: run_paths with P = 1."""
+    return run_paths(p, mix, g, algorithm, alpha, schedule, stop, seed, 1,
                      None if x0 is None else [x0])[0]
 
 
 def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
-              schedule: BatchSchedule, stop: StopRule, seed, paths=(0,),
+              schedule: BatchSchedule, stop: StopRule, seed, paths=1,
               x0=None) -> list:
-    """Execute sample paths `paths` of the chosen algorithm under a stop rule
-    as one stacked (P, n, d) state; returns their traces in order.
+    """Execute sample paths 0..paths-1 of the chosen algorithm under a stop
+    rule as one stacked (P, n, d) state; returns their traces in order. Path
+    q's numbers do not depend on P, so under max_iters and budget_samples the
+    first q traces of a run are those of a q-path run.
 
     Every path ends at the same k, for the same reason: target_eps reads the
     paths' mean combined error (metrics.mean_over_paths, as aggregate does)
@@ -246,20 +246,17 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     The run goes a block of iterations at a time: the next ones whose cells'
     random numbers fit RECORD_BLOCK_BYTES (or MAX_DRAW_BLOCK_BYTES, where
     smaller; at least one, at most as many as the recorded states a block
-    holds) and, under budget_samples, that the budget pays for. Per block the batch sizes and sample counts are
-    computed and the cells drawn at once (oracle.draw_cells); an iteration
-    whose cells alone exceed MAX_DRAW_BLOCK_BYTES draws its paths in chunks
-    (oracle.sample_gradients). Per iteration only the state-dependent
-    arithmetic is left, and under target_eps the decision. A block that
-    ends early (target_eps, divergence) leaves its later cells unread. The
-    trace rows are computed once per block of recorded states, as many as
-    fit RECORD_BLOCK_BYTES stacked.
+    holds) and, under budget_samples, that the budget pays for, drawn at
+    once (oracle.draw_cells). An iteration whose cells alone exceed
+    MAX_DRAW_BLOCK_BYTES draws its paths in chunks as it applies them. The
+    trace rows are computed once per block of recorded states.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    paths = list(paths)
-    streams = StreamFactory(seed, paths)
-    x0 = default_x0(p, streams) if x0 is None else np.array(x0, dtype=float)
+    streams = StreamFactory(seed)
+    x0 = default_x0(p, streams, paths) if x0 is None else np.array(x0, dtype=float)
+    if x0.shape != (paths, p.n, p.d):
+        raise ValueError(f"x0 has shape {x0.shape}, expected {(paths, p.n, p.d)}")
     tracking = algorithm in ("dvss-sgt", "d-sgt")
     _check_alpha(alpha, tracking)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
@@ -268,7 +265,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
     # the last iteration the run may reach; a budget run's follows from its batches
     end = (int(stop.value) if stop.kind == "max_iters"
-           else min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // len(paths) - 1)
+           else min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // paths - 1)
            if stop.kind == "target_eps" else math.inf)
     per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
     block_bytes = min(RECORD_BLOCK_BYTES, oracle.MAX_DRAW_BLOCK_BYTES)
@@ -276,15 +273,14 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     w_prev = None   # the noise w = g - grad f at the last flushed record
 
     def flush():
-        """Trace rows of the pending states, from one (B, P, n, d) stack per array."""
+        """Trace rows of the pending states, from one (B, P, n, d) stack per
+        array; w_step is 0 at k = 0."""
         nonlocal w_prev
         if not pending:
             return
         x, y, g_prev = (np.array([getattr(s, f) for s in pending]) for f in ("x", "y", "g_prev"))
         w = g_prev - oracle.exact_gradients(p, x)
         dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
-        if w_prev is None:
-            dw[0] = 0.0   # w_step is 0 at k = 0
         w_prev = w[-1]
         ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, pending[-1].oracle_count), p)
         rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
@@ -308,7 +304,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         ks, batches, counts, size = [], [], [], 0
         for c in range(st.k + tracking, st.k + tracking + min(per_block, end - st.k)):
             b = batch_size(schedule, c)
-            size += len(paths) * oracle.draw_bytes(p, b)
+            size += paths * oracle.draw_bytes(p, b)
             count = (counts[-1] if counts else samples[-1]) + p.n * b
             if count > budget or ks and size > block_bytes:
                 break
@@ -318,10 +314,10 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         if not ks:
             reason = "budget_samples"
             break
-        if len(paths) * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
-            cells = oracle.draw_cells(p, batches, map(streams.generators, ks))
+        if paths * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
+            cells = oracle.draw_cells(p, paths, batches, ks, streams)
         else:   # one iteration's cells alone exceed the bound: its paths in chunks
-            cells = [lambda x: oracle.sample_gradients(p, x, batches[0], streams.generators(ks[0]))]
+            cells = [lambda x: oracle.sample_gradients(p, x, batches[0], streams, ks[0])]
         try:
             for cell, nb, count in zip(cells, batches, counts):
                 st = _advance(st, mix.A, alpha, p, cell, nb, tracking)
@@ -349,7 +345,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         sum_w_norms=table[:, q, 4],
         w_step=table[:, q, 5],
         stop_reason=reason,
-    ) for q in range(len(paths))]
+    ) for q in range(paths)]
     if diverged:
         diverged.trace = traces[diverged.slot]
         raise diverged

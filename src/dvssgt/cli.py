@@ -246,7 +246,7 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
         schedule = algo.constant_schedule(cfg["baseline_batch"])
     [stop] = cfg["stop"].items()
     traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                            algo.StopRule(*stop), cfg["seed"], range(cfg["paths"]))
+                            algo.StopRule(*stop), cfg["seed"], cfg["paths"])
 
     result = metrics.aggregate(traces)
     if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
@@ -317,8 +317,8 @@ def theory_report(cfg):
 
     # empirical z(0) over the configured sample paths
     sched = algo.BatchSchedule(**cfg["schedule"])
-    streams = oracle.StreamFactory(cfg["seed"], range(cfg["paths"]))
-    x0s = algo.default_x0(problem, streams)
+    streams = oracle.StreamFactory(cfg["seed"])
+    x0s = algo.default_x0(problem, streams, cfg["paths"])
     ev = metrics.error_vector(algo.start(problem, x0s, sched, streams), problem)
     z0 = np.stack([ev.opt_err, ev.cons_x, ev.cons_y], axis=-1)   # one row per path
     z0_norm = float(np.linalg.norm(np.mean(z0, axis=0)))

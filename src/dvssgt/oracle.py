@@ -12,9 +12,9 @@ decomposition) in O(d^3) time and O(d^2) memory, whatever N is.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral
 
-# reserved agent slot for drawing initial iterates (outside any real agent index)
+# stream slot of the initial iterates; slots 0 and 1 carry the gradient draws
 INIT_STREAM_AGENT = (1 << 21) - 1
 
 _KEY_MASK = (1 << 64) - 1
@@ -38,10 +38,11 @@ MAX_DRAW_BLOCK_BYTES = 32 << 20
 def bartlett_crossover(d):
     """Smallest batch drawn by Bartlett's decomposition at dimension d. The
     direct draw's cost grows linearly in N; the Bartlett draw's is flat in N
-    but pays one more generator call per path and O(d^3) products. On stacked
-    network draws (n = 10, 2 or 5 paths, 2-core Xeon) the two cost the same
-    at N of about 8-20 for d <= 5 and 1.3 d for d >= 20, and at this rule the
-    dearer draw is within ~20% of the cheaper one at each d measured."""
+    but pays a second generator call per iteration and O(d^3) products. The
+    rule was measured with one stream per path and iteration (n = 10, 2 or 5
+    paths, 2-core Xeon): break-even at N of 8-20 for d <= 5 and 1.3 d for
+    d >= 20. With one call per iteration for all paths it is still N of
+    8-12 at d = 5, for 2 to 20 paths."""
     return max(BARTLETT_FLOOR, d + d // 3)
 
 
@@ -58,39 +59,37 @@ class Problem:
     exact_oracle: bool = False
 
 
-def stream_key(seed, path, slot, iteration):
-    """Philox key of one (path, slot, iteration) cell.
-
-    Slot 0 carries the gradient draws of all n agents at one iteration and
-    INIT_STREAM_AGENT the initial iterates. Streams are independent by
+def stream_key(seed, slot, iteration):
+    """Philox key of one (slot, iteration) stream; word 1 is (slot << 42) |
+    iteration, so no iteration a run can reach aliases another slot. Slot 0
+    carries the normals of all paths' cells at one iteration, slot 1 the
+    chi-squares of a Bartlett cell, INIT_STREAM_AGENT the initial iterates.
+    Paths 0..P-1 draw path-major from each, so path q's numbers are the same
+    in every run of more than q paths. Streams are independent by
     construction, so changing the batch size at one iteration never perturbs
-    draws anywhere else.
-    """
-    return [seed & _KEY_MASK, ((path << 42) | (slot << 21) | iteration) & _KEY_MASK]
+    draws anywhere else."""
+    return [seed & _KEY_MASK, ((slot << 42) | iteration) & _KEY_MASK]
 
 
 class StreamFactory:
-    """The streams of one path, or of paths stacked on a leading axis, under
-    one seed. One Philox generator is re-keyed in place to each cell, which
-    gives the draws of a fresh Philox keyed by stream_key without building one
-    (and seeding an unused SeedSequence from OS entropy) per path and iteration."""
+    """The streams of one seed: one Philox generator per slot, re-keyed in
+    place, which gives the draws of a fresh Philox keyed by stream_key without
+    building one (and seeding an unused SeedSequence) per iteration."""
 
-    def __init__(self, seed, path=0):
+    def __init__(self, seed):
         self.seed = seed
-        self.paths = np.atleast_1d(path).tolist()
-        self.lead = np.shape(path)     # () for one path, (P,) for stacked ones
-        self._rng = np.random.Generator(np.random.Philox(0))
+        self._rngs = defaultdict(lambda: np.random.Generator(np.random.Philox(0)))
         # a zero counter and an empty buffer, as in a fresh Philox
         self._state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4}}
 
-    def generators(self, iteration, slot=0):
-        """The generator re-keyed to each path's cell in turn; draw all of a
-        path's numbers before taking the next."""
-        for path in self.paths:
-            self._state["state"]["key"] = stream_key(self.seed, path, slot, iteration)
-            self._rng.bit_generator.state = self._state
-            yield self._rng
+    def generator(self, iteration, slot=0):
+        """The slot's generator at the start of its (slot, iteration) stream;
+        the slot's next call re-keys the same generator."""
+        rng = self._rngs[slot]
+        self._state["state"]["key"] = stream_key(self.seed, slot, iteration)
+        rng.bit_generator.state = self._state
+        return rng
 
 
 def _agent_covariances(n, d, covariance_spec, rng):
@@ -145,17 +144,16 @@ def deterministic(p: Problem) -> Problem:
     return replace(p, exact_oracle=True)
 
 
-def _offsets(p: Problem, X):
-    E = np.asarray(X, dtype=float) - p.x_star
-    if E.shape[-2:] != (p.n, p.d):
-        raise ValueError(f"X has shape {E.shape}, expected (..., {p.n}, {p.d})")
-    return E
+def _checked(p: Problem, X):
+    X = np.asarray(X, dtype=float)
+    if X.shape[-2:] != (p.n, p.d):
+        raise ValueError(f"X has shape {X.shape}, expected (..., {p.n}, {p.d})")
+    return X
 
 
 def _per_agent(X, F):
-    """X_i F_i for every agent i, with X (..., n, m, a) and F (n, a, c): n
-    stacked products over the agent axis, not F broadcast over X's leading
-    axes (one small product per leading index)."""
+    """X_i F_i for every agent i, X (..., n, m, a) and F (n, a, c), as n stacked
+    products, not one small product per leading index of X."""
     n, m, a = X.shape[-3:]
     out = X.reshape(-1, n, m * a).swapaxes(0, 1).reshape(n, -1, a) @ F
     return out.reshape(n, -1, m * F.shape[-1]).swapaxes(0, 1).reshape(X.shape[:-1] + F.shape[-1:])
@@ -164,72 +162,75 @@ def _per_agent(X, F):
 def exact_gradients(p: Problem, X):
     """grad f_i(x_i) = R_i (x_i - x_star) for every row x_i of the (n, d) or
     stacked (..., n, d) array X."""
-    return _apply(p, _offsets(p, X), None)
+    return apply_cell(p, _checked(p, X), None)
 
 
 class Cell(NamedTuple):
-    """The state-independent part of the sampled gradients of P stacked paths
-    at one iteration: below bartlett_crossover(d) the regressors U = Z L'
-    (P, n, batch, d) and noises s = sigma xi (P, n, batch), from it Bartlett's
-    M = L B (P, n, d, d) and s = sigma nu (P, n, d). apply_cell turns it into
-    gradients at any point."""
+    """The state-independent part of P stacked paths' sampled gradients at
+    one iteration, which apply_cell turns into gradients at any point: below
+    bartlett_crossover(d) M = U' (P, n, d, batch), the transposed regressors,
+    and s = sigma xi; from it Bartlett's M = L B (P, n, d, d) and s = sigma nu."""
 
     batch: int
     M: np.ndarray
     s: np.ndarray
-    direct: bool
 
 
 def draw_bytes(p: Problem, batch):
-    """Bytes of random numbers in one path's cell at `batch`: regressor and
-    noise normals below the crossover, Bartlett normals and chi-squares from
-    it, none for an exact oracle."""
+    """Bytes of random numbers in one path's cell at `batch` (see _drawer);
+    none for an exact oracle."""
     if p.exact_oracle:
         return 0
     bartlett = batch >= bartlett_crossover(p.d)
     return 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
 
 
-def draw_cells(p: Problem, batches, rngs):
-    """One Cell per row of a block: row j has batch batches[j] and draws from
-    rngs[j], an iterable of one Generator per path taken in turn (all of a
-    path's numbers are drawn before the next path's). Per path, below
-    bartlett_crossover(d) one call draws (n, batch, d) regressor normals and
-    then (n, batch) noise normals; from it one call draws (n, d, d + 1)
-    normals Z and a second (n, d) chi-squares with batch - d + 1 degrees of
-    freedom (see apply_cell). Rows of one draw shape are stacked for the
-    arithmetic. An exact oracle draws nothing: None per row."""
+def _drawer(p: Problem, batch, k, streams: StreamFactory):
+    """draw(P): the next P paths' numbers of the cell at iteration k. Below
+    bartlett_crossover(d), (P, n, batch, d + 1) normals: d regressor normals
+    and a noise per sample. From it, Bartlett's (P, n, d, d + 1) normals and,
+    from slot 1, (P, n, d) chi-squares with batch - d + 1 degrees of freedom
+    (see apply_cell). Chunks continue the same generators."""
+    n, d, rng = p.n, p.d, streams.generator(k)
+    if batch < bartlett_crossover(d):
+        return lambda P: (rng.standard_normal((P, n, batch, d + 1)), None)
+    chi = streams.generator(k, 1)
+    return lambda P: (rng.standard_normal((P, n, d, d + 1)), chi.chisquare(batch - d + 1, (P, n, d)))
+
+
+def draw_cells(p: Problem, paths, batches, ks, streams: StreamFactory):
+    """One Cell of `paths` stacked paths per row of a block: row j has batch
+    batches[j] and draws from the streams of iteration ks[j], one generator
+    call per slot. Rows of one draw shape are stacked for the arithmetic. An
+    exact oracle draws nothing: None per row."""
     if p.exact_oracle:
         return [None] * len(batches)
-    n, d = p.n, p.d
-    cross = bartlett_crossover(d)
-    raw = [[(r.standard_normal((n, d, d + 1)), r.chisquare(b - d + 1, size=(n, d)))
-            if b >= cross else r.standard_normal(n * b * (d + 1)) for r in gens]
-           for b, gens in zip(batches, rngs)]
+    return _cells(p, batches, [_drawer(p, b, k, streams)(paths) for b, k in zip(batches, ks)])
+
+
+def _cells(p: Problem, batches, raw):
+    d, cross = p.d, bartlett_crossover(p.d)
     groups = {}
     for j, b in enumerate(batches):
         groups.setdefault(min(b, cross), []).append(j)
     cells = [None] * len(batches)
     for b, rows in groups.items():
+        Z = np.array([raw[j][0] for j in rows])
+        s = p.sigmas[:, None] * Z[..., d]
         if b < cross:
-            block = np.array([raw[j] for j in rows])
-            lead = block.shape[:2] + (n, b)
-            z = block[..., :n * b * d].reshape(lead + (d,))
-            xi = block[..., n * b * d:].reshape(lead)
-            M, s = _per_agent(z, p.chol.swapaxes(-1, -2)), p.sigmas[:, None] * xi
+            M = _per_agent(Z[..., :d], p.chol.swapaxes(-1, -2)).swapaxes(-1, -2)
         else:
             low = min(batches[j] for j in rows)
             if low < d:
                 raise ValueError(f"Bartlett draw needs batch >= d={d}, got {low}")
-            Z = np.array([[z for z, _chi in raw[j]] for j in rows])
-            chi = np.array([[c for _z, c in raw[j]] for j in rows])
+            chi = np.array([raw[j][1] for j in rows])
             k = np.arange(d)
             B = np.where(k[:, None] > k, Z[..., :d], 0.0)
             right = np.where(k[:, None] < k, Z[..., :d], 0.0)
             B[..., k, k] = np.sqrt(chi + (right * right).sum(axis=-1))
-            M, s = p.chol @ B, p.sigmas[:, None] * Z[..., d]
+            M = p.chol @ B
         for i, j in enumerate(rows):
-            cells[j] = Cell(batches[j], M[i], s[i], b < cross)
+            cells[j] = Cell(batches[j], M[i], s[i])
     return cells
 
 
@@ -239,50 +240,43 @@ def apply_cell(p: Problem, X, cell):
     gradients for an exact oracle's None.
 
     A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so
-    below the crossover agent i's average is U_i'(U_i e_i - s_i)/batch. From
-    it, agent i's batch sum is S_i e_i - sigma_i U_i' nu_i with S_i = U_i' U_i
+    below the crossover agent i's average is M (M'e_i - s_i)/batch with M =
+    U_i' and s_i = sigma_i xi_i. From it, agent i's batch sum is S_i e_i -
+    sigma_i U_i' nu_i with S_i = U_i' U_i
     ~ Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
     (1933) decomposition S = L B B' L', with L = chol(R) and B lower
     triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
     both from O(d^2) random numbers per agent: B is Z's strict lower
     triangle, nu its last column, and the d - 1 - j normals right of Z's
     diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}.
-    So the average is M (M'e_i - s_i)/batch with M = L B."""
-    return _apply(p, X - p.x_star, cell)
-
-
-def _apply(p: Problem, E, cell):
+    So the average is again M (M'e_i - s_i)/batch, with M = L B."""
+    E = X - p.x_star
     if cell is None:
         return _per_agent(E[..., None, :], p.R.swapaxes(-1, -2))[..., 0, :]
-    batch, M, s, direct = cell
-    if direct:
-        return (M * ((M @ E[..., None])[..., 0] - s)[..., None]).sum(axis=-2) / batch
+    batch, M, s = cell
     r = (M.swapaxes(-1, -2) @ E[..., None])[..., 0] - s
     return (M @ r[..., None])[..., 0] / batch
 
 
-def sample_gradients(p: Problem, X, batch, rng):
-    """Mini-batch averaged sampled gradients of all n agents at the rows of X:
-    one cell drawn and applied.
-
-    X is (n, d), or (P, n, d) for P stacked paths, and `rng` one Generator
-    that the paths draw from in turn, or an iterable of one per path. Paths
-    are drawn in chunks whose random numbers fill at most max(one path's,
-    MAX_DRAW_BLOCK_BYTES) bytes. An exact oracle never touches `rng`."""
+def sample_gradients(p: Problem, X, batch, streams: StreamFactory, k):
+    """Mini-batch averaged sampled gradients of all n agents at the rows of X,
+    (n, d) for path 0 or (P, n, d) for paths 0..P-1: the cell of iteration k
+    drawn and applied. Paths are drawn and applied in chunks whose random
+    numbers fill at most max(one path's, MAX_DRAW_BLOCK_BYTES) bytes. An
+    exact oracle draws nothing."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if p.exact_oracle:
         return exact_gradients(p, X)
-    E = _offsets(p, X)
-    rngs = itertools.repeat(rng) if isinstance(rng, np.random.Generator) else iter(rng)
-    stacked = E.reshape(-1, p.n, p.d)
+    X = _checked(p, X)
+    draw = _drawer(p, batch, k, streams)
+    stacked = X.reshape(-1, p.n, p.d)
     chunk = max(1, MAX_DRAW_BLOCK_BYTES // draw_bytes(p, batch))
     out = np.empty_like(stacked)
     for lo in range(0, len(stacked), chunk):
-        e = stacked[lo:lo + chunk]
-        [cell] = draw_cells(p, [batch], [itertools.islice(rngs, len(e))])
-        out[lo:lo + chunk] = _apply(p, e, cell)
-    return out.reshape(E.shape)
+        x = stacked[lo:lo + chunk]
+        out[lo:lo + chunk] = apply_cell(p, x, _cells(p, [batch], [draw(len(x))])[0])
+    return out.reshape(X.shape)
 
 
 def noise_level(p: Problem, x0):

@@ -74,8 +74,8 @@ def long_invariant_run(fig1_instance):
     """500 hand-stepped engine iterations recording per-step identity deviations."""
     problem, _g, mix = fig1_instance
     sched = algo.geometric_schedule(0.98)
-    streams = oracle.StreamFactory(2024, 0)
-    x0 = algo.default_x0(problem, streams)
+    streams = oracle.StreamFactory(2024)
+    x0 = algo.default_x0(problem, streams, 1)[0]
     st = algo.start(problem, x0, sched, streams)
     alpha = 0.01
     track_dev = [float(np.linalg.norm(st.y.mean(axis=0) - st.g_prev.mean(axis=0)))]

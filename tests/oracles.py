@@ -67,11 +67,11 @@ def noise_level_mc(R, sigma, e, draws, rng):
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(draws))
 
 
-def philox_stream(seed, path, slot, iteration):
-    """A fresh Philox generator for one (path, slot, iteration) cell: key word
-    0 is the seed, word 1 the path times 2^42 plus the slot times 2^21 plus
-    the iteration, each modulo 2^64."""
-    key = [seed % 2**64, (path * 2**42 + slot * 2**21 + iteration) % 2**64]
+def philox_stream(seed, slot, iteration):
+    """A fresh Philox generator for one (slot, iteration) stream: key word 0
+    is the seed, word 1 the slot times 2^42 plus the iteration, each modulo
+    2^64."""
+    key = [seed % 2**64, (slot * 2**42 + iteration) % 2**64]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 

@@ -98,8 +98,8 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     rho = theory.spectral_radius_3x3(cm_half.J)
     det = oracle.deterministic(problem)
     sched = algo.geometric_schedule(0.98)
-    streams = oracle.StreamFactory(2024, 0)
-    x0 = algo.default_x0(det, streams)
+    streams = oracle.StreamFactory(2024)
+    x0 = algo.default_x0(det, streams, 1)[0]
     st0 = algo.start(det, x0, sched, streams)
     ev0 = metrics.error_vector(st0, det)
     z0 = float(np.linalg.norm([ev0.opt_err, ev0.cons_x, ev0.cons_y]))
@@ -141,27 +141,20 @@ def test_criterion_9_statistical_oracle(fig1_instance):
     X = np.tile(x, (problem.n, 1))
     true = oracle.exact_gradients(problem, X)[0]
     draws = 100_000
-    s = oracle.sample_gradients(problem, X, draws,
-                                oracles.philox_stream(101, 0, 0, 0))[0]
-    singles = np.stack([
-        oracle.sample_gradients(problem, X, 1,
-                                oracles.philox_stream(101, 1, 0, t))[0]
-        for t in range(5000)])
+    streams = oracle.StreamFactory(101)
+    s = oracle.sample_gradients(problem, X, draws, streams, 0)[0]
+    singles = np.stack([oracle.sample_gradients(problem, X, 1, streams, t)[0]
+                        for t in range(1, 5001)])
     se = singles.std(axis=0) / math.sqrt(draws)
     unbiased_ok = bool(np.all(np.abs(s - true) <= 3.0 * se))
 
     reps = 10_000
     N = 10
-    n1 = np.mean([
-        np.sum((oracle.sample_gradients(problem, X, 1,
-                                        oracles.philox_stream(102, 0, 0, t))[0]
-                - true) ** 2)
-        for t in range(reps)])
-    nN = np.mean([
-        np.sum((oracle.sample_gradients(problem, X, N,
-                                        oracles.philox_stream(102, 1, 0, t))[0]
-                - true) ** 2)
-        for t in range(reps)])
+    streams = oracle.StreamFactory(102)
+    n1 = np.mean([np.sum((oracle.sample_gradients(problem, X, 1, streams, t)[0] - true) ** 2)
+                  for t in range(reps)])
+    nN = np.mean([np.sum((oracle.sample_gradients(problem, X, N, streams, t)[0] - true) ** 2)
+                  for t in range(reps, 2 * reps)])
     ratio = float(nN / n1)
     variance_ok = abs(ratio * N - 1.0) <= 0.10
     ok = unbiased_ok and variance_ok

@@ -86,8 +86,8 @@ def test_batch_size_constant():
 def test_start_zero_noise():
     p, _g, _mix = path3_instance()
     sched = algo.geometric_schedule(0.98)
-    streams = oracle.StreamFactory(1, 0)
-    x0 = algo.default_x0(p, streams)
+    streams = oracle.StreamFactory(1)
+    x0 = algo.default_x0(p, streams, 1)[0]
     st = algo.start(p, x0, sched, streams)
     for i in range(p.n):
         assert np.allclose(st.y[i], oracle.exact_gradients(p, x0)[i])
@@ -101,7 +101,7 @@ def test_hand_stepped_two_agent_example():
     p = scalar_problem()
     mix = k2_mix()
     sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0, 0)
+    streams = oracle.StreamFactory(0)
     alpha = 0.3
     st = algo.start(p, np.array([[0.0], [2.0]]), sched, streams)
     st = algo.step(st, mix, p, alpha, sched, streams)
@@ -113,7 +113,7 @@ def test_hand_stepped_two_agent_example():
 def test_fixed_point_at_consensus_optimum():
     p, _g, mix = path3_instance()
     sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0, 0)
+    streams = oracle.StreamFactory(0)
     x0 = np.tile(p.x_star, (p.n, 1))
     st = algo.start(p, x0, sched, streams)
     for _ in range(10):
@@ -125,7 +125,7 @@ def test_fixed_point_at_consensus_optimum():
 def test_step_rejects_nonpositive_alpha():
     p, _g, mix = path3_instance()
     sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0, 0)
+    streams = oracle.StreamFactory(0)
     st = algo.start(p, np.zeros((p.n, p.d)), sched, streams)
     with pytest.raises(ValueError):
         algo.step(st, mix, p, 0.0, sched, streams)
@@ -135,7 +135,7 @@ def test_step_rejects_nonpositive_alpha():
 
 def test_dsgd_alpha_zero_is_pure_mixing():
     p, _g, mix = path3_instance()
-    streams = oracle.StreamFactory(0, 0)
+    streams = oracle.StreamFactory(0)
     sched = algo.constant_schedule(1)
     x0 = np.arange(6, dtype=float).reshape(3, 2)
     st = algo.start(p, x0, sched, streams, tracking=False)
@@ -163,7 +163,7 @@ def test_dsgd_alpha_zero_run_is_pure_mixing_under_noise():
 def test_dsgd_contracts_like_scalar_recursion():
     # identical quadratic objectives, consensus start: factor |1 - alpha L|
     p, _g, mix = path3_instance()
-    streams = oracle.StreamFactory(0, 0)
+    streams = oracle.StreamFactory(0)
     alpha = 0.25
     x0 = np.tile(p.x_star + np.array([2.0, -1.0]), (p.n, 1))
     sched = algo.constant_schedule(1)
@@ -200,8 +200,8 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
     trace = algo.run_path(p, mix, g, "d-sgt", 0.05, algo.constant_schedule(2),
                           algo.StopRule("max_iters", 25), seed=9)
     sched = algo.constant_schedule(2)
-    streams = oracle.StreamFactory(9, 0)
-    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
+    streams = oracle.StreamFactory(9)
+    st = algo.start(p, algo.default_x0(p, streams, 1)[0], sched, streams)
     z = []
     for k in range(26):
         if k:
@@ -225,8 +225,8 @@ def test_tracking_identity_and_average_recursion_short_run():
     g = graph.erdos_renyi(4, 0.9, seed=1)
     mix = graph.metropolis_weights(g)
     sched = algo.geometric_schedule(0.98)
-    streams = oracle.StreamFactory(17, 0)
-    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
+    streams = oracle.StreamFactory(17)
+    st = algo.start(p, algo.default_x0(p, streams, 1)[0], sched, streams)
     for _ in range(60):
         prev = st
         st = algo.step(st, mix, p, 0.02, sched, streams)
@@ -311,14 +311,19 @@ def test_run_path_determinism_and_explicit_x0():
     mix = graph.metropolis_weights(g)
     stop = algo.StopRule("max_iters", 20)
     sched = algo.geometric_schedule(0.98)
-    a = algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, path=1)
-    b = algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, path=1)
-    assert np.array_equal(a.z, b.z)
-    c = algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, path=1,
-                      x0=a.x0)
-    assert np.array_equal(a.z, c.z)
+    a = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2)
+    b = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2)
+    c = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2,
+                       x0=[tr.x0 for tr in a])
+    for ta, tb, tc in zip(a, b, c):
+        assert np.array_equal(ta.z, tb.z) and np.array_equal(ta.z, tc.z)
+    assert np.array_equal(a[0].z, algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop,
+                                                seed=3, x0=a[0].x0).z)
     with pytest.raises(ValueError):
         algo.run_path(p, mix, g, "newton", 0.05, sched, stop, seed=3)
+    with pytest.raises(ValueError):   # one x0 for two paths
+        algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2,
+                       x0=[a[0].x0])
 
 
 def test_message_accounting_per_algorithm():
@@ -353,13 +358,13 @@ def test_stop_reason(monkeypatch, algorithm, stop, reason):
 
 
 def _count_streams(monkeypatch):
-    """Every (path, slot, iteration) cell a stream is keyed to, in order."""
+    """Every (seed, slot, iteration) a stream is keyed to, in order."""
     calls = []
     real = oracle.stream_key
 
-    def counting(seed, path, slot, iteration):
-        calls.append((seed, path, slot, iteration))
-        return real(seed, path, slot, iteration)
+    def counting(seed, slot, iteration):
+        calls.append((seed, slot, iteration))
+        return real(seed, slot, iteration)
     monkeypatch.setattr(oracle, "stream_key", counting)
     return calls
 
@@ -372,35 +377,64 @@ def test_zero_noise_path_constructs_no_stream(monkeypatch):
         algo.run_path(p, mix, g, algorithm, 0.1, algo.constant_schedule(1),
                       algo.StopRule("max_iters", 30), seed=0, x0=x0)
     assert calls == []
-    # only the initial iterates need a stream then
-    algo.run_path(p, mix, g, "dvss-sgt", 0.1, algo.geometric_schedule(0.98),
-                  algo.StopRule("max_iters", 30), seed=0, path=4)
-    assert calls == [(0, 4, oracle.INIT_STREAM_AGENT, 0)]
+    # only the initial iterates need a stream then, one for all paths
+    algo.run_paths(p, mix, g, "dvss-sgt", 0.1, algo.geometric_schedule(0.98),
+                   algo.StopRule("max_iters", 30), seed=0, paths=4)
+    assert calls == [(0, oracle.INIT_STREAM_AGENT, 0)]
 
 
-def test_one_stream_per_path_and_iteration(monkeypatch):
+def test_one_stream_per_slot_and_iteration(monkeypatch):
     p = oracle.make_regression_problem(3, 2, np.zeros(2), seed=8)
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
     mix = graph.metropolis_weights(g)
     calls = _count_streams(monkeypatch)
     stop = algo.StopRule("max_iters", 10)
-    algo.run_path(p, mix, g, "dvss-sgt", 0.05, algo.geometric_schedule(0.98),
-                  stop, seed=3, path=2)
-    init = (3, 2, oracle.INIT_STREAM_AGENT, 0)
+    algo.run_paths(p, mix, g, "dvss-sgt", 0.05, algo.geometric_schedule(0.98),
+                   stop, seed=3, paths=3)
+    init = (3, oracle.INIT_STREAM_AGENT, 0)
     # tracking samples at x(0) .. x(10); D-SGD at x(0) .. x(9)
-    assert calls == [init] + [(3, 2, 0, k) for k in range(11)]
+    assert calls == [init] + [(3, 0, k) for k in range(11)]
     calls.clear()
-    algo.run_path(p, mix, g, "d-sgd", 0.05, algo.constant_schedule(1),
-                  stop, seed=3, path=2)
-    assert calls == [init] + [(3, 2, 0, k) for k in range(10)]
+    algo.run_paths(p, mix, g, "d-sgd", 0.05, algo.constant_schedule(1), stop, seed=3, paths=3)
+    assert calls == [init] + [(3, 0, k) for k in range(10)]
     # a budget run draws ahead only the cells its budget pays for
     budget = algo.StopRule("budget_samples", 100)
     for algorithm, sched, lag in (("dvss-sgt", algo.geometric_schedule(0.98), 0),
                                   ("d-sgd", algo.constant_schedule(2), 1)):
         calls.clear()
-        trace = algo.run_path(p, mix, g, algorithm, 0.05, sched, budget, seed=3, path=2)
+        trace = algo.run_path(p, mix, g, algorithm, 0.05, sched, budget, seed=3)
         assert trace.stop_reason == "budget_samples" and trace.iterations > 10
-        assert calls == [init] + [(3, 2, 0, k) for k in range(trace.iterations + 1 - lag)]
+        assert calls == [init] + [(3, 0, k) for k in range(trace.iterations + 1 - lag)]
+
+
+@pytest.mark.parametrize("paths", [1, 3, 8])
+def test_a_run_keys_one_stream_for_x0_and_at_most_two_per_iteration(monkeypatch, fig1_instance,
+                                                                   paths):
+    p, g, mix = fig1_instance
+    sched = algo.geometric_schedule(0.9)
+    # a cell of more than 2 paths at N(k) = 11 draws its paths in chunks
+    monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", 2 * oracle.draw_bytes(p, 11))
+    calls = _count_streams(monkeypatch)
+    [trace, *_] = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched,
+                                 algo.StopRule("max_iters", 30), seed=5, paths=paths)
+    # Bartlett cells (k >= 23) key the chi-square slot too, whatever P is
+    cross = oracle.bartlett_crossover(p.d)
+    assert algo.batch_size(sched, 22) < cross == algo.batch_size(sched, 23)
+    assert calls == [(5, oracle.INIT_STREAM_AGENT, 0)] + [
+        (5, slot, k) for k in range(31)
+        for slot in ((0, 1) if algo.batch_size(sched, k) >= cross else (0,))]
+    assert len(calls) <= 1 + 2 * (trace.iterations + 1)
+
+
+def test_the_iteration_field_cannot_reach_the_next_slot():
+    # with a 21-bit field, slot 0 at k = 2^21 + j would be slot 1 at k = j
+    for j in (0, 5):
+        assert oracle.stream_key(7, 0, 2**21 + j) != oracle.stream_key(7, 1, j)
+    streams = oracle.StreamFactory(7)
+    first = streams.generator(2**21 + 5).standard_normal(4)
+    assert not np.array_equal(first, streams.generator(5, 1).standard_normal(4))
+    # no run reaches 2^42 iterations: its trace is bounded by the dense limit
+    assert algo.MAX_DENSE_ELEMENTS < 2**42
 
 
 def test_batch_total_matches_the_per_iteration_sum():
@@ -426,14 +460,15 @@ def test_batch_total_matches_the_per_iteration_sum():
 
 def test_rekeyed_stream_equals_a_fresh_philox():
     seed = 2**63 + 12345
-    streams = oracle.StreamFactory(seed, [0, 3, 2**20])
-    for slot, k in ((0, 0), (0, 7), (oracle.INIT_STREAM_AGENT, 0), (0, 2**21 - 2)):
-        for path, rng in zip(streams.paths, streams.generators(k, slot)):
-            ref = oracles.philox_stream(seed, path, slot, k)
-            # an odd count leaves the Philox buffer part used for the next path
-            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
-            assert np.array_equal(rng.chisquare([5.0, 40.0]), ref.chisquare([5.0, 40.0]))
-            assert np.array_equal(rng.standard_normal((2, 5)), ref.standard_normal((2, 5)))
+    streams = oracle.StreamFactory(seed)
+    for slot, k in ((0, 0), (0, 7), (1, 7), (oracle.INIT_STREAM_AGENT, 0), (0, 2**21 - 2),
+                    (0, 2**21 + 7), (1, 2**21 + 7), (1, 2**40 + 3), (0, 7)):
+        rng = streams.generator(k, slot)
+        ref = oracles.philox_stream(seed, slot, k)
+        # an odd count leaves the Philox buffer part used when the slot is re-keyed
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        assert np.array_equal(rng.chisquare([5.0, 40.0]), ref.chisquare([5.0, 40.0]))
+        assert np.array_equal(rng.standard_normal((2, 5)), ref.standard_normal((2, 5)))
 
 
 def _assert_same_trace(a, b):
@@ -444,11 +479,11 @@ def _assert_same_trace(a, b):
 def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     # w_step enters the recursion check's b(k): an inflated one loosens it
     p, g, mix = fig1_instance
-    sched, paths, T = algo.geometric_schedule(0.98), [0, 3], 6
+    sched, paths, T = algo.geometric_schedule(0.98), 2, 6
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
                             seed=5, paths=paths)
-    streams = oracle.StreamFactory(5, paths)
-    st = algo.start(p, algo.default_x0(p, streams), sched, streams)
+    streams = oracle.StreamFactory(5)
+    st = algo.start(p, algo.default_x0(p, streams, paths), sched, streams)
     noise = [st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star)]
     for _ in range(T):
         st = algo.step(st, mix, p, 0.01, sched, streams)
@@ -467,18 +502,20 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     ("dvss-sgt", 0.9, ("max_iters", 60)),
 ])
 def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop):
+    # path q draws the same numbers in every run of more than q paths, so the
+    # first q traces of a run are a q-path run's; path 0's is a single path's
     p, g, mix = fig1_instance
-    sched = algo.geometric_schedule(ratio)
-    if stop[0] == "max_iters":
-        assert algo.batch_size(sched, stop[1]) >= oracle.bartlett_crossover(p.d)
-    paths = [0, 3, 1]
-    stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
-                             seed=5, paths=paths)
-    assert len(stacked) == len(paths)
-    for path, trace in zip(paths, stacked):
-        single = algo.run_path(p, mix, g, algorithm, 0.01, sched, algo.StopRule(*stop),
-                               seed=5, path=path)
-        _assert_same_trace(trace, single)
+    sched, stop = algo.geometric_schedule(ratio), algo.StopRule(*stop)
+    if stop.kind == "max_iters":
+        assert algo.batch_size(sched, stop.value) >= oracle.bartlett_crossover(p.d)
+    stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=3)
+    assert len(stacked) == 3
+    for q in (1, 2):
+        prefix = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=q)
+        assert len(prefix) == q
+        for trace, ref in zip(stacked, prefix):
+            _assert_same_trace(trace, ref)
+    _assert_same_trace(stacked[0], algo.run_path(p, mix, g, algorithm, 0.01, sched, stop, seed=5))
     assert not np.array_equal(stacked[0].z, stacked[1].z)
 
 
@@ -486,8 +523,7 @@ def test_target_eps_stops_every_path_at_one_k(fig1_instance):
     p, g, mix = fig1_instance
     stop = algo.StopRule("target_eps", 0.05)
     sched = algo.geometric_schedule(0.98)
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
-                            paths=range(6))
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
     k = traces[0].iterations
     assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(k, "target_eps")}
     # the run's mean decides: it meets the target first at k ...
@@ -496,10 +532,10 @@ def test_target_eps_stops_every_path_at_one_k(fig1_instance):
     # ... where one path met it long before and another has not met it yet
     assert min(tr.combined[:k].min() for tr in traces) <= 0.05
     assert max(tr.combined[k] for tr in traces) > 0.05
-    for path, tr in enumerate(traces):
-        single = algo.run_path(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", k),
-                               seed=2024, path=path)
-        _assert_same_trace(tr, dataclasses.replace(single, stop_reason="target_eps"))
+    fixed = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", k),
+                           seed=2024, paths=6)
+    for tr, ref in zip(traces, fixed):
+        _assert_same_trace(tr, dataclasses.replace(ref, stop_reason="target_eps"))
 
 
 @pytest.mark.parametrize("offsets,winner", [
@@ -517,24 +553,26 @@ def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
     args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1),
             algo.StopRule("max_iters", 400))
     with pytest.raises(algo.DivergenceError) as err:
-        algo.run_paths(*args, seed=0, paths=[0, 1], x0=x0)
+        algo.run_paths(*args, seed=0, paths=2, x0=x0)
+    # an exact oracle draws nothing, so the winner's x0 alone replays it
     with pytest.raises(algo.DivergenceError) as ref:
-        algo.run_path(*args, seed=0, path=winner, x0=x0[winner])
+        algo.run_path(*args, seed=0, x0=x0[winner])
     assert err.value.k == ref.value.k and str(err.value) == str(ref.value)
     assert err.value.trace.stop_reason == "diverged"
     _assert_same_trace(err.value.trace, ref.value.trace)
     if offsets[0]:   # path 0 alone would have run on past the run's end
         with pytest.raises(algo.DivergenceError) as later:
-            algo.run_path(*args, seed=0, path=0, x0=x0[0])
+            algo.run_path(*args, seed=0, x0=x0[0])
         assert later.value.k > err.value.k
 
 
-def _hand_stepped_trace(p, mix, g, algorithm, alpha, sched, stop, seed, path, x0=None):
-    """One path stepped with algo.start/algo.step, its trace row computed from
-    each state as it is reached: the unblocked reference for run_paths."""
+def _hand_stepped_traces(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=None):
+    """Paths 0..paths-1 stepped with algo.start/algo.step, their trace rows
+    computed from each state as it is reached: the unblocked reference for
+    run_paths."""
     tracking = algorithm != "d-sgd"
-    streams = oracle.StreamFactory(seed, path)
-    x0 = algo.default_x0(p, streams) if x0 is None else x0
+    streams = oracle.StreamFactory(seed)
+    x0 = algo.default_x0(p, streams, paths) if x0 is None else np.array(x0)
     st = algo.start(p, x0, sched, streams, tracking)
     rows, samples, w_prev = [], [], None
     while True:
@@ -542,15 +580,16 @@ def _hand_stepped_trace(p, mix, g, algorithm, alpha, sched, stop, seed, path, x0
         dw = np.zeros_like(w) if w_prev is None else w - w_prev
         w_prev = w
         ev = metrics.error_vector(st, p)
-        rows.append([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                     np.sqrt((w * w).sum(-1)).sum(-1), np.sqrt((dw * dw).sum())])
+        rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                              np.sqrt((w * w).sum(-1)).sum(-1),
+                              np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
         samples.append(int(st.oracle_count.sum()))
         if stop.kind == "max_iters" and st.k >= stop.value:
             reason = "max_iters"
         elif stop.kind == "budget_samples" and samples[-1] + p.n * algo.batch_size(
                 sched, st.k + 1 if tracking else st.k) > stop.value:
             reason = "budget_samples"
-        elif stop.kind == "target_eps" and rows[-1][3] <= stop.value:
+        elif stop.kind == "target_eps" and metrics.mean_over_paths(rows[-1][:, 3]) <= stop.value:
             reason = "target_eps"
         else:
             try:
@@ -561,9 +600,10 @@ def _hand_stepped_trace(p, mix, g, algorithm, alpha, sched, stop, seed, path, x0
         break
     rows, k = np.array(rows), st.k
     msg_per_iter = (2 if tracking else 1) * g.degrees()
-    return algo.PathTrace(algorithm, rows[:, :3], rows[:, 3], np.array(samples),
-                          np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
-                          k * msg_per_iter, x0, rows[:, 4], rows[:, 5], reason)
+    return [algo.PathTrace(algorithm, rows[:, q, :3], rows[:, q, 3], np.array(samples),
+                           np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
+                           k * msg_per_iter, x0[q], rows[:, q, 4], rows[:, q, 5], reason)
+            for q in range(paths)]
 
 
 def _block_of(monkeypatch, states, p, paths):
@@ -583,8 +623,8 @@ def _block_of(monkeypatch, states, p, paths):
 def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algorithm, stop):
     p, g, mix = fig1_instance
     sched = algo.geometric_schedule(0.98) if algorithm == "dvss-sgt" else algo.constant_schedule(1)
-    stop, paths = algo.StopRule(*stop), [0, 3, 1]
-    _block_of(monkeypatch, 4, p, len(paths))
+    stop, paths = algo.StopRule(*stop), 3
+    _block_of(monkeypatch, 4, p, paths)
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
                         lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
@@ -592,19 +632,19 @@ def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algori
     assert max(len(st.x) for st in blocks) == 4
     if stop.kind == "max_iters":   # one error-vector pass per block
         assert len(blocks) == -(-(stop.value + 1) // 4)
-    for path, trace in zip(paths, traces):
+    refs = _hand_stepped_traces(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
+    for trace, ref in zip(traces, refs):
         assert trace.stop_reason == stop.kind
-        _assert_same_trace(trace, _hand_stepped_trace(p, mix, g, algorithm, 0.01, sched,
-                                                      stop, seed=5, path=path))
+        _assert_same_trace(trace, ref)
 
 
 @pytest.mark.parametrize("record_bytes", [1, "1.5 states"])
 def test_states_over_half_a_record_block_are_stacked_one_at_a_time(
         monkeypatch, fig1_instance, record_bytes):
     p, g, mix = fig1_instance
-    paths, stop = [0, 2], algo.StopRule("max_iters", 12)
+    paths, stop = 2, algo.StopRule("max_iters", 12)
     if record_bytes != 1:
-        record_bytes = 3 * len(paths) * p.n * p.d * 8 // 2
+        record_bytes = 3 * paths * p.n * p.d * 8 // 2
     monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", record_bytes)
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
@@ -613,8 +653,8 @@ def test_states_over_half_a_record_block_are_stacked_one_at_a_time(
                             stop, seed=5, paths=paths)
     # one stacked error-vector pass per recorded state, never two states at once
     assert [len(st.x) for st in blocks] == [1] * (stop.value + 1)
-    _assert_same_trace(traces[1], _hand_stepped_trace(
-        p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, path=2))
+    _assert_same_trace(traces[1], _hand_stepped_traces(
+        p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, paths=2)[1])
 
 
 def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance):
@@ -633,11 +673,10 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     monkeypatch.setattr(metrics, "error_vector", spy)
     monkeypatch.setattr(metrics, "mean_over_paths",
                         lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024,
-                            paths=range(6))
+    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
     monkeypatch.undo()
     k = traces[0].iterations
-    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(275, "target_eps")}
+    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(271, "target_eps")}
     # each decision reads the newest state, bit for bit the run's mean row at its k
     mean = metrics.aggregate(traces).mean_combined
     decisions = [(kd, eps) for kd, stacked, *eps in calls if not stacked]
@@ -646,11 +685,11 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
         assert eps == mean[kd]
         # and carries its per-agent sample count
         assert np.array_equal(counts[kd], np.full(p.n, traces[0].cum_samples[kd] // p.n))
-    # rows wait for a full block or the end; a flush for each decision would make 276
+    # rows wait for a full block or the end; a flush for each decision would make 272
     assert sum(stacked for _, stacked, *_ in calls) <= 20
-    for path, trace in enumerate(traces):
-        ref = _hand_stepped_trace(p, mix, g, "dvss-sgt", 0.01, sched,
-                                  algo.StopRule("max_iters", k), seed=2024, path=path)
+    refs = _hand_stepped_traces(p, mix, g, "dvss-sgt", 0.01, sched,
+                                algo.StopRule("max_iters", k), seed=2024, paths=6)
+    for trace, ref in zip(traces, refs):
         _assert_same_trace(trace, dataclasses.replace(ref, stop_reason="target_eps"))
 
 
@@ -660,7 +699,7 @@ def test_target_eps_cap_keeps_the_trace_within_the_dense_limit(monkeypatch, fig1
     monkeypatch.setattr(algo, "MAX_DENSE_ELEMENTS", limit)
     for paths in (1, 4, 7):
         traces = algo.run_paths(p, mix, g, "d-sgt", 0.01, algo.constant_schedule(1),
-                                algo.StopRule("target_eps", 1e-30), seed=3, paths=range(paths))
+                                algo.StopRule("target_eps", 1e-30), seed=3, paths=paths)
         assert {(tr.iterations, tr.stop_reason) for tr in traces} == {
             (limit // paths - 1, "target_eps_iter_cap")}
         assert paths * (traces[0].iterations + 1) <= limit
@@ -675,7 +714,7 @@ def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
 
     def diverge():
         with pytest.raises(algo.DivergenceError) as err:
-            algo.run_paths(*args, seed=0, paths=[0, 1], x0=x0)
+            algo.run_paths(*args, seed=0, paths=2, x0=x0)
         return err.value
 
     monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", 1)   # one state a block: unblocked
@@ -687,7 +726,7 @@ def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
     exc = diverge()
     assert (exc.k, exc.slot, str(exc)) == (ref.k, ref.slot, str(ref))
     _assert_same_trace(exc.trace, ref.trace)
-    _assert_same_trace(exc.trace, _hand_stepped_trace(*args, seed=0, path=1, x0=x0[1]))
+    _assert_same_trace(exc.trace, _hand_stepped_traces(*args, seed=0, paths=2, x0=x0)[1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -715,7 +754,7 @@ def test_budget_run_stops_by_the_rule_that_bounds_its_trace(fig1_instance, algor
     sched = algo.geometric_schedule(0.9) if algorithm == "dvss-sgt" else algo.constant_schedule(3)
     budget = 2345
     traces = algo.run_paths(p, mix, g, algorithm, 0.01, sched,
-                            algo.StopRule("budget_samples", budget), seed=5, paths=[0, 1])
+                            algo.StopRule("budget_samples", budget), seed=5, paths=2)
     lag = algorithm == "d-sgd"
     for trace in traces:
         last = trace.iterations
@@ -729,8 +768,7 @@ def test_budget_run_stops_by_the_rule_that_bounds_its_trace(fig1_instance, algor
 def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=2)
     X = np.random.default_rng(0).standard_normal((7, p.n, p.d))
-    whole = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
-                                    .generators(4))
+    whole = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9), 4)
     # the random numbers of one path at this batch: regressors and noise, or
     # the Bartlett normals, noise included, and chi-squares
     direct = batch < oracle.bartlett_crossover(p.d)
@@ -740,34 +778,28 @@ def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     for limit in (1, 2 * per_path + 1, 10**9):
         calls.clear()
         monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
-        chunked = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9, range(7))
-                                          .generators(4))
+        chunked = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9), 4)
+        # the chunks continue the same streams, so they draw what one call does
         assert np.array_equal(chunked, whole)
         sizes = [n_paths for [[_batch, n_paths]] in calls]
         assert sum(sizes) == 7
         assert all(size * per_path <= max(per_path, limit) for size in sizes)
         assert sizes[0] == min(7, max(1, limit // per_path))
-    # regressors below the crossover, Bartlett's L B from it
-    [cell] = oracle.draw_cells(p, [batch], [oracle.StreamFactory(9, range(7)).generators(4)])
-    assert cell.M.shape == (7, p.n) + ((batch, p.d) if direct else (p.d, p.d))
+    # transposed regressors below the crossover, Bartlett's L B from it
+    [cell] = oracle.draw_cells(p, 7, [batch], [4], oracle.StreamFactory(9))
+    assert cell.M.shape == (7, p.n, p.d, batch if direct else p.d)
+    assert np.array_equal(oracle.apply_cell(p, X, cell), whole)
 
 
 def _draw_spy(monkeypatch, calls):
-    """Record each draw_cells call as a list of (batch, paths drawn) rows."""
-    real = oracle.draw_cells
+    """Record the rows of each stacked draw (a draw_cells call, or a chunk of
+    sample_gradients) as a list of (batch, paths drawn)."""
+    real = oracle._cells
 
-    def spy(p, batches, rngs):
-        rows = []
-
-        def counted(batch, gens):
-            rows.append([batch, 0])
-            for rng in gens:   # re-keyed in place, so counted as taken
-                rows[-1][1] += 1
-                yield rng
-        cells = real(p, batches, [counted(b, gens) for b, gens in zip(batches, rngs)])
-        calls.append(rows)
-        return cells
-    monkeypatch.setattr(oracle, "draw_cells", spy)
+    def spy(p, batches, raw):
+        calls.append([[b, len(r[0] if isinstance(r, tuple) else r)] for b, r in zip(batches, raw)])
+        return real(p, batches, raw)
+    monkeypatch.setattr(oracle, "_cells", spy)
 
 
 def _blocks(p, sched, n_paths, states, first, last):
@@ -797,14 +829,14 @@ def _blocks(p, sched, n_paths, states, first, last):
 def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_instance,
                                                               algorithm, stop, edge):
     p, g, mix = fig1_instance
-    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule(*stop), [0, 3, 1]
+    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule(*stop), 3
     tracking = algorithm != "d-sgd"
     switch = oracle.bartlett_crossover(p.d)
     assert algo.batch_size(sched, 22) < switch == algo.batch_size(sched, 23)
     states = next(b for b in range(2, 100) if any(
         (block[0] == 23) if edge else (22 in block and 23 in block)
-        for block in _blocks(p, sched, len(paths), b, int(tracking), 30)))
-    _block_of(monkeypatch, states, p, len(paths))
+        for block in _blocks(p, sched, paths, b, int(tracking), 30)))
+    _block_of(monkeypatch, states, p, paths)
     calls = []
     _draw_spy(monkeypatch, calls)
     traces = algo.run_paths(p, mix, g, algorithm, 0.05, sched, stop, seed=5, paths=paths)
@@ -814,17 +846,17 @@ def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_
     assert len(crossing) == 1 and (crossing[0][0] == switch) == edge
     k = traces[0].iterations
     assert k > 30 and {tr.stop_reason for tr in traces} == {stop.kind}
-    for path, trace in zip(paths, traces):
-        ref = _hand_stepped_trace(p, mix, g, algorithm, 0.05, sched,
-                                  algo.StopRule("max_iters", k) if stop.kind == "target_eps"
-                                  else stop, seed=5, path=path)
+    refs = _hand_stepped_traces(p, mix, g, algorithm, 0.05, sched,
+                                algo.StopRule("max_iters", k) if stop.kind == "target_eps"
+                                else stop, seed=5, paths=paths)
+    for trace, ref in zip(traces, refs):
         _assert_same_trace(trace, dataclasses.replace(ref, stop_reason=stop.kind))
 
 
 def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
-    sched, paths = algo.geometric_schedule(0.9), [0, 3, 1]
-    _block_of(monkeypatch, 20, p, len(paths))
+    sched, paths = algo.geometric_schedule(0.9), 3
+    _block_of(monkeypatch, 20, p, paths)
     calls, counts = [], {"batch_size": 0, "sample_gradients": 0}
     _draw_spy(monkeypatch, calls)
     for module, name in ((algo, "batch_size"), (oracle, "sample_gradients")):
@@ -838,7 +870,7 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     # a block takes the next cells while their random numbers fit the 20
     # states' 24,000 bytes: 7 cells of N = 2 and 3, 4 of N = 3 and 4, ...,
     # one a block at N = 8 to 11, two Bartlett cells a block from k = 23
-    expect = [len(block) for block in _blocks(p, sched, len(paths), 20, 1, 30)]
+    expect = [len(block) for block in _blocks(p, sched, paths, 20, 1, 30)]
     assert expect == [7, 4, 3, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]
     # start draws cell 0; then one call per block, every path of every cell
     assert [len(rows) for rows in calls] == [1] + expect
@@ -851,7 +883,7 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
 
 def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
-    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule("max_iters", 30), [0, 3, 1]
+    sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule("max_iters", 30), 3
     ref = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
     # a few small cells of 3 paths fit together; a batch-11 cell of 3 paths
     # alone does not, so its paths are drawn 2 and 1; a Bartlett cell fits alone

@@ -259,7 +259,7 @@ def test_theory_report(tmp_path):
     assert report["cap_reached_at"] == 1064
     # empirical_nu is the exact noise level at path 0's x0
     p = cli.build_instance(cli.resolve_config(cli.load_config("fig1", path), "theory")[0])[0]
-    E = algo.default_x0(p, oracle.StreamFactory(2024, 0)) - p.x_star
+    E = algo.default_x0(p, oracle.StreamFactory(2024), 1)[0] - p.x_star
     RE = np.einsum("ijk,ik->ij", p.R, E)
     tr = np.trace(p.R, axis1=1, axis2=2)
     nu_sq = tr * np.einsum("ij,ij->i", E, RE) + np.einsum("ij,ij->i", RE, RE) + p.sigmas**2 * tr
@@ -324,7 +324,7 @@ def test_theory_noiseless_C_zero(tmp_path):
     # without observation noise the regressor scatter is left: at path 0's x0,
     # E||w_i||^2 = tr(R_i) e_i'R_i e_i + e_i'R_i^2 e_i with e_i = x0_i - x*
     p, _g, _mix = cli.build_instance(cfg)
-    e = algo.default_x0(p, oracle.StreamFactory(cfg["seed"], 0)) - p.x_star
+    e = algo.default_x0(p, oracle.StreamFactory(cfg["seed"]), 1)[0] - p.x_star
     Re = np.einsum("ijk,ik->ij", p.R, e)
     level = math.sqrt(np.max(np.einsum("ijj->i", p.R) * np.einsum("ij,ij->i", e, Re)
                              + np.einsum("ij,ij->i", Re, Re)))

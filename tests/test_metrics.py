@@ -89,7 +89,7 @@ def test_aggregate_is_permutation_invariant():
     mix = graph.metropolis_weights(g)
     sched = algo.geometric_schedule(0.98)
     traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.02, sched,
-                            algo.StopRule("max_iters", 30), seed=5, paths=range(3))
+                            algo.StopRule("max_iters", 30), seed=5, paths=3)
     res = metrics.aggregate(traces)
     assert len(res.mean_combined) == 31
     shuffled = metrics.aggregate([traces[2], traces[0], traces[1]])

@@ -107,7 +107,7 @@ def test_mean_gradient_vanishes_at_x_star():
 
 def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
     p = make_small(noise_spec=0.0)
-    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracles.philox_stream(1, 0, 0, 0))
+    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracle.StreamFactory(1), 0)
     # u u^T x* - (u^T x*) u = 0 for every draw, so the average is exactly 0
     assert np.all(s == 0.0)
     assert s.shape == (p.n, p.d)
@@ -116,44 +116,44 @@ def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
 def test_sample_gradients_input_checks():
     p = make_small()
     X = rows(p, p.x_star + 0.5)
-    s = oracle.sample_gradients(p, X, 4, oracles.philox_stream(1, 0, 2, 3))
+    streams = oracle.StreamFactory(1)
+    s = oracle.sample_gradients(p, X, 4, streams, 3)
     assert s.shape == (p.n, p.d)
     # each agent draws its own regressors, so no two rows coincide
     assert len({tuple(row) for row in s}) == p.n
     with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X, 0, oracles.philox_stream(1, 0, 2, 3))
+        oracle.sample_gradients(p, X, 0, streams, 3)
     with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X[1:], 4, oracles.philox_stream(1, 0, 2, 3))
+        oracle.sample_gradients(p, X[1:], 4, streams, 3)
 
 
 def test_stream_reproducibility_and_independence():
     p = make_small()
     X = rows(p, p.x_star + 1.0)
-    a = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 9))
-    b = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 9))
+    a = oracle.sample_gradients(p, X, 5, oracle.StreamFactory(42), 9)
+    b = oracle.sample_gradients(p, X, 5, oracle.StreamFactory(42), 9)
     assert np.array_equal(a, b)
     # draws at one iteration do not depend on how much was drawn at another
-    f1 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradients(p, X, 2, next(f1.generators(8)))
-    c = oracle.sample_gradients(p, X, 5, next(f1.generators(9)))
-    f2 = oracle.StreamFactory(42, 3)
-    oracle.sample_gradients(p, X, 50, next(f2.generators(8)))
-    d = oracle.sample_gradients(p, X, 5, next(f2.generators(9)))
+    f1 = oracle.StreamFactory(42)
+    oracle.sample_gradients(p, X, 2, f1, 8)
+    c = oracle.sample_gradients(p, X, 5, f1, 9)
+    f2 = oracle.StreamFactory(42)
+    oracle.sample_gradients(p, X, 50, f2, 8)
+    d = oracle.sample_gradients(p, X, 5, f2, 9)
     assert np.array_equal(c, d)
     # distinct labels give distinct draws
-    e = oracle.sample_gradients(p, X, 5, oracles.philox_stream(42, 3, 0, 10))
+    e = oracle.sample_gradients(p, X, 5, f2, 10)
     assert not np.array_equal(c, e)
-    assert np.array_equal(c, oracle.sample_gradients(p, X, 5,
-                                                     oracles.philox_stream(42, 3, 0, 9)))
+    assert np.array_equal(c, _direct_draw(p, X, 5, oracles.philox_stream(42, 0, 9)))
 
 
 def test_changing_one_batch_leaves_other_iterations_bit_identical():
     p = make_small()
     X = rows(p, p.x_star + 0.5)
-    streams = oracle.StreamFactory(11, 1)
+    streams = oracle.StreamFactory(11)
 
     def draws(sizes):
-        return [oracle.sample_gradients(p, X, nb, next(streams.generators(k)))
+        return [oracle.sample_gradients(p, X, nb, streams, k)
                 for k, nb in enumerate(sizes)]
 
     base = draws([1, 2, 3, 4, 5, 6, 7, 8])
@@ -166,30 +166,28 @@ def test_changing_one_batch_leaves_other_iterations_bit_identical():
 
 def _direct_draw(p, X, batch, rng):
     """Reference agent-by-agent batch draw from the network layout: an
-    (n, batch, d) block of regressor normals, then (n, batch) noise normals.
-    Below the crossover the oracle must reproduce it bit for bit from the
-    same stream."""
-    z = rng.standard_normal((p.n, batch, p.d))
-    xi = rng.standard_normal((p.n, batch))
+    (n, batch, d + 1) block of normals, per sample d regressor normals and
+    then a noise normal. Below the crossover the oracle must reproduce it
+    bit for bit from the same stream."""
+    z = rng.standard_normal((p.n, batch, p.d + 1))
     out = np.empty((p.n, p.d))
     for i in range(p.n):
-        u = z[i] @ p.chol[i].T
-        r = u @ (X[i] - p.x_star)[:, None]
-        out[i] = (u * (r[:, 0] - p.sigmas[i] * xi[i])[:, None]).sum(axis=0) / batch
+        u = z[i, :, :p.d] @ p.chol[i].T
+        out[i] = u.T @ (u @ (X[i] - p.x_star) - p.sigmas[i] * z[i, :, p.d]) / batch
     return out
 
 
-def _bartlett_draw(p, X, batch, rng):
+def _bartlett_draw(p, X, batch, rng, chi_rng):
     """Reference agent-by-agent Bartlett draw from the network layout: an
-    (n, d, d + 1) block of normals Z, then (n, d) chi-squares with batch - d
-    + 1 degrees of freedom. Agent i's factor B is Z_i's strict lower
+    (n, d, d + 1) block of normals Z from rng, and (n, d) chi-squares with
+    batch - d + 1 degrees of freedom from chi_rng. Agent i's factor B is Z_i's strict lower
     triangle with B_jj^2 the chi-square plus the squares right of Z_i's
     diagonal in row j, its noise Z_i's last column, and its gradient
     L B (B'L' e_i - sigma_i nu) / batch. From the crossover on the oracle
-    must reproduce it bit for bit from the same stream."""
+    must reproduce it bit for bit from the same streams."""
     d = p.d
     Z = rng.standard_normal((p.n, d, d + 1))
-    chi = rng.chisquare(batch - d + 1, size=(p.n, d))
+    chi = chi_rng.chisquare(batch - d + 1, size=(p.n, d))
     out = np.empty((p.n, d))
     for i in range(p.n):
         B, right = np.tril(Z[i, :, :d], -1), np.triu(Z[i, :, :d], 1)
@@ -205,8 +203,8 @@ def _bartlett_draw(p, X, batch, rng):
 def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     p = make_small(d=d, n=2)
     X = p.x_star + np.array([[0.5], [-0.25]])
-    s = oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
-    ref = _direct_draw(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
+    s = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
+    ref = _direct_draw(p, X, batch, oracles.philox_stream(8, 0, 4))
     assert np.array_equal(s, ref)
 
 
@@ -216,25 +214,27 @@ def test_crossover_switches_draws_on_the_same_stream(d):
     X = p.x_star + np.array([[0.5], [-0.25]])
     below, at = oracle.bartlett_crossover(d) - 1, oracle.bartlett_crossover(d)
     assert below >= 1 and at >= d
-    draw = [oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
+    draw = [oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
             for batch in (below, at)]
-    assert np.array_equal(draw[0], _direct_draw(p, X, below, oracles.philox_stream(8, 2, 0, 4)))
-    assert np.array_equal(draw[1], _bartlett_draw(p, X, at, oracles.philox_stream(8, 2, 0, 4)))
+    assert np.array_equal(draw[0], _direct_draw(p, X, below, oracles.philox_stream(8, 0, 4)))
+    assert np.array_equal(draw[1], _bartlett_draw(p, X, at, oracles.philox_stream(8, 0, 4),
+                                                  oracles.philox_stream(8, 1, 4)))
     # at the crossover the direct draw is no longer taken
-    assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracles.philox_stream(8, 2, 0, 4)))
+    assert not np.array_equal(draw[1], _direct_draw(p, X, at, oracles.philox_stream(8, 0, 4)))
 
 
 def test_bartlett_draw_from_crossover_uses_the_same_stream(monkeypatch):
     p = make_small()
     X = rows(p, p.x_star + 0.5)
     for batch in (oracle.bartlett_crossover(p.d), 10**6):
-        s = oracle.sample_gradients(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
-        ref = _bartlett_draw(p, X, batch, oracles.philox_stream(8, 2, 0, 4))
+        s = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
+        ref = _bartlett_draw(p, X, batch, oracles.philox_stream(8, 0, 4),
+                             oracles.philox_stream(8, 1, 4))
         assert np.array_equal(s, ref)
     # a crossover below d would ask for a Bartlett factor that does not exist
     monkeypatch.setattr(oracle, "bartlett_crossover", lambda d: 1)
     with pytest.raises(ValueError):
-        oracle.draw_cells(p, [p.d - 1], [[oracles.philox_stream(8, 2, 0, 4)]])
+        oracle.draw_cells(p, 1, [p.d - 1], [4], oracle.StreamFactory(8))
 
 
 @pytest.mark.parametrize("batch", [3, oracle.bartlett_crossover(3), 30, 1000])
@@ -244,10 +244,9 @@ def test_bartlett_moments_match_analytic(monkeypatch, batch):
     p = make_small(covariance_spec="rot-spd[1,2]", noise_spec=1.5, seed=3)
     R, sigma = p.R[0], p.sigmas[0]
     e = np.array([1.0, -0.5, 0.25])
-    rng = np.random.default_rng(17)
     draws = 20_000
     X = rows(p, p.x_star + e)[None]
-    cells = oracle.draw_cells(p, [batch] * draws, [[rng]] * draws)
+    cells = oracle.draw_cells(p, 1, [batch] * draws, range(draws), oracle.StreamFactory(17))
     assert cells[0].M.shape == (1, p.n, p.d, p.d)
     values = np.stack([oracle.apply_cell(p, X, cell)[0, 0] for cell in cells])
     # single-sample noise covariance (e'Re) R + R e e' R + sigma^2 R, over batch
@@ -268,10 +267,10 @@ def test_every_row_of_a_batched_draw_follows_the_agent_law(batch):
                    seed=3)
     E = np.array([[1.0, -0.5, 0.25], [0.0, 0.5, -1.0], [-0.75, 0.0, 0.5],
                   [0.25, 0.25, 0.25]])
-    rng = np.random.default_rng(17)
+    streams = oracle.StreamFactory(17)
     draws = 20_000
-    values = np.stack([oracle.sample_gradients(p, p.x_star + E, batch, rng)
-                       for _ in range(draws)])
+    values = np.stack([oracle.sample_gradients(p, p.x_star + E, batch, streams, t)
+                       for t in range(draws)])
     for i in range(p.n):
         R, sigma, e = p.R[i], p.sigmas[i], E[i]
         cov = ((e @ R @ e) * R + np.outer(R @ e, R @ e) + sigma**2 * R) / batch
@@ -287,8 +286,7 @@ def test_draw_at_default_cap_is_finite_and_fast():
     p = make_small()
     X = rows(p, p.x_star + 1.0)
     start = time.perf_counter()
-    s = oracle.sample_gradients(p, X, algo.DEFAULT_BATCH_CAP,
-                                oracles.philox_stream(1, 0, 0, 1000))
+    s = oracle.sample_gradients(p, X, algo.DEFAULT_BATCH_CAP, oracle.StreamFactory(1), 1000)
     assert time.perf_counter() - start < 0.5
     assert np.all(np.isfinite(s))
     # at 2^31 - 1 samples the batch mean sits on the exact gradient
@@ -299,12 +297,12 @@ def test_unbiasedness_quick():
     p = make_small(seed=2)
     X = rows(p, p.x_star + np.array([1.0, -0.5, 0.25]))
     draws = 20_000
-    s = oracle.sample_gradients(p, X, draws, oracles.philox_stream(3, 0, 0, 0))[0]
+    streams = oracle.StreamFactory(3)
+    s = oracle.sample_gradients(p, X, draws, streams, 0)[0]
     # a batch average over M draws is the empirical mean itself; bound each
     # coordinate by 4 standard errors of a fresh single-draw sample
-    singles = np.stack([
-        oracle.sample_gradients(p, X, 1, oracles.philox_stream(3, 1, 0, t))[0]
-        for t in range(2000)])
+    singles = np.stack([oracle.sample_gradients(p, X, 1, streams, t)[0]
+                        for t in range(1, 2001)])
     se = singles.std(axis=0) / np.sqrt(draws)
     true = oracle.exact_gradients(p, X)[0]
     assert np.all(np.abs(s - true) <= 4.0 * se + 1e-12)
@@ -315,14 +313,11 @@ def test_variance_scaling_quick():
     X = rows(p, p.x_star + 1.0)
     true = oracle.exact_gradients(p, X)[0]
     reps = 2000
-    n1 = np.mean([
-        np.sum((oracle.sample_gradients(p, X, 1,
-                                        oracles.philox_stream(5, 0, 0, t))[0] - true) ** 2)
-        for t in range(reps)])
-    n8 = np.mean([
-        np.sum((oracle.sample_gradients(p, X, 8,
-                                        oracles.philox_stream(5, 1, 0, t))[0] - true) ** 2)
-        for t in range(reps)])
+    streams = oracle.StreamFactory(5)
+    n1 = np.mean([np.sum((oracle.sample_gradients(p, X, 1, streams, t)[0] - true) ** 2)
+                  for t in range(reps)])
+    n8 = np.mean([np.sum((oracle.sample_gradients(p, X, 8, streams, t)[0] - true) ** 2)
+                  for t in range(reps, 2 * reps)])
     assert n8 / n1 == pytest.approx(1.0 / 8.0, rel=0.15)
 
 
@@ -344,11 +339,11 @@ def test_deterministic_copy():
     p = make_small()
     det = oracle.deterministic(p)
     X = rows(p, p.x_star + 0.3)
-    s = oracle.sample_gradients(det, X, 9, oracles.philox_stream(0, 0, 1, 0))
+    s = oracle.sample_gradients(det, X, 9, oracle.StreamFactory(0), 0)
     assert np.array_equal(s, oracle.exact_gradients(det, X))
     assert np.all(s - oracle.exact_gradients(det, X) == 0.0)
-    # an exact oracle never touches its stream
-    assert np.array_equal(oracle.sample_gradients(det, X, 9, None), s)
+    # an exact oracle never touches its streams
+    assert np.array_equal(oracle.sample_gradients(det, X, 9, None, 0), s)
     assert oracle.noise_level(det, np.zeros((p.n, p.d))) == 0.0
     assert oracle.noise_level(det, p.x_star + 5.0) == 0.0
 
