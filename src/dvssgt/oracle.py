@@ -239,17 +239,16 @@ def apply_cell(p: Problem, X, cell):
     (P, n, d) array taken as it is, from the cell drawn for them; exact
     gradients for an exact oracle's None.
 
-    A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so
-    below the crossover agent i's average is M (M'e_i - s_i)/batch with M =
-    U_i' and s_i = sigma_i xi_i. From it, agent i's batch sum is S_i e_i -
-    sigma_i U_i' nu_i with S_i = U_i' U_i
-    ~ Wishart_d(batch, R_i), and U_i' nu_i given U_i is N(0, S_i). Bartlett's
-    (1933) decomposition S = L B B' L', with L = chol(R) and B lower
-    triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the diagonal), gives
-    both from O(d^2) random numbers per agent: B is Z's strict lower
-    triangle, nu its last column, and the d - 1 - j normals right of Z's
-    diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}.
-    So the average is again M (M'e_i - s_i)/batch, with M = L B."""
+    A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so below
+    the crossover agent i's average is M (M'e_i - s_i)/batch with M = U_i' and
+    s_i = sigma_i xi_i. From it, agent i's batch sum is S_i e_i - sigma_i U_i'
+    nu_i with S_i = U_i' U_i ~ Wishart_d(batch, R_i), and U_i' nu_i given U_i
+    is N(0, S_i). Bartlett's (1933) decomposition S = L B B' L', with L =
+    chol(R) and B lower triangular (B_jj^2 ~ chi^2_{batch-j}, N(0,1) below the
+    diagonal), gives both from O(d^2) random numbers per agent: B is Z's strict
+    lower triangle, nu its last column, and the d - 1 - j normals right of Z's
+    diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}. So
+    the average is again M (M'e_i - s_i)/batch, with M = L B."""
     E = X - p.x_star
     if cell is None:
         return _per_agent(E[..., None, :], p.R.swapaxes(-1, -2))[..., 0, :]
