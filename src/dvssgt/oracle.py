@@ -152,11 +152,10 @@ def _checked(p: Problem, X):
 
 
 def _per_agent(X, F):
-    """X_i F_i for every agent i, X (..., n, m, a) and F (n, a, c), as n stacked
-    products, not one small product per leading index of X."""
-    n, m, a = X.shape[-3:]
-    out = X.reshape(-1, n, m * a).swapaxes(0, 1).reshape(n, -1, a) @ F
-    return out.reshape(n, -1, m * F.shape[-1]).swapaxes(0, 1).reshape(X.shape[:-1] + F.shape[-1:])
+    """X_i F_i for every agent i, the agent axis second to last: X (..., n, a)
+    and F (n, a, c), as n stacked products, not one per leading index of X."""
+    out = X.reshape((-1,) + X.shape[-2:]).swapaxes(0, 1) @ F
+    return out.swapaxes(0, 1).reshape(X.shape[:-1] + F.shape[-1:])
 
 
 def exact_gradients(p: Problem, X):
@@ -218,7 +217,8 @@ def _cells(p: Problem, batches, raw):
         Z = np.array([raw[j][0] for j in rows])
         s = p.sigmas[:, None] * Z[..., d]
         if b < cross:
-            M = _per_agent(Z[..., :d], p.chol.swapaxes(-1, -2)).swapaxes(-1, -2)
+            U = _per_agent(Z[..., :d].swapaxes(-3, -2), p.chol.swapaxes(-1, -2))   # (..., b, n, d)
+            M = np.moveaxis(U, -3, -1)
         else:
             low = min(batches[j] for j in rows)
             if low < d:
@@ -251,7 +251,7 @@ def apply_cell(p: Problem, X, cell):
     the average is again M (M'e_i - s_i)/batch, with M = L B."""
     E = X - p.x_star
     if cell is None:
-        return _per_agent(E[..., None, :], p.R.swapaxes(-1, -2))[..., 0, :]
+        return _per_agent(E, p.R.swapaxes(-1, -2))
     batch, M, s = cell
     r = (M.swapaxes(-1, -2) @ E[..., None])[..., 0] - s
     return (M @ r[..., None])[..., 0] / batch
