@@ -1,6 +1,7 @@
 """One network-wide iteration engine for D-VSS-SGT and the D-SGT / D-SGD baselines."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,20 +151,18 @@ def _check_alpha(alpha, tracking):
         raise ValueError(f"step size must be nonnegative, got {alpha}")
 
 
-def _advance(st: NetworkState, A, alpha, p: Problem, cell, nb, tracking) -> NetworkState:
-    """The iteration itself, with the sampled gradients of `cell` (an oracle.Cell,
-    None for an exact oracle, or a function of x), nb samples per agent."""
-    k1 = st.k + 1
-    at = A @ st.x - alpha * st.y if tracking else st.x   # where the cell is applied
+def _advance(x, y, g_prev, A, alpha, tracking, k1, gradient, cell):
+    """The iteration itself: (x, y, g) at k1 from those at k1 - 1, the sampled
+    gradients g = gradient(at, cell) at x(k1) with tracking, else at x(k1 - 1)."""
+    at = A @ x - alpha * y if tracking else x
     if tracking:
         _guard(at, k1)
-    g = cell(at) if callable(cell) else oracle.apply_cell(p, at, cell)
+    g = gradient(at, cell)
     if tracking:
-        x, y = at, A @ st.y + g - st.g_prev
-    else:
-        x, y = A @ st.x - alpha * g, st.y
-        _guard(x, k1)
-    return NetworkState(k1, x, y, g, st.oracle_count + nb)
+        return at, A @ y + g - g_prev, g
+    x = A @ x - alpha * g
+    _guard(x, k1)
+    return x, y, g
 
 
 def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
@@ -175,8 +174,9 @@ def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedul
     _check_alpha(alpha, tracking)
     k = st.k + tracking   # the cell drawn: at x(k + 1) with tracking, else at x(k)
     nb = batch_size(s, k)
-    return _advance(st, mix.A, alpha, p, lambda x: oracle.sample_gradients(p, x, nb, streams, k),
-                    nb, tracking)
+    x, y, g = _advance(st.x, st.y, st.g_prev, mix.A, alpha, tracking, st.k + 1,
+                       lambda at, _: oracle.sample_gradients(p, at, nb, streams, k), None)
+    return NetworkState(st.k + 1, x, y, g, st.oracle_count + nb)
 
 
 @dataclass(frozen=True)
@@ -269,20 +269,22 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
            if stop.kind == "target_eps" else math.inf)
     per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
     block_bytes = min(RECORD_BLOCK_BYTES, oracle.MAX_DRAW_BLOCK_BYTES)
-    rows, samples, pending = [], [int(st.oracle_count.sum())], [st]
+    k, x, y, g_prev = st.k, st.x, st.y, st.g_prev
+    rows, samples, pending = [], [int(st.oracle_count.sum())], [(x, y, g_prev)]
     w_prev = None   # the noise w = g - grad f at the last flushed record
 
+    def state(k, x, y, g_prev):   # with its per-agent count, from the run's total
+        return NetworkState(k, x, y, g_prev, np.full(p.n, samples[k] // p.n, dtype=np.int64))
+
     def flush():
-        """Trace rows of the pending states, from one (B, P, n, d) stack per
-        array; w_step is 0 at k = 0."""
+        """Trace rows of the pending states, the last at iteration k, from one
+        (B, P, n, d) stack per array; w_step is 0 at k = 0."""
         nonlocal w_prev
-        if not pending:
-            return
-        x, y, g_prev = (np.array([getattr(s, f) for s in pending]) for f in ("x", "y", "g_prev"))
+        x, y, g_prev = map(np.array, zip(*pending))
         w = g_prev - oracle.exact_gradients(p, x)
         dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
         w_prev = w[-1]
-        ev = metrics.error_vector(NetworkState(pending[-1].k, x, y, g_prev, pending[-1].oracle_count), p)
+        ev = metrics.error_vector(state(k, x, y, g_prev), p)
         rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
                               np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
@@ -295,57 +297,52 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     reason = "target_eps" if stop.kind == "target_eps" and target_met(st) else ""
     diverged = None
     while not reason:
-        if st.k >= end:
+        if k >= end:
             reason = "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap"
             break
         # the block: the next cells (at x(k + 1) with tracking, else at x(k))
         # that the budget pays for and whose random numbers fit the block
         # bytes, the first one always
-        ks, batches, counts, size = [], [], [], 0
-        for c in range(st.k + tracking, st.k + tracking + min(per_block, end - st.k)):
+        ks, batches, size = [], [], 0
+        for c in range(k + tracking, k + tracking + min(per_block, end - k)):
             b = batch_size(schedule, c)
             size += paths * oracle.draw_bytes(p, b)
-            count = (counts[-1] if counts else samples[-1]) + p.n * b
+            count = samples[-1] + p.n * b
             if count > budget or ks and size > block_bytes:
                 break
             ks.append(c)
             batches.append(b)
-            counts.append(count)
+            samples.append(count)
         if not ks:
             reason = "budget_samples"
             break
         if paths * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
             cells = oracle.draw_cells(p, paths, batches, ks, streams)
+            gradient = functools.partial(oracle.apply_cell, p)
         else:   # one iteration's cells alone exceed the bound: its paths in chunks
-            cells = [lambda x: oracle.sample_gradients(p, x, batches[0], streams, ks[0])]
+            cells = [None]
+            gradient = lambda at, _: oracle.sample_gradients(p, at, batches[0], streams, ks[0])
         try:
-            for cell, nb, count in zip(cells, batches, counts):
-                st = _advance(st, mix.A, alpha, p, cell, nb, tracking)
-                samples.append(count)
+            for cell in cells:
+                x, y, g_prev = _advance(x, y, g_prev, mix.A, alpha, tracking, k + 1, gradient, cell)
                 if len(pending) == per_block:
                     flush()
-                pending.append(st)
-                if stop.kind == "target_eps" and target_met(st):
+                k += 1
+                pending.append((x, y, g_prev))
+                if stop.kind == "target_eps" and target_met(state(k, x, y, g_prev)):
                     reason = "target_eps"
                     break
         except DivergenceError as exc:
             diverged, reason = exc, "diverged"
+    del samples[k + 1:]   # the counts of the cells a stop inside a block did not apply
     flush()
 
-    table, k = np.concatenate(rows), st.k
-    traces = [PathTrace(
-        algorithm=algorithm,
-        z=table[:, q, :3],
-        combined=table[:, q, 3],
-        cum_samples=np.array(samples, dtype=np.int64),
-        cum_messages=np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
-        per_agent_samples=np.full(p.n, samples[k] // p.n, dtype=np.int64),
-        per_agent_messages=k * msg_per_iter,
-        x0=x0[q],
-        sum_w_norms=table[:, q, 4],
-        w_step=table[:, q, 5],
-        stop_reason=reason,
-    ) for q in range(paths)]
+    table = np.concatenate(rows)
+    traces = [PathTrace(algorithm, table[:, q, :3], table[:, q, 3],
+                        np.array(samples, dtype=np.int64),
+                        np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
+                        np.full(p.n, samples[k] // p.n, dtype=np.int64), k * msg_per_iter, x0[q],
+                        table[:, q, 4], table[:, q, 5], reason) for q in range(paths)]
     if diverged:
         diverged.trace = traces[diverged.slot]
         raise diverged

@@ -9,17 +9,14 @@ COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
 def _ticks(lo, hi, count=6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round-valued ticks over lo < hi; the step is below hi - lo, so the first
+    tick, the multiple of it at or above lo, never exceeds hi."""
     raw = (hi - lo) / count
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(t)
-        t += step
+    ticks = [math.ceil(lo / step) * step]
+    while ticks[-1] + step <= hi + 1e-9 * step:
+        ticks.append(ticks[-1] + step)
     return ticks
 
 

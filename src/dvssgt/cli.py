@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import difflib
+import functools
 import json
 import math
 import sys
@@ -247,11 +247,7 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
     [stop] = cfg["stop"].items()
     traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
                             algo.StopRule(*stop), cfg["seed"], cfg["paths"])
-
-    result = metrics.aggregate(traces)
-    if len(result.mean_combined) > 3 and np.all(result.mean_combined > 0):
-        result.rate_fit = metrics.fit_geometric_rate(result.mean_combined)
-    return result
+    return metrics.aggregate(traces)
 
 
 def _out_dir(cfg, out):
@@ -274,7 +270,8 @@ def cmd_run(cfg, out):
     metrics.write_csv(result, out / f"run_{result.algorithm}.csv")
     (out / f"run_{result.algorithm}.svg").write_text(_svg(
         [(result.algorithm, ks, result.mean_combined)], "Mean error vs iteration", "k"))
-    fit = result.rate_fit
+    fit = (metrics.fit_geometric_rate(result.mean_combined)
+           if len(ks) > 3 and np.all(result.mean_combined > 0) else None)
     print(f"{result.algorithm}: {len(ks)-1} iterations ({result.traces[0].stop_reason}), "
           f"final mean error {result.mean_combined[-1]:.4e}"
           + (f", fitted rate {fit.rate:.4f} (R^2 {fit.r_squared:.4f})" if fit else ""))
@@ -284,10 +281,13 @@ def cmd_run(cfg, out):
 def cmd_compare(cfg, out):
     problem, g, mix = build_instance(cfg)
     out = _out_dir(cfg, out)
+    if "target_eps" in cfg["stop"]:
+        cap = min(algo.TARGET_EPS_ITER_CAP, algo.MAX_DENSE_ELEMENTS // cfg["paths"] - 1)
+        print(f"note: d-sgt and d-sgd stop at target_eps_iter_cap (k = {cap}) when their "
+              f"error floor lies above the target {cfg['stop']['target_eps']}", file=sys.stderr)
     results = {}
     for algorithm in ALGORITHMS:
-        res = results[algorithm] = run_experiment(cfg, problem=problem, g=g, mix=mix,
-                                                  algorithm=algorithm)
+        res = results[algorithm] = run_experiment(cfg, problem, g, mix, algorithm)
         metrics.write_csv(res, out / f"compare_{algorithm}.csv")
         print(f"{algorithm}: final mean error {res.mean_combined[-1]:.4e} "
               f"after {res.cum_samples[-1]} samples ({res.traces[0].stop_reason})")
@@ -386,28 +386,21 @@ def cmd_theory(cfg, out):
 def cmd_sweep(cfg, out):
     parameter, grid = cfg["sweep"]["parameter"], cfg["sweep"]["grid"]
     out = _out_dir(cfg, out)
-    rows = []
+    rows = []   # the CSV's fields as text: value, k, mean_combined, cum_samples_total, status
     for value in grid:
         point = _sweep_point(cfg, value)
         problem, g, mix = build_instance(point)
         if parameter == "alpha":
             rho = _rho_at(value, problem, mix)
             if not (isinstance(rho, float) and rho < 1.0):
-                rows.append({parameter: value, "k": "", "mean_combined": "",
-                             "cum_samples_total": "", "status": "infeasible"})
+                rows.append([str(value), "", "", "", "infeasible"])
                 continue
         res = run_experiment(point, problem=problem, g=g, mix=mix)
-        for k in range(len(res.mean_combined)):
-            rows.append({parameter: value, "k": k,
-                         "mean_combined": repr(float(res.mean_combined[k])),
-                         "cum_samples_total": int(res.cum_samples[k]),
-                         "status": "ok"})
-    fields = [parameter, "k", "mean_combined", "cum_samples_total", "status"]
-    with open(out / f"sweep_{parameter}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"swept {parameter} over {len(grid)} points -> {out / f'sweep_{parameter}.csv'}")
+        rows += ([str(value), str(k), repr(err), str(total), "ok"] for k, (err, total) in
+                 enumerate(zip(res.mean_combined.tolist(), res.cum_samples.tolist())))
+    path = out / f"sweep_{parameter}.csv"
+    metrics.write_rows(path, [parameter, "k", "mean_combined", "cum_samples_total", "status"], rows)
+    print(f"swept {parameter} over {len(grid)} points -> {path}")
     return rows
 
 
@@ -422,10 +415,10 @@ def _grid_value(text):
         return text
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="dvssgt",
-                                     description="Distributed stochastic gradient "
-                                                 "tracking simulator")
+@functools.cache   # built once per process, on the first call
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="dvssgt", description="Distributed stochastic gradient tracking simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -435,7 +428,11 @@ def main(argv=None):
         if name == "sweep":
             sp.add_argument("--param", choices=SWEEP_KEYS)
             sp.add_argument("--grid", help="comma-separated grid values")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     # --param and --grid override the config's sweep section
     flags = {}
     if args.command == "sweep" and args.param:

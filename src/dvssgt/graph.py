@@ -115,8 +115,7 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
 def spectral_radius_deviation(A):
     """Spectral radius of A - 11^T/n for symmetric doubly stochastic A."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return spectral.spectral_radius_sym(A - np.full((n, n), 1.0 / n))
+    return spectral.spectral_radius_sym(A - 1.0 / len(A))
 
 
 def spectral_norm_A_minus_I(A):

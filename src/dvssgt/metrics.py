@@ -1,7 +1,6 @@
 """Error vectors, path aggregation, rate fitting, and cost accounting."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,18 @@ def _norm(v, axes):
     return np.sqrt(v.reshape(lead + (1, -1)) @ v.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
+def _agent_sum(v):
+    """v.sum(axis=-2) bit for bit: a (B, P, n, d) record block agent-major (one copy),
+    in the same order; not at d = 1, where numpy sums the contiguous agent axis pairwise."""
+    if v.ndim < 4 or v.shape[-1] == 1:
+        return v.sum(axis=-2)
+    return np.moveaxis(v, -2, 0).copy().sum(axis=0)
+
+
 def error_vector(st, p) -> ErrorVector:
     n = st.x.shape[-2]
-    xbar = st.x.sum(axis=-2) / n
-    ybar = st.y.sum(axis=-2) / n
+    xbar = _agent_sum(st.x) / n
+    ybar = _agent_sum(st.y) / n
     return ErrorVector(
         _norm(xbar - p.x_star, 1),
         _norm(st.x - xbar[..., None, :], 2),
@@ -78,7 +85,6 @@ class RunResult:
     mean_combined: np.ndarray  # (T+1,)
     cum_samples: np.ndarray    # (T+1,) network totals (identical across paths)
     cum_messages: np.ndarray
-    rate_fit: RateFit = None
 
 
 def mean_over_paths(stacked):
@@ -133,11 +139,15 @@ CSV_FIELDS = ["k", "mean_opt_err", "mean_cons_x", "mean_cons_y",
               "mean_combined", "cum_samples_total", "cum_messages_total"]
 
 
-def write_csv(result: RunResult, path):
+def write_rows(path, header, rows):
+    """A CSV file of text fields in one write: csv.writer's bytes, as no field
+    the program writes (an int, a float's repr, a word) needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        floats = (map(repr, col.tolist()) for col in (*result.mean_z.T, result.mean_combined))
-        writer.writerows(zip(range(len(result.mean_z)), *floats,
-                             result.cum_samples.tolist(), result.cum_messages.tolist()))
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
+def write_csv(result: RunResult, path):
+    floats = (map(repr, col.tolist()) for col in (*result.mean_z.T, result.mean_combined))
+    write_rows(path, CSV_FIELDS, zip(map(str, range(len(result.mean_z))), *floats, *(
+        map(str, col.tolist()) for col in (result.cum_samples, result.cum_messages))))
 

@@ -236,6 +236,53 @@ def test_compare_degenerate_budget(tmp_path):
         assert len(rows) == 1  # zero-iteration trace, clean exit
 
 
+def test_compare_under_target_eps_says_where_the_baselines_stop(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(algo, "TARGET_EPS_ITER_CAP", 30)
+    before = []   # (stdout, stderr) up to each run
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda *args: before.append(capsys.readouterr()) or run(*args))
+    path = small_cfg(tmp_path, **{**cli.load_config("fig3"), "paths": 2,
+                                  "stop": {"target_eps": 0.05}})
+    out = tmp_path / "cmp-eps"
+    assert cli.main(["compare", "--config", path, "--out", str(out)]) == 0
+    before.append(capsys.readouterr())
+    assert [err for _, err in before] == [
+        "note: d-sgt and d-sgd stop at target_eps_iter_cap (k = 30) when their "
+        "error floor lies above the target 0.05\n", "", "", ""]
+    lines = dict(line.split(": ", 1) for text, _ in before for line in text.splitlines())
+    for algorithm in ("d-sgt", "d-sgd"):
+        assert lines[algorithm].endswith("(target_eps_iter_cap)")
+        assert len(read_rows(out / f"compare_{algorithm}.csv")) == 31
+
+
+def test_compare_under_other_stops_prints_no_note(tmp_path, capsys):
+    path = small_cfg(tmp_path, paths=2, stop={"budget_samples": 300})
+    assert cli.main(["compare", "--preset", "fig3", "--config", path,
+                     "--out", str(tmp_path / "cmp")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
+    path = small_cfg(tmp_path)
+    assert cli.main(["run", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "b")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--preset", "fig1", "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli.main(["sweep", "--preset", "fig1", "--config", path, "--param", "ratio",
+                     "--grid", "0.9", "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dvssgt")
+    assert cli._parser() is cli._parser()
+
+
 def test_theory_report(tmp_path):
     path = small_cfg(tmp_path)
     out = tmp_path / "th"

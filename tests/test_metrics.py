@@ -160,3 +160,44 @@ def test_csv_round_trip(tmp_path):
         assert row["mean_combined"] == res.mean_combined[k]
         assert row["mean_opt_err"] == res.mean_z[k, 0]
         assert row["cum_samples_total"] == res.cum_samples[k]
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_agent_sum_equals_the_sum_over_the_agent_axis_bit_for_bit(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    for shape in [(32, 5, n, d), (3, 50, n, d), (1, 2, n, d), (5, n, d), (1, n, d)]:
+        for _ in range(20):
+            # magnitudes from 1e-12 to 1e12, so the order of the additions shows
+            v = rng.standard_normal(shape) * np.exp(rng.uniform(-28.0, 28.0, shape))
+            assert np.array_equal(metrics._agent_sum(v), v.sum(axis=-2))
+
+
+def test_error_vector_of_a_record_block_equals_its_states_one_by_one():
+    p = oracle.make_regression_problem(10, 5, np.zeros(5), seed=3)
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((2, 7, 3, 10, 5)) * np.exp(rng.uniform(-9, 9, (2, 7, 3, 10, 5)))
+    block = metrics.error_vector(state_of(x, y), p)
+    for b in range(7):
+        one = metrics.error_vector(state_of(x[b], y[b]), p)
+        for field in ("opt_err", "cons_x", "cons_y"):
+            assert np.array_equal(getattr(block, field)[b], getattr(one, field))
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0 / 3.0, 2.5e-7]
+    mean_z = np.array([specials[k:k + 3] for k in range(len(specials) - 2)])
+    rows = len(mean_z)
+    res = metrics.RunResult("x", [], mean_z, np.array(specials[2:]),
+                            np.array([2**62 - k for k in range(rows)], dtype=np.int64),
+                            np.arange(rows, dtype=np.int64) * 2**40)
+    path = tmp_path / "out.csv"
+    metrics.write_csv(res, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(metrics.CSV_FIELDS)
+        for k in range(rows):
+            writer.writerow([k, *map(repr, mean_z[k].tolist()), repr(float(res.mean_combined[k])),
+                             int(res.cum_samples[k]), int(res.cum_messages[k])])
+    assert path.read_bytes() == ref.read_bytes()
