@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,25 +195,42 @@ class StopRule:
             raise ValueError(f"max_iters must be an integer, got {self.value}")
 
 
-@dataclass
-class PathTrace:
-    """Per-iteration record of one sample path and why it stopped."""
+@dataclass(frozen=True)
+class Run:
+    """The sample paths of one run, each array with the path axis first, and
+    the run-level counts and stop reason, stored once: every path ends at the
+    same k for the same reason and draws the same samples."""
 
     algorithm: str
-    z: np.ndarray              # (T+1, 3) error vector per iteration
-    combined: np.ndarray       # (T+1,) 2-component stacked error
+    z: np.ndarray              # (P, T+1, 3) error vector per iteration
+    combined: np.ndarray       # (P, T+1) 2-component stacked error
+    sum_w_norms: np.ndarray    # (P, T+1) sum_i ||w_i(k)||
+    w_step: np.ndarray         # (P, T+1) ||w(k) - w(k-1)||_F, 0 at k = 0
+    x0: np.ndarray             # (P, n, d)
     cum_samples: np.ndarray    # (T+1,) network-total samples
     cum_messages: np.ndarray   # (T+1,) network-total neighbor messages
     per_agent_samples: np.ndarray
     per_agent_messages: np.ndarray
-    x0: np.ndarray
-    sum_w_norms: np.ndarray    # (T+1,) sum_i ||w_i(k)||
-    w_step: np.ndarray         # (T+1,) ||w(k) - w(k-1)||_F, 0 at k = 0
     stop_reason: str   # max_iters, budget_samples, target_eps(_iter_cap) or diverged
 
     @property
     def iterations(self):
-        return self.z.shape[0] - 1
+        return self.z.shape[1] - 1
+
+    @functools.cached_property
+    def mean_z(self):
+        return metrics.mean_over_paths(self.z)
+
+    @functools.cached_property
+    def mean_combined(self):
+        return metrics.mean_over_paths(self.combined)
+
+    def path(self, q):
+        """The one-path run of path q."""
+        one = slice(q, q + 1)
+        return replace(self, z=self.z[one], combined=self.combined[one],
+                       sum_w_norms=self.sum_w_norms[one], w_step=self.w_step[one],
+                       x0=self.x0[one])
 
 
 def default_x0(p: Problem, streams: StreamFactory, paths):
@@ -222,26 +239,30 @@ def default_x0(p: Problem, streams: StreamFactory, paths):
     return streams.generator(0, oracle.INIT_STREAM_AGENT).standard_normal((paths, p.n, p.d))
 
 
-def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, x0=None) -> PathTrace:
+def run_path(p, mix, g, algorithm, alpha, schedule, stop, seed, x0=None) -> Run:
     """Sample path 0: run_paths with P = 1."""
     return run_paths(p, mix, g, algorithm, alpha, schedule, stop, seed, 1,
-                     None if x0 is None else [x0])[0]
+                     None if x0 is None else [x0])
+
+
+def target_eps_iter_cap(paths):
+    """The last iteration a target_eps run may reach: its trace fits the dense limit."""
+    return min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // paths - 1)
 
 
 def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
               schedule: BatchSchedule, stop: StopRule, seed, paths=1,
-              x0=None) -> list:
+              x0=None) -> Run:
     """Execute sample paths 0..paths-1 of the chosen algorithm under a stop
-    rule as one stacked (P, n, d) state; returns their traces in order. Path
-    q's numbers do not depend on P, so under max_iters and budget_samples the
-    first q traces of a run are those of a q-path run.
+    rule as one stacked (P, n, d) state; returns them as one Run. Path q's
+    numbers do not depend on P, so under max_iters and budget_samples the
+    first q paths of a run are those of a q-path run.
 
     Every path ends at the same k, for the same reason: target_eps reads the
-    paths' mean combined error (metrics.mean_over_paths, as aggregate does)
-    and stops at the latest at min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS
-    // P - 1), so the trace fits the dense limit. On divergence the lowest
-    diverging path's partial trace is attached to the raised error as
-    `exc.trace`.
+    paths' mean combined error (metrics.mean_over_paths, as Run.mean_combined
+    does) and stops at the latest at target_eps_iter_cap(P). On divergence
+    the lowest diverging path's partial run is attached to the raised error
+    as `exc.trace`.
 
     The run goes a block of iterations at a time: the next ones whose cells'
     random numbers fit RECORD_BLOCK_BYTES (or MAX_DRAW_BLOCK_BYTES, where
@@ -265,8 +286,7 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
     # the last iteration the run may reach; a budget run's follows from its batches
     end = (int(stop.value) if stop.kind == "max_iters"
-           else min(TARGET_EPS_ITER_CAP, MAX_DENSE_ELEMENTS // paths - 1)
-           if stop.kind == "target_eps" else math.inf)
+           else target_eps_iter_cap(paths) if stop.kind == "target_eps" else math.inf)
     per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
     block_bytes = min(RECORD_BLOCK_BYTES, oracle.MAX_DRAW_BLOCK_BYTES)
     k, x, y, g_prev = st.k, st.x, st.y, st.g_prev
@@ -337,13 +357,12 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     del samples[k + 1:]   # the counts of the cells a stop inside a block did not apply
     flush()
 
-    table = np.concatenate(rows)
-    traces = [PathTrace(algorithm, table[:, q, :3], table[:, q, 3],
-                        np.array(samples, dtype=np.int64),
-                        np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
-                        np.full(p.n, samples[k] // p.n, dtype=np.int64), k * msg_per_iter, x0[q],
-                        table[:, q, 4], table[:, q, 5], reason) for q in range(paths)]
+    table = np.concatenate(rows).transpose(1, 0, 2)   # (P, T+1, 6)
+    run = Run(algorithm, table[..., :3], table[..., 3], table[..., 4], table[..., 5], x0,
+              np.array(samples, dtype=np.int64),
+              np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
+              np.full(p.n, samples[k] // p.n, dtype=np.int64), k * msg_per_iter, reason)
     if diverged:
-        diverged.trace = traces[diverged.slot]
+        diverged.trace = run.path(diverged.slot)
         raise diverged
-    return traces
+    return run

@@ -34,15 +34,16 @@ def _thin(pts):
     return [pts[i] for i in sorted({0, len(pts) - 1}.union(*extremes.values()))]
 
 
-def line_chart_svg(series, title="", xlabel="", ylabel="", log_y=True):
-    """series: list of (label, xs, ys). Returns the SVG document as a string.
-    A series of more than twice the plot's pixel width in points is thinned
-    to its first and last point and each pixel column's extremes."""
+def line_chart_svg(series, title="", xlabel="", ylabel=""):
+    """series: list of (label, xs, ys), drawn as log10(y) over its positive ys.
+    Returns the SVG document as a string. A series of more than twice the
+    plot's pixel width in points is thinned to its first and last point and
+    each pixel column's extremes."""
     pts = []
     for _label, xs, ys in series:
         for x, y in zip(xs, ys):
-            if not log_y or y > 0:
-                pts.append((float(x), math.log10(y) if log_y else float(y)))
+            if y > 0:
+                pts.append((float(x), math.log10(y)))
     if not pts:
         raise ValueError("nothing to plot")
     x_lo = min(p[0] for p in pts)
@@ -75,17 +76,15 @@ def line_chart_svg(series, title="", xlabel="", ylabel="", log_y=True):
                    f'font-size="11">{t:g}</text>')
     for t in _ticks(y_lo, y_hi):
         py = sy(t)
-        label = f"1e{t:g}" if log_y else f"{t:g}"
         out.append(f'<line x1="{MARGIN_L}" y1="{py:.1f}" x2="{WIDTH-MARGIN_R}" '
                    f'y2="{py:.1f}" stroke="#ddd"/>')
         out.append(f'<text x="{MARGIN_L-6}" y="{py+4:.1f}" text-anchor="end" '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">1e{t:g}</text>')
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#333"/>')
     for idx, (label, xs, ys) in enumerate(series):
         color = COLORS[idx % len(COLORS)]
-        pts = [(sx(float(x)), sy(math.log10(y) if log_y else float(y)))
-               for x, y in zip(xs, ys) if not log_y or y > 0]
+        pts = [(sx(float(x)), sy(math.log10(y))) for x, y in zip(xs, ys) if y > 0]
         if len(pts) > 2 * pw:
             pts = _thin(pts)
         coords = [f"{px:.2f},{py:.2f}" for px, py in pts]

@@ -49,6 +49,7 @@ NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_
 NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(NUMBER[1], v)))
 STRING = ("a string", lambda v: type(v) is str)
 POSITIVE = ("positive", lambda v: v > 0)
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 
@@ -64,14 +65,15 @@ SCHEMA = {
         "x_star": (("null or a list of numbers", lambda v: v is None or NUMBERS[1](v)),
                    None, None),    # null means ones/sqrt(d)
         "covariance_spec": (STRING, None, "diag-uniform[1,2]"),
-        "noise_sigmas": (("a number or a list of numbers",
-                          lambda v: NUMBER[1](v) or NUMBERS[1](v)), None, 1.0),
-        "seed": (INTEGER, None, 0),
+        "noise_sigmas": (("a number or a list of numbers",   # standard deviations
+                          lambda v: NUMBER[1](v) or NUMBERS[1](v)),
+                         (">= 0", lambda v: min(np.ravel(v), default=0) >= 0), 1.0),
+        "seed": (INTEGER, AT_LEAST_0, 0),
     },
     "graph": {
         "n": (INTEGER, AT_LEAST_2, OPTIONAL),
         "p": (NUMBER, ("in (0,1]", lambda v: 0.0 < v <= 1.0), OPTIONAL),
-        "seed": (INTEGER, None, 0),
+        "seed": (INTEGER, AT_LEAST_0, 0),
         "edge_list": (STRING, None, OPTIONAL),   # a file; replaces n, p and seed
     },
     "algorithm": (STRING, (f"one of {ALGORITHMS}", lambda v: v in ALGORITHMS), OPTIONAL),
@@ -85,7 +87,8 @@ SCHEMA = {
     },
     "baseline_batch": (INTEGER, AT_LEAST_1, 1),   # the D-SGT and D-SGD batch
     "paths": (INTEGER, AT_LEAST_1, REQUIRED),
-    "seed": (INTEGER, None, 0),                     # sampling seed of every path
+    # sampling seed of every path; oracle.stream_key keys with its low 64 bits
+    "seed": (INTEGER, ("in [0, 2**64)", lambda v: 0 <= v < 2**64), 0),
     "stop": {                                       # exactly one of the three
         "max_iters": (INTEGER, AT_LEAST_1, OPTIONAL),
         "budget_samples": (NUMBER, POSITIVE, OPTIONAL),
@@ -176,6 +179,9 @@ def resolve_config(cfg, command="run"):
     n, d, paths = out["problem"]["n"], out["problem"]["d"], out["paths"]
     if "n" in g and g["n"] != n:
         errors.append(f"graph.n ({g['n']}) must equal problem.n ({n})")
+    sigmas = out["problem"]["noise_sigmas"]
+    if type(sigmas) is list and len(sigmas) not in (1, n):
+        errors.append(f"problem.noise_sigmas needs 1 or problem.n = {n} values, got {len(sigmas)}")
     errors += [f"{name} must be <= {algo.DEFAULT_BATCH_CAP}, got {value}" for name, value in
                (("schedule.size", sched["size"]), ("schedule.cap", sched["cap"]),
                 ("baseline_batch", out["baseline_batch"])) if value > algo.DEFAULT_BATCH_CAP]
@@ -237,7 +243,7 @@ def build_instance(cfg):
 
 
 def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
-    """Run all sample paths of one algorithm and aggregate the traces."""
+    """All sample paths of one algorithm, as one algo.Run."""
     if problem is None:
         problem, g, mix = build_instance(cfg)
     algorithm = algorithm or cfg["algorithm"]
@@ -245,9 +251,8 @@ def run_experiment(cfg, problem=None, g=None, mix=None, algorithm=None):
     if algorithm != "dvss-sgt":
         schedule = algo.constant_schedule(cfg["baseline_batch"])
     [stop] = cfg["stop"].items()
-    traces = algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
-                            algo.StopRule(*stop), cfg["seed"], cfg["paths"])
-    return metrics.aggregate(traces)
+    return algo.run_paths(problem, mix, g, algorithm, cfg["alpha"], schedule,
+                          algo.StopRule(*stop), cfg["seed"], cfg["paths"])
 
 
 def _out_dir(cfg, out):
@@ -272,7 +277,7 @@ def cmd_run(cfg, out):
         [(result.algorithm, ks, result.mean_combined)], "Mean error vs iteration", "k"))
     fit = (metrics.fit_geometric_rate(result.mean_combined)
            if len(ks) > 3 and np.all(result.mean_combined > 0) else None)
-    print(f"{result.algorithm}: {len(ks)-1} iterations ({result.traces[0].stop_reason}), "
+    print(f"{result.algorithm}: {len(ks)-1} iterations ({result.stop_reason}), "
           f"final mean error {result.mean_combined[-1]:.4e}"
           + (f", fitted rate {fit.rate:.4f} (R^2 {fit.r_squared:.4f})" if fit else ""))
     return result
@@ -282,7 +287,7 @@ def cmd_compare(cfg, out):
     problem, g, mix = build_instance(cfg)
     out = _out_dir(cfg, out)
     if "target_eps" in cfg["stop"]:
-        cap = min(algo.TARGET_EPS_ITER_CAP, algo.MAX_DENSE_ELEMENTS // cfg["paths"] - 1)
+        cap = algo.target_eps_iter_cap(cfg["paths"])
         print(f"note: d-sgt and d-sgd stop at target_eps_iter_cap (k = {cap}) when their "
               f"error floor lies above the target {cfg['stop']['target_eps']}", file=sys.stderr)
     results = {}
@@ -290,7 +295,7 @@ def cmd_compare(cfg, out):
         res = results[algorithm] = run_experiment(cfg, problem, g, mix, algorithm)
         metrics.write_csv(res, out / f"compare_{algorithm}.csv")
         print(f"{algorithm}: final mean error {res.mean_combined[-1]:.4e} "
-              f"after {res.cum_samples[-1]} samples ({res.traces[0].stop_reason})")
+              f"after {res.cum_samples[-1]} samples ({res.stop_reason})")
     (out / "compare.svg").write_text(_svg(
         [(a, res.cum_samples, res.mean_combined) for a, res in results.items()],
         "Algorithm comparison", "cumulative sampled gradients"))
@@ -447,11 +452,11 @@ def main(argv=None):
         if not errors:
             COMMANDS[args.command](cfg, args.out)
     except algo.DivergenceError as exc:
-        # run_paths attaches the lowest diverged path's trace, k = 0 included
+        # run_paths attaches the lowest diverged path's one-path run, k = 0 included
         print(f"divergence: {exc}", file=sys.stderr)
         partial = Path(args.out) / "partial_trace.csv"
         partial.parent.mkdir(parents=True, exist_ok=True)
-        metrics.write_csv(metrics.aggregate([exc.trace]), partial)
+        metrics.write_csv(exc.trace, partial)
         print(f"partial trace flushed to {partial}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (OSError, ValueError) as exc:   # json.JSONDecodeError is a ValueError

@@ -81,7 +81,7 @@ class MixingMatrix:
     norm_A_minus_I: float
 
 
-def erdos_renyi(n, p, seed, retry_limit=CONNECT_RETRY_LIMIT):
+def erdos_renyi(n, p, seed):
     """Connected Erdos-Renyi graph; resamples the whole graph until connected."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got n={n}")
@@ -89,14 +89,14 @@ def erdos_renyi(n, p, seed, retry_limit=CONNECT_RETRY_LIMIT):
         raise ValueError(f"link probability must be in (0,1], got {p}")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    for _ in range(retry_limit):
+    for _ in range(CONNECT_RETRY_LIMIT):
         mask = rng.random(len(iu)) < p
         g = Graph.from_edges(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
         if g.is_connected():
             return g
     raise RuntimeError(
-        f"no connected graph after {retry_limit} attempts (n={n}, p={p}); "
-        "increase p or the retry limit"
+        f"no connected graph after {CONNECT_RETRY_LIMIT} attempts (n={n}, p={p}); "
+        "increase p"
     )
 
 

@@ -1,4 +1,4 @@
-"""Error vectors, path aggregation, rate fitting, and cost accounting."""
+"""Error vectors, means over paths, rate fitting, and cost accounting."""
 from __future__ import annotations
 
 import math
@@ -75,39 +75,13 @@ def fit_geometric_rate(trace, window=None) -> RateFit:
     return RateFit(float(np.exp(slope)), r2, (k0, k1))
 
 
-@dataclass
-class RunResult:
-    """Aggregate of independent sample paths of one run."""
-
-    algorithm: str
-    traces: list
-    mean_z: np.ndarray         # (T+1, 3)
-    mean_combined: np.ndarray  # (T+1,)
-    cum_samples: np.ndarray    # (T+1,) network totals (identical across paths)
-    cum_messages: np.ndarray
-
-
 def mean_over_paths(stacked):
     """Mean over axis 0 with exact (fsum) accumulation, so independent of the
-    path order bit-for-bit: the run's mean rows, and the error on which
+    path order bit-for-bit: an algo.Run's mean rows, and the error on which
     algo.run_paths decides a target_eps stop."""
     flat = stacked.reshape(stacked.shape[0], -1)
     sums = np.fromiter(map(math.fsum, flat.T.tolist()), dtype=float, count=flat.shape[1])
     return (sums / stacked.shape[0]).reshape(stacked.shape[1:])
-
-
-def aggregate(traces) -> RunResult:
-    """Average per-iteration errors across the equally long paths of one run."""
-    if not traces:
-        raise ValueError("no traces to aggregate")
-    return RunResult(
-        algorithm=traces[0].algorithm,
-        traces=list(traces),
-        mean_z=mean_over_paths(np.stack([tr.z for tr in traces])),
-        mean_combined=mean_over_paths(np.stack([tr.combined for tr in traces])),
-        cum_samples=traces[0].cum_samples,
-        cum_messages=traces[0].cum_messages,
-    )
 
 
 @dataclass(frozen=True)
@@ -116,16 +90,16 @@ class OracleCostTable:
     slope: float          # log(samples) vs log(1/eps) regression slope
 
 
-def oracle_vs_epsilon(result: RunResult, eps_grid) -> OracleCostTable:
+def oracle_vs_epsilon(run, eps_grid) -> OracleCostTable:
     """Samples needed before the averaged combined error first drops below eps."""
     eps_grid = np.asarray(eps_grid, dtype=float)
-    err = result.mean_combined
+    err = run.mean_combined
     samples = np.full(len(eps_grid), -1, dtype=np.int64)
     for j, eps in enumerate(eps_grid):
         hit = np.nonzero(err < eps)[0]
         if len(hit):
             k = int(hit[0])
-            samples[j] = 0 if k == 0 else int(result.cum_samples[k])
+            samples[j] = 0 if k == 0 else int(run.cum_samples[k])
     ok = samples > 0
     if np.count_nonzero(ok) >= 2:
         slope = float(np.polyfit(np.log(1.0 / eps_grid[ok]),
@@ -146,8 +120,9 @@ def write_rows(path, header, rows):
         fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
-def write_csv(result: RunResult, path):
-    floats = (map(repr, col.tolist()) for col in (*result.mean_z.T, result.mean_combined))
-    write_rows(path, CSV_FIELDS, zip(map(str, range(len(result.mean_z))), *floats, *(
-        map(str, col.tolist()) for col in (result.cum_samples, result.cum_messages))))
+def write_csv(run, path):
+    """The run's mean rows (an algo.Run), one per iteration."""
+    floats = (map(repr, col.tolist()) for col in (*run.mean_z.T, run.mean_combined))
+    write_rows(path, CSV_FIELDS, zip(map(str, range(len(run.mean_z))), *floats, *(
+        map(str, col.tolist()) for col in (run.cum_samples, run.cum_messages))))
 

@@ -190,12 +190,12 @@ def oracle_complexity(rb: RateBound, eps, schedule: BatchSchedule) -> OracleComp
     return OracleComplexity(K, exact, bound if math.isfinite(bound) else None)
 
 
-def check_error_recursion(trace, cm: ContractionMatrix):
-    """Worst violation per component, (3,), of z(k+1) <= J z(k) + b(k) along
-    a recorded path (-inf without a step), b(k) built from the trace's
-    sum_i ||w_i(k)|| and ||w(k+1) - w(k)||_F."""
-    z, sum_w = trace.z, trace.sum_w_norms[:-1]
+def check_error_recursion(run, cm: ContractionMatrix):
+    """Worst violation per component, (3,), of z(k+1) <= J z(k) + b(k) over
+    every step of every path of an algo.Run (-inf without a step), b(k) built
+    from the path's sum_i ||w_i(k)|| and ||w(k+1) - w(k)||_F."""
+    z, sum_w = run.z, run.sum_w_norms[:, :-1]
     alpha, lips, n = cm.alpha, cm.inputs["lips"], cm.inputs["n"]
     b = np.stack([alpha / n * sum_w, np.zeros_like(sum_w),
-                  trace.w_step[1:] + alpha * lips / math.sqrt(n) * sum_w], axis=-1)
-    return (z[1:] - (z[:-1] @ cm.J.T + b)).max(axis=0, initial=-np.inf)
+                  run.w_step[:, 1:] + alpha * lips / math.sqrt(n) * sum_w], axis=-1)
+    return (z[:, 1:] - (z[:, :-1] @ cm.J.T + b)).max(axis=(0, 1), initial=-np.inf)

@@ -30,7 +30,7 @@ def fig1_instance(fig1_cfg):
 
 @pytest.fixture(scope="session")
 def fig1_run(fig1_cfg, fig1_instance):
-    """(RunResult, wall seconds) for the fig1 preset."""
+    """(algo.Run, wall seconds) for the fig1 preset."""
     problem, g, mix = fig1_instance
     start = time.perf_counter()
     result = cli.run_experiment(fig1_cfg, problem=problem, g=g, mix=mix)

@@ -61,8 +61,8 @@ def test_criterion_4_recursion_checker(fig1_instance, fig1_run):
                                algo.StopRule("max_iters", 200), seed=2024)
     zero_violation = theory.check_error_recursion(zero_trace, cm).max()
     result, _elapsed = fig1_run
-    path_violation = max(theory.check_error_recursion(trace, cm).max()
-                         for trace in result.traces)
+    assert len(result.z) == 50
+    path_violation = theory.check_error_recursion(result, cm).max()   # over every path
     ok = zero_violation <= 1e-9 and path_violation <= 1e-9
     report(4, "per-step error recursion", ok,
            f"zero-noise max={zero_violation:.2e}, "
@@ -108,7 +108,7 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     K = theory.iteration_complexity(rb, eps)
     trace = algo.run_path(det, mix, g, "dvss-sgt", alpha, sched,
                           algo.StopRule("max_iters", K), seed=2024, x0=x0)
-    err_at_K = float(np.linalg.norm(trace.z[-1]))
+    err_at_K = float(np.linalg.norm(trace.z[0, -1]))
     ok = rho_ok and err_at_K <= eps
     report(7, "theory consistency", ok,
            f"rho(alpha*)={rho_star:.6f} vs oracle {oracle_rho:.6f}; "
@@ -125,9 +125,8 @@ def test_criterion_8_accounting(fig1_instance, fig1_run, long_invariant_run):
     result, _elapsed = fig1_run
     expect_220 = sum(oracles.exact_geometric_batch(98, 100, k)
                      for k in range(221))
-    trace = result.traces[0]
-    samples_ok = bool(np.all(trace.per_agent_samples == expect_220))
-    messages_ok = bool(np.array_equal(trace.per_agent_messages,
+    samples_ok = bool(np.all(result.per_agent_samples == expect_220))
+    messages_ok = bool(np.array_equal(result.per_agent_messages,
                                       2 * g.degrees() * 220))
     ok = counts_ok and samples_ok and messages_ok
     report(8, "oracle/communication accounting", ok,

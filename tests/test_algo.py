@@ -150,14 +150,15 @@ def test_dsgd_alpha_zero_run_is_pure_mixing_under_noise():
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
     mix = graph.metropolis_weights(g)
     x0 = np.arange(6, dtype=float).reshape(3, 2)
-    trace = algo.run_path(p, mix, g, "d-sgd", 0.0, algo.constant_schedule(1),
-                          algo.StopRule("max_iters", 8), seed=2, x0=x0)
+    run = algo.run_path(p, mix, g, "d-sgd", 0.0, algo.constant_schedule(1),
+                        algo.StopRule("max_iters", 8), seed=2, x0=x0)
     xbar = x0.mean(axis=0)
+    assert run.z.shape == (1, 9, 3)
     for k in range(9):
         xk = np.linalg.matrix_power(mix.A, k) @ x0
-        assert trace.z[k, 0] == pytest.approx(np.linalg.norm(xbar - p.x_star), rel=1e-12)
-        assert trace.z[k, 1] == pytest.approx(np.linalg.norm(xk - xbar), rel=1e-9)
-    assert np.all(trace.per_agent_samples == 8)
+        assert run.z[0, k, 0] == pytest.approx(np.linalg.norm(xbar - p.x_star), rel=1e-12)
+        assert run.z[0, k, 1] == pytest.approx(np.linalg.norm(xk - xbar), rel=1e-9)
+    assert np.all(run.per_agent_samples == 8)
 
 
 def test_dsgd_contracts_like_scalar_recursion():
@@ -197,8 +198,8 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
                                        noise_spec=1.0, seed=3)
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     mix = graph.metropolis_weights(g)
-    trace = algo.run_path(p, mix, g, "d-sgt", 0.05, algo.constant_schedule(2),
-                          algo.StopRule("max_iters", 25), seed=9)
+    run = algo.run_path(p, mix, g, "d-sgt", 0.05, algo.constant_schedule(2),
+                        algo.StopRule("max_iters", 25), seed=9)
     sched = algo.constant_schedule(2)
     streams = oracle.StreamFactory(9)
     st = algo.start(p, algo.default_x0(p, streams, 1)[0], sched, streams)
@@ -208,16 +209,16 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
             st = algo.step(st, mix, p, 0.05, sched, streams)
         ev = metrics.error_vector(st, p)
         z.append([ev.opt_err, ev.cons_x, ev.cons_y])
-    assert np.array_equal(trace.z, np.array(z))
-    assert np.array_equal(trace.per_agent_samples, st.oracle_count)
+    assert np.array_equal(run.z, np.array([z]))
+    assert np.array_equal(run.per_agent_samples, st.oracle_count)
 
 
 def test_dsgt_zero_noise_converges_to_optimum():
     p, g, mix = path3_instance()
     stop = algo.StopRule("max_iters", 2000)
-    trace = algo.run_path(p, mix, g, "d-sgt", 0.1, algo.constant_schedule(1),
-                          stop, seed=0)
-    assert trace.combined[-1] <= 1e-10
+    run = algo.run_path(p, mix, g, "d-sgt", 0.1, algo.constant_schedule(1), stop, seed=0)
+    assert run.combined.shape == (1, 2001)
+    assert run.combined[0, -1] <= 1e-10
 
 
 def test_tracking_identity_and_average_recursion_short_run():
@@ -241,11 +242,12 @@ def test_zero_noise_contraction_below_rho_plus_margin(fig1_instance,
                                                      zero_noise_trace):
     problem, _g, mix = fig1_instance
     alpha_star, _rho_star = fig1_alpha_star
-    trace, alpha = zero_noise_trace
+    run, alpha = zero_noise_trace
     cm = theory.build_J(alpha, problem.eta, problem.lips, mix.sigma_A,
                         problem.n, mix.norm_A_minus_I)
     rho = theory.spectral_radius_3x3(cm.J)
-    norms = np.linalg.norm(trace.z, axis=1)
+    [norms] = np.linalg.norm(run.z, axis=2)
+    assert len(norms) > 51
     ratios = norms[-50:] / norms[-51:-1]
     assert np.all(ratios <= rho + 0.05)
 
@@ -257,7 +259,7 @@ def test_divergence_guard_attaches_partial_trace(fig1_instance):
                       algo.geometric_schedule(0.98),
                       algo.StopRule("max_iters", 100), seed=1)
     assert err.value.trace.stop_reason == "diverged"
-    assert len(err.value.trace.combined) >= 1
+    assert err.value.trace.combined.shape == (1, err.value.k)   # states 0 .. k - 1
     # the guard also stops the untracked update
     with pytest.raises(algo.DivergenceError) as err:
         algo.run_path(problem, mix, g, "d-sgd", 10.0, algo.constant_schedule(1),
@@ -299,10 +301,11 @@ def test_budget_below_init_cost_gives_zero_iterations():
 
 def test_target_eps_stop():
     p, g, mix = path3_instance()
-    trace = algo.run_path(p, mix, g, "d-sgt", 0.1, algo.constant_schedule(1),
-                          algo.StopRule("target_eps", 1e-4), seed=0)
-    assert trace.combined[-1] <= 1e-4
-    assert np.all(trace.combined[:-1] > 1e-4)
+    run = algo.run_path(p, mix, g, "d-sgt", 0.1, algo.constant_schedule(1),
+                        algo.StopRule("target_eps", 1e-4), seed=0)
+    [combined] = run.combined
+    assert combined[-1] <= 1e-4
+    assert np.all(combined[:-1] > 1e-4)
 
 
 def test_run_path_determinism_and_explicit_x0():
@@ -313,17 +316,16 @@ def test_run_path_determinism_and_explicit_x0():
     sched = algo.geometric_schedule(0.98)
     a = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2)
     b = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2)
-    c = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2,
-                       x0=[tr.x0 for tr in a])
-    for ta, tb, tc in zip(a, b, c):
-        assert np.array_equal(ta.z, tb.z) and np.array_equal(ta.z, tc.z)
-    assert np.array_equal(a[0].z, algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop,
-                                                seed=3, x0=a[0].x0).z)
+    c = algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2, x0=a.x0)
+    assert a.z.shape == (2, 21, 3)
+    assert np.array_equal(a.z, b.z) and np.array_equal(a.z, c.z)
+    assert np.array_equal(a.z[:1], algo.run_path(p, mix, g, "dvss-sgt", 0.05, sched, stop,
+                                                 seed=3, x0=a.x0[0]).z)
     with pytest.raises(ValueError):
         algo.run_path(p, mix, g, "newton", 0.05, sched, stop, seed=3)
     with pytest.raises(ValueError):   # one x0 for two paths
         algo.run_paths(p, mix, g, "dvss-sgt", 0.05, sched, stop, seed=3, paths=2,
-                       x0=[a[0].x0])
+                       x0=a.x0[:1])
 
 
 def test_message_accounting_per_algorithm():
@@ -349,12 +351,12 @@ def test_stop_reason(monkeypatch, algorithm, stop, reason):
     if reason == "target_eps_iter_cap":
         monkeypatch.setattr(algo, "TARGET_EPS_ITER_CAP", 40)
     p, g, mix = path3_instance()
-    trace = algo.run_path(p, mix, g, algorithm, 0.1, algo.constant_schedule(1),
-                          algo.StopRule(*stop), seed=0)
-    assert trace.stop_reason == reason
+    run = algo.run_path(p, mix, g, algorithm, 0.1, algo.constant_schedule(1),
+                        algo.StopRule(*stop), seed=0)
+    assert run.stop_reason == reason
     if reason == "target_eps_iter_cap":
-        assert trace.iterations == 40
-        assert trace.combined[-1] > 1e-30
+        assert run.iterations == 40
+        assert run.combined[0, -1] > 1e-30
 
 
 def _count_streams(monkeypatch):
@@ -415,15 +417,15 @@ def test_a_run_keys_one_stream_for_x0_and_at_most_two_per_iteration(monkeypatch,
     # a cell of more than 2 paths at N(k) = 11 draws its paths in chunks
     monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", 2 * oracle.draw_bytes(p, 11))
     calls = _count_streams(monkeypatch)
-    [trace, *_] = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched,
-                                 algo.StopRule("max_iters", 30), seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched,
+                         algo.StopRule("max_iters", 30), seed=5, paths=paths)
     # Bartlett cells (k >= 23) key the chi-square slot too, whatever P is
     cross = oracle.bartlett_crossover(p.d)
     assert algo.batch_size(sched, 22) < cross == algo.batch_size(sched, 23)
     assert calls == [(5, oracle.INIT_STREAM_AGENT, 0)] + [
         (5, slot, k) for k in range(31)
         for slot in ((0, 1) if algo.batch_size(sched, k) >= cross else (0,))]
-    assert len(calls) <= 1 + 2 * (trace.iterations + 1)
+    assert len(calls) <= 1 + 2 * (run.iterations + 1)
 
 
 def test_the_iteration_field_cannot_reach_the_next_slot():
@@ -471,8 +473,8 @@ def test_rekeyed_stream_equals_a_fresh_philox():
         assert np.array_equal(rng.standard_normal((2, 5)), ref.standard_normal((2, 5)))
 
 
-def _assert_same_trace(a, b):
-    for f in dataclasses.fields(algo.PathTrace):
+def _assert_same_run(a, b):
+    for f in dataclasses.fields(algo.Run):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
@@ -480,18 +482,19 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     # w_step enters the recursion check's b(k): an inflated one loosens it
     p, g, mix = fig1_instance
     sched, paths, T = algo.geometric_schedule(0.98), 2, 6
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
-                            seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
+                         seed=5, paths=paths)
     streams = oracle.StreamFactory(5)
     st = algo.start(p, algo.default_x0(p, streams, paths), sched, streams)
     noise = [st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star)]
     for _ in range(T):
         st = algo.step(st, mix, p, 0.01, sched, streams)
         noise.append(st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star))
-    for q, trace in enumerate(traces):
+    assert run.w_step.shape == (paths, T + 1)
+    for q in range(paths):
         expect = [0.0] + [np.linalg.norm(w1[q] - w0[q]) for w0, w1 in zip(noise, noise[1:])]
         assert min(expect[1:]) > 0.0
-        np.testing.assert_allclose(trace.w_step, expect, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run.w_step[q], expect, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("algorithm,ratio,stop", [
@@ -503,39 +506,39 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
 ])
 def test_stacked_paths_equal_single_paths(fig1_instance, algorithm, ratio, stop):
     # path q draws the same numbers in every run of more than q paths, so the
-    # first q traces of a run are a q-path run's; path 0's is a single path's
+    # first q paths of a run are a q-path run's; path 0 is a single path's run
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(ratio), algo.StopRule(*stop)
     if stop.kind == "max_iters":
         assert algo.batch_size(sched, stop.value) >= oracle.bartlett_crossover(p.d)
     stacked = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=3)
-    assert len(stacked) == 3
+    assert len(stacked.z) == 3
     for q in (1, 2):
         prefix = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=q)
-        assert len(prefix) == q
-        for trace, ref in zip(stacked, prefix):
-            _assert_same_trace(trace, ref)
-    _assert_same_trace(stacked[0], algo.run_path(p, mix, g, algorithm, 0.01, sched, stop, seed=5))
-    assert not np.array_equal(stacked[0].z, stacked[1].z)
+        assert len(prefix.z) == q
+        for j in range(q):
+            _assert_same_run(stacked.path(j), prefix.path(j))
+    _assert_same_run(stacked.path(0), algo.run_path(p, mix, g, algorithm, 0.01, sched, stop,
+                                                    seed=5))
+    assert not np.array_equal(stacked.z[0], stacked.z[1])
 
 
 def test_target_eps_stops_every_path_at_one_k(fig1_instance):
     p, g, mix = fig1_instance
     stop = algo.StopRule("target_eps", 0.05)
     sched = algo.geometric_schedule(0.98)
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
-    k = traces[0].iterations
-    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(k, "target_eps")}
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
+    k = run.iterations
+    assert run.stop_reason == "target_eps" and run.combined.shape == (6, k + 1)
     # the run's mean decides: it meets the target first at k ...
-    mean = metrics.aggregate(traces).mean_combined
+    mean = run.mean_combined
     assert mean[k] <= 0.05 and np.all(mean[:k] > 0.05)
     # ... where one path met it long before and another has not met it yet
-    assert min(tr.combined[:k].min() for tr in traces) <= 0.05
-    assert max(tr.combined[k] for tr in traces) > 0.05
+    assert run.combined[:, :k].min() <= 0.05
+    assert run.combined[:, k].max() > 0.05
     fixed = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", k),
                            seed=2024, paths=6)
-    for tr, ref in zip(traces, fixed):
-        _assert_same_trace(tr, dataclasses.replace(ref, stop_reason="target_eps"))
+    _assert_same_run(run, dataclasses.replace(fixed, stop_reason="target_eps"))
 
 
 @pytest.mark.parametrize("offsets,winner", [
@@ -559,14 +562,56 @@ def test_divergence_raises_the_lowest_diverging_path(offsets, winner):
         algo.run_path(*args, seed=0, x0=x0[winner])
     assert err.value.k == ref.value.k and str(err.value) == str(ref.value)
     assert err.value.trace.stop_reason == "diverged"
-    _assert_same_trace(err.value.trace, ref.value.trace)
+    _assert_same_run(err.value.trace, ref.value.trace)
     if offsets[0]:   # path 0 alone would have run on past the run's end
         with pytest.raises(algo.DivergenceError) as later:
             algo.run_path(*args, seed=0, x0=x0[0])
         assert later.value.k > err.value.k
 
 
-def _hand_stepped_traces(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=None):
+def test_a_path_of_a_run_is_its_row_of_every_per_path_array(fig1_instance):
+    p, g, mix = fig1_instance
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
+                         algo.StopRule("max_iters", 20), seed=5, paths=3)
+    per_path = ("z", "combined", "sum_w_norms", "w_step", "x0")
+    # the per-path arrays are views of one table, not copies
+    assert run.z.base is not None
+    assert all(getattr(run, name).base is run.z.base for name in per_path[1:4])
+    for q in range(3):
+        one = run.path(q)
+        for f in dataclasses.fields(algo.Run):
+            got, full = getattr(one, f.name), getattr(run, f.name)
+            if f.name in per_path:
+                assert got.shape == (1,) + full.shape[1:] and np.array_equal(got[0], full[q])
+            else:   # the run-level facts, stored once
+                assert got is full, f.name
+        assert one.iterations == run.iterations == 20
+        assert np.array_equal(one.mean_z, run.z[q])
+        assert np.array_equal(one.mean_combined, run.combined[q])
+    assert np.array_equal(run.mean_combined, metrics.mean_over_paths(run.combined))
+    assert np.array_equal(run.mean_z, metrics.mean_over_paths(run.z))
+
+
+def test_paths_diverging_at_one_iteration_raise_the_lowest():
+    p, g, mix = path3_instance()
+    # path 0 sits at the fixed point; paths 1 and 2 start a hair apart and
+    # diverge at the same iteration with different errors
+    x0 = [np.tile(p.x_star + off, (p.n, 1)) for off in (0.0, 1.0, 1.0 + 1e-6)]
+    args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1),
+            algo.StopRule("max_iters", 400))
+    with pytest.raises(algo.DivergenceError) as err:
+        algo.run_paths(*args, seed=0, paths=3, x0=x0)
+    alone = []
+    for q in (1, 2):   # an exact oracle draws nothing, so x0 alone replays a path
+        with pytest.raises(algo.DivergenceError) as ref:
+            algo.run_path(*args, seed=0, x0=x0[q])
+        alone.append(ref.value)
+    assert alone[0].k == alone[1].k == err.value.k and err.value.slot == 1
+    _assert_same_run(err.value.trace, alone[0].trace)
+    assert not np.array_equal(err.value.trace.z, alone[1].trace.z)
+
+
+def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=None):
     """Paths 0..paths-1 stepped with algo.start/algo.step, their trace rows
     computed from each state as it is reached: the unblocked reference for
     run_paths."""
@@ -598,12 +643,11 @@ def _hand_stepped_traces(p, mix, g, algorithm, alpha, sched, stop, seed, paths, 
             except algo.DivergenceError:
                 reason = "diverged"
         break
-    rows, k = np.array(rows), st.k
+    rows, k = np.array(rows).transpose(1, 0, 2), st.k
     msg_per_iter = (2 if tracking else 1) * g.degrees()
-    return [algo.PathTrace(algorithm, rows[:, q, :3], rows[:, q, 3], np.array(samples),
-                           np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
-                           k * msg_per_iter, x0[q], rows[:, q, 4], rows[:, q, 5], reason)
-            for q in range(paths)]
+    return algo.Run(algorithm, rows[..., :3], rows[..., 3], rows[..., 4], rows[..., 5], x0,
+                    np.array(samples), np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
+                    k * msg_per_iter, reason)
 
 
 def _block_of(monkeypatch, states, p, paths):
@@ -628,14 +672,13 @@ def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algori
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
                         lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
-    traces = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
     assert max(len(st.x) for st in blocks) == 4
     if stop.kind == "max_iters":   # one error-vector pass per block
         assert len(blocks) == -(-(stop.value + 1) // 4)
-    refs = _hand_stepped_traces(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
-    for trace, ref in zip(traces, refs):
-        assert trace.stop_reason == stop.kind
-        _assert_same_trace(trace, ref)
+    assert run.stop_reason == stop.kind
+    _assert_same_run(run, _hand_stepped_run(p, mix, g, algorithm, 0.01, sched, stop,
+                                            seed=5, paths=paths))
 
 
 @pytest.mark.parametrize("record_bytes", [1, "1.5 states"])
@@ -649,12 +692,12 @@ def test_states_over_half_a_record_block_are_stacked_one_at_a_time(
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
                         lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
-                            stop, seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
+                         stop, seed=5, paths=paths)
     # one stacked error-vector pass per recorded state, never two states at once
     assert [len(st.x) for st in blocks] == [1] * (stop.value + 1)
-    _assert_same_trace(traces[1], _hand_stepped_traces(
-        p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, paths=2)[1])
+    _assert_same_run(run, _hand_stepped_run(
+        p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, paths=2))
 
 
 def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance):
@@ -673,24 +716,23 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     monkeypatch.setattr(metrics, "error_vector", spy)
     monkeypatch.setattr(metrics, "mean_over_paths",
                         lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
     monkeypatch.undo()
-    k = traces[0].iterations
-    assert {(tr.iterations, tr.stop_reason) for tr in traces} == {(271, "target_eps")}
+    k = run.iterations
+    assert (k, run.stop_reason) == (271, "target_eps")
     # each decision reads the newest state, bit for bit the run's mean row at its k
-    mean = metrics.aggregate(traces).mean_combined
+    mean = run.mean_combined
     decisions = [(kd, eps) for kd, stacked, *eps in calls if not stacked]
     assert [kd for kd, _ in decisions] == list(range(k + 1))
     for kd, [eps] in decisions:
         assert eps == mean[kd]
         # and carries its per-agent sample count
-        assert np.array_equal(counts[kd], np.full(p.n, traces[0].cum_samples[kd] // p.n))
+        assert np.array_equal(counts[kd], np.full(p.n, run.cum_samples[kd] // p.n))
     # rows wait for a full block or the end; a flush for each decision would make 272
     assert sum(stacked for _, stacked, *_ in calls) <= 20
-    refs = _hand_stepped_traces(p, mix, g, "dvss-sgt", 0.01, sched,
-                                algo.StopRule("max_iters", k), seed=2024, paths=6)
-    for trace, ref in zip(traces, refs):
-        _assert_same_trace(trace, dataclasses.replace(ref, stop_reason="target_eps"))
+    ref = _hand_stepped_run(p, mix, g, "dvss-sgt", 0.01, sched,
+                            algo.StopRule("max_iters", k), seed=2024, paths=6)
+    _assert_same_run(run, dataclasses.replace(ref, stop_reason="target_eps"))
 
 
 def test_target_eps_cap_keeps_the_trace_within_the_dense_limit(monkeypatch, fig1_instance):
@@ -698,11 +740,11 @@ def test_target_eps_cap_keeps_the_trace_within_the_dense_limit(monkeypatch, fig1
     limit = 600
     monkeypatch.setattr(algo, "MAX_DENSE_ELEMENTS", limit)
     for paths in (1, 4, 7):
-        traces = algo.run_paths(p, mix, g, "d-sgt", 0.01, algo.constant_schedule(1),
-                                algo.StopRule("target_eps", 1e-30), seed=3, paths=paths)
-        assert {(tr.iterations, tr.stop_reason) for tr in traces} == {
-            (limit // paths - 1, "target_eps_iter_cap")}
-        assert paths * (traces[0].iterations + 1) <= limit
+        run = algo.run_paths(p, mix, g, "d-sgt", 0.01, algo.constant_schedule(1),
+                             algo.StopRule("target_eps", 1e-30), seed=3, paths=paths)
+        assert (run.iterations, run.stop_reason) == (limit // paths - 1, "target_eps_iter_cap")
+        assert algo.target_eps_iter_cap(paths) == run.iterations
+        assert paths * (run.iterations + 1) <= limit
 
 
 def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
@@ -725,8 +767,8 @@ def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
     _block_of(monkeypatch, states, p, 2)
     exc = diverge()
     assert (exc.k, exc.slot, str(exc)) == (ref.k, ref.slot, str(ref))
-    _assert_same_trace(exc.trace, ref.trace)
-    _assert_same_trace(exc.trace, _hand_stepped_traces(*args, seed=0, paths=2, x0=x0)[1])
+    _assert_same_run(exc.trace, ref.trace)
+    _assert_same_run(exc.trace, _hand_stepped_run(*args, seed=0, paths=2, x0=x0).path(1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -753,14 +795,13 @@ def test_budget_run_stops_by_the_rule_that_bounds_its_trace(fig1_instance, algor
     p, g, mix = fig1_instance
     sched = algo.geometric_schedule(0.9) if algorithm == "dvss-sgt" else algo.constant_schedule(3)
     budget = 2345
-    traces = algo.run_paths(p, mix, g, algorithm, 0.01, sched,
-                            algo.StopRule("budget_samples", budget), seed=5, paths=2)
+    run = algo.run_paths(p, mix, g, algorithm, 0.01, sched,
+                         algo.StopRule("budget_samples", budget), seed=5, paths=2)
     lag = algorithm == "d-sgd"
-    for trace in traces:
-        last = trace.iterations
-        assert last > 5
-        assert p.n * algo.batch_total(sched, last - lag) <= budget
-        assert p.n * algo.batch_total(sched, last + 1 - lag) > budget
+    last = run.iterations
+    assert last > 5
+    assert p.n * algo.batch_total(sched, last - lag) <= budget
+    assert p.n * algo.batch_total(sched, last + 1 - lag) > budget
 
 
 # the largest direct draw at d = 3, and a Bartlett one
@@ -839,18 +880,17 @@ def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_
     _block_of(monkeypatch, states, p, paths)
     calls = []
     _draw_spy(monkeypatch, calls)
-    traces = algo.run_paths(p, mix, g, algorithm, 0.05, sched, stop, seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, algorithm, 0.05, sched, stop, seed=5, paths=paths)
     monkeypatch.undo()
     blocks = [[b for b, _paths in rows] for rows in calls]
     crossing = [b for b in blocks if min(b) < switch <= max(b) or b[0] == switch]
     assert len(crossing) == 1 and (crossing[0][0] == switch) == edge
-    k = traces[0].iterations
-    assert k > 30 and {tr.stop_reason for tr in traces} == {stop.kind}
-    refs = _hand_stepped_traces(p, mix, g, algorithm, 0.05, sched,
-                                algo.StopRule("max_iters", k) if stop.kind == "target_eps"
-                                else stop, seed=5, paths=paths)
-    for trace, ref in zip(traces, refs):
-        _assert_same_trace(trace, dataclasses.replace(ref, stop_reason=stop.kind))
+    k = run.iterations
+    assert k > 30 and run.stop_reason == stop.kind
+    ref = _hand_stepped_run(p, mix, g, algorithm, 0.05, sched,
+                            algo.StopRule("max_iters", k) if stop.kind == "target_eps"
+                            else stop, seed=5, paths=paths)
+    _assert_same_run(run, dataclasses.replace(ref, stop_reason=stop.kind))
 
 
 def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
@@ -892,9 +932,8 @@ def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
     monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
     calls = []
     _draw_spy(monkeypatch, calls)
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
-    for trace, expect in zip(traces, ref):
-        _assert_same_trace(trace, expect)
+    _assert_same_run(algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5,
+                                    paths=paths), ref)
     for rows in calls:
         size = sum(n_paths * oracle.draw_bytes(p, b) for b, n_paths in rows)
         assert size <= max(limit, max(oracle.draw_bytes(p, b) for b, _n in rows))

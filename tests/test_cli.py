@@ -108,6 +108,19 @@ def test_config_error_exit_code(tmp_path):
     ("alpha", 10**400, "alpha must be a number, got 1000"),
     ("paths", 3_000_000, "problem.n = 10 and problem.d = 5 need dense arrays of "
                          "max(n*n, n*d*d, paths*n*d) = 150000000 elements at paths = 3000000"),
+    # the sampling streams are keyed with the seed's low 64 bits, so a seed
+    # outside [0, 2**64) would alias one inside
+    ("seed", 2**64, f"seed must be in [0, 2**64), got {2**64}"),
+    ("seed", 2**70, f"seed must be in [0, 2**64), got {2**70}"),
+    ("seed", -1, "seed must be in [0, 2**64), got -1"),
+    ("problem.seed", -1, "problem.seed must be >= 0, got -1"),
+    ("graph.seed", -3, "graph.seed must be >= 0, got -3"),
+    ("problem.noise_sigmas", [1.0, 2.0],
+     "problem.noise_sigmas needs 1 or problem.n = 10 values, got 2"),
+    ("problem.noise_sigmas", [], "problem.noise_sigmas needs 1 or problem.n = 10 values, got 0"),
+    ("problem.noise_sigmas", -1.0, "problem.noise_sigmas must be >= 0, got -1.0"),
+    ("problem.noise_sigmas", [1.0] * 9 + [-0.5], "problem.noise_sigmas must be >= 0, got [1.0"),
+    ("problem.noise_sigmas", [-0.5], "problem.noise_sigmas must be >= 0, got [-0.5]"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, key, value, message):
     cfg = cli.load_config("fig1")
@@ -126,6 +139,16 @@ def test_config_value_errors_exit_2(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_seeds_and_noise_sigmas_at_their_bounds_resolve():
+    for key, value in [("seed", 0), ("seed", 2**64 - 1), ("problem.seed", 0),
+                       ("graph.seed", 0), ("problem.noise_sigmas", 0.0),
+                       ("problem.noise_sigmas", [0.0]), ("problem.noise_sigmas", [2.0] * 10)]:
+        cfg = cli.load_config("fig1")
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
+        assert cli.resolve_config(cfg)[1] == [], (key, value)
 
 
 @pytest.mark.parametrize("command,config,message", [

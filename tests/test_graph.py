@@ -30,9 +30,10 @@ def test_er_invalid_p():
         graph.erdos_renyi(5, 1.5, seed=0)
 
 
-def test_er_retry_limit_exceeded():
-    with pytest.raises(RuntimeError):
-        graph.erdos_renyi(30, 0.001, seed=0, retry_limit=5)
+def test_er_retry_limit_exceeded(monkeypatch):
+    monkeypatch.setattr(graph, "CONNECT_RETRY_LIMIT", 5)
+    with pytest.raises(RuntimeError, match="after 5 attempts"):
+        graph.erdos_renyi(30, 0.001, seed=0)
 
 
 def test_graph_validation():

@@ -1,5 +1,6 @@
 import csv
 import math
+import types
 
 import numpy as np
 import pytest
@@ -75,43 +76,40 @@ def test_fit_geometric_rate_rejects_nonpositive():
 
 def test_fit_rate_zero_noise_run_below_rho(zero_noise_trace, fig1_instance):
     problem, _g, mix = fig1_instance
-    trace, alpha = zero_noise_trace
+    run, alpha = zero_noise_trace
     cm = theory.build_J(alpha, problem.eta, problem.lips, mix.sigma_A,
                         problem.n, mix.norm_A_minus_I)
     rho = theory.spectral_radius_3x3(cm.J)
-    fit = metrics.fit_geometric_rate(trace.combined, window=(100, 400))
+    fit = metrics.fit_geometric_rate(run.combined[0], window=(100, 400))
     assert fit.rate <= rho + 0.05
 
 
-def test_aggregate_is_permutation_invariant():
+def test_mean_over_paths_is_permutation_invariant():
     p = oracle.make_regression_problem(3, 2, np.zeros(2), seed=4)
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
     mix = graph.metropolis_weights(g)
     sched = algo.geometric_schedule(0.98)
-    traces = algo.run_paths(p, mix, g, "dvss-sgt", 0.02, sched,
-                            algo.StopRule("max_iters", 30), seed=5, paths=3)
-    res = metrics.aggregate(traces)
-    assert len(res.mean_combined) == 31
-    shuffled = metrics.aggregate([traces[2], traces[0], traces[1]])
-    assert np.array_equal(res.mean_combined, shuffled.mean_combined)
-    assert np.array_equal(res.mean_z, shuffled.mean_z)
-    assert np.all(np.diff(res.cum_samples) > 0)
-    assert np.all(np.diff(res.cum_messages) > 0)
-    with pytest.raises(ValueError):
-        metrics.aggregate([])
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.02, sched,
+                         algo.StopRule("max_iters", 30), seed=5, paths=3)
+    assert len(run.mean_combined) == 31 and run.mean_z.shape == (31, 3)
+    order = [2, 0, 1]
+    assert np.array_equal(run.mean_combined, metrics.mean_over_paths(run.combined[order]))
+    assert np.array_equal(run.mean_z, metrics.mean_over_paths(run.z[order]))
+    assert np.all(np.diff(run.cum_samples) > 0)
+    assert np.all(np.diff(run.cum_messages) > 0)
 
 
 def test_optimality_row_contraction_pathwise(fig1_run, fig1_instance):
     # first row of the per-step recursion, checked with recorded noise
     problem, _g, mix = fig1_instance
-    result, _elapsed = fig1_run
+    run, _elapsed = fig1_run
     theta = 1.0 - 0.01 * problem.eta
     coef = 0.01 * problem.lips / math.sqrt(problem.n)
-    for trace in result.traces[:5]:
-        z = trace.z
+    for z, sum_w_norms in zip(run.z[:5], run.sum_w_norms[:5]):
+        assert z.shape == (221, 3)
         for k in range(z.shape[0] - 1):
             bound = (theta * z[k, 0] + coef * z[k, 1]
-                     + 0.01 / problem.n * trace.sum_w_norms[k])
+                     + 0.01 / problem.n * sum_w_norms[k])
             assert z[k + 1, 0] <= bound + 1e-9
 
 
@@ -119,10 +117,9 @@ def test_oracle_vs_epsilon_trivial_and_unreached():
     p = oracle.make_regression_problem(3, 2, np.zeros(2), seed=4)
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
     mix = graph.metropolis_weights(g)
-    trace = algo.run_path(oracle.deterministic(p), mix, g, "d-sgt", 0.1,
-                          algo.constant_schedule(1),
-                          algo.StopRule("max_iters", 200), seed=6)
-    res = metrics.aggregate([trace])
+    res = algo.run_path(oracle.deterministic(p), mix, g, "d-sgt", 0.1,
+                        algo.constant_schedule(1),
+                        algo.StopRule("max_iters", 200), seed=6)
     initial = res.mean_combined[0]
     table = metrics.oracle_vs_epsilon(res, [2.0 * initial, 1e-30])
     assert table.samples[0] == 0          # already below the loose target
@@ -133,10 +130,9 @@ def test_oracle_vs_epsilon_noiseless_far_below_quadratic():
     p = oracle.make_regression_problem(10, 5, np.ones(5) / np.sqrt(5.0), seed=7)
     g = graph.erdos_renyi(10, 0.3, seed=11)
     mix = graph.metropolis_weights(g)
-    trace = algo.run_path(oracle.deterministic(p), mix, g, "dvss-sgt", 0.01,
-                          algo.constant_schedule(1),
-                          algo.StopRule("target_eps", 5e-4), seed=8)
-    res = metrics.aggregate([trace])
+    res = algo.run_path(oracle.deterministic(p), mix, g, "dvss-sgt", 0.01,
+                        algo.constant_schedule(1),
+                        algo.StopRule("target_eps", 5e-4), seed=8)
     table = metrics.oracle_vs_epsilon(res, np.logspace(-1, -3, 8))
     assert np.all(table.samples > 0)
     assert table.slope < 1.0  # samples grow like K(eps), not 1/eps^2
@@ -146,10 +142,9 @@ def test_csv_round_trip(tmp_path):
     p = oracle.make_regression_problem(3, 2, np.zeros(2), seed=4)
     g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
     mix = graph.metropolis_weights(g)
-    trace = algo.run_path(p, mix, g, "dvss-sgt", 0.02,
-                          algo.geometric_schedule(0.98),
-                          algo.StopRule("max_iters", 25), seed=9)
-    res = metrics.aggregate([trace])
+    res = algo.run_path(p, mix, g, "dvss-sgt", 0.02,
+                        algo.geometric_schedule(0.98),
+                        algo.StopRule("max_iters", 25), seed=9)
     path = tmp_path / "run.csv"
     metrics.write_csv(res, path)
     with open(path, newline="") as fh:
@@ -188,9 +183,12 @@ def test_write_csv_bytes_equal_csv_writer(tmp_path):
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0 / 3.0, 2.5e-7]
     mean_z = np.array([specials[k:k + 3] for k in range(len(specials) - 2)])
     rows = len(mean_z)
-    res = metrics.RunResult("x", [], mean_z, np.array(specials[2:]),
-                            np.array([2**62 - k for k in range(rows)], dtype=np.int64),
-                            np.arange(rows, dtype=np.int64) * 2**40)
+    # the four columns write_csv reads of a run, set directly: a mean over
+    # paths would turn -0.0 into 0.0
+    res = types.SimpleNamespace(
+        mean_z=mean_z, mean_combined=np.array(specials[2:]),
+        cum_samples=np.array([2**62 - k for k in range(rows)], dtype=np.int64),
+        cum_messages=np.arange(rows, dtype=np.int64) * 2**40)
     path = tmp_path / "out.csv"
     metrics.write_csv(res, path)
     ref = tmp_path / "ref.csv"

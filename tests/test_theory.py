@@ -236,15 +236,17 @@ def test_check_error_recursion_zero_noise_run(zero_noise_trace, fig1_instance):
     assert theory.check_error_recursion(trace, cm).max() <= 1e-9
 
 
-def _per_step_worst(trace, cm):
-    """Componentwise max over k of z(k+1) - (J z(k) + b(k)), one k at a time."""
+def _per_step_worst(run, q, cm):
+    """Componentwise max over k of z(k+1) - (J z(k) + b(k)) on path q of a
+    run, one k at a time."""
     alpha, lips, n = cm.alpha, cm.inputs["lips"], cm.inputs["n"]
+    z, sum_w_norms, w_step = run.z[q], run.sum_w_norms[q], run.w_step[q]
     worst = np.full(3, -np.inf)
-    for k in range(trace.iterations):
-        sum_w = trace.sum_w_norms[k]
+    for k in range(run.iterations):
+        sum_w = sum_w_norms[k]
         b = np.array([alpha / n * sum_w, 0.0,
-                      trace.w_step[k + 1] + alpha * lips / math.sqrt(n) * sum_w])
-        worst = np.maximum(worst, trace.z[k + 1] - (cm.J @ trace.z[k] + b))
+                      w_step[k + 1] + alpha * lips / math.sqrt(n) * sum_w])
+        worst = np.maximum(worst, z[k + 1] - (cm.J @ z[k] + b))
     return worst
 
 
@@ -256,6 +258,22 @@ def test_check_error_recursion_equals_a_per_step_loop(fig1_instance, fig1_run):
     empty = algo.run_path(problem, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
                           algo.StopRule("budget_samples", 1), seed=2024)
     assert empty.iterations == 0
-    for trace in fig1_run[0].traces[:5] + [empty]:
-        np.testing.assert_allclose(theory.check_error_recursion(trace, cm),
-                                   _per_step_worst(trace, cm), rtol=0, atol=1e-12)
+    run = fig1_run[0]
+    for one in [run.path(q) for q in range(5)] + [empty]:
+        np.testing.assert_allclose(theory.check_error_recursion(one, cm),
+                                   _per_step_worst(one, 0, cm), rtol=0, atol=1e-12)
+    assert np.array_equal(theory.check_error_recursion(empty, cm), np.full(3, -np.inf))
+
+
+def test_check_error_recursion_of_a_run_is_the_worst_of_its_paths(fig1_instance, fig1_run):
+    problem, _g, mix = fig1_instance
+    cm = theory.build_J(0.01, problem.eta, problem.lips, mix.sigma_A,
+                        problem.n, mix.norm_A_minus_I)
+    run = fig1_run[0]
+    alone = np.array([theory.check_error_recursion(run.path(q), cm)
+                      for q in range(len(run.z))])
+    assert len(alone) == 50
+    worst = theory.check_error_recursion(run, cm)
+    assert np.array_equal(worst, alone.max(axis=0))
+    # the worst component of each comes from a different path than another's
+    assert worst.shape == (3,) and len(set(alone.argmax(axis=0))) > 1
