@@ -265,12 +265,11 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     as `exc.trace`.
 
     The run goes a block of iterations at a time: the next ones whose cells'
-    random numbers fit RECORD_BLOCK_BYTES (or MAX_DRAW_BLOCK_BYTES, where
-    smaller; at least one, at most as many as the recorded states a block
-    holds) and, under budget_samples, that the budget pays for, drawn at
-    once (oracle.draw_cells). An iteration whose cells alone exceed
-    MAX_DRAW_BLOCK_BYTES draws its paths in chunks as it applies them. The
-    trace rows are computed once per block of recorded states.
+    random numbers fit RECORD_BLOCK_BYTES (at least one, at most as many as
+    the recorded states a block holds) and, under budget_samples, that the
+    budget pays for, drawn by oracle.draw_cells and applied by
+    oracle.apply_cell. The trace rows are computed once per block of
+    recorded states.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -288,13 +287,10 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     end = (int(stop.value) if stop.kind == "max_iters"
            else target_eps_iter_cap(paths) if stop.kind == "target_eps" else math.inf)
     per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
-    block_bytes = min(RECORD_BLOCK_BYTES, oracle.MAX_DRAW_BLOCK_BYTES)
     k, x, y, g_prev = st.k, st.x, st.y, st.g_prev
     rows, samples, pending = [], [int(st.oracle_count.sum())], [(x, y, g_prev)]
     w_prev = None   # the noise w = g - grad f at the last flushed record
-
-    def state(k, x, y, g_prev):   # with its per-agent count, from the run's total
-        return NetworkState(k, x, y, g_prev, np.full(p.n, samples[k] // p.n, dtype=np.int64))
+    gradient = functools.partial(oracle.apply_cell, p)
 
     def flush():
         """Trace rows of the pending states, the last at iteration k, from one
@@ -304,31 +300,31 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         w = g_prev - oracle.exact_gradients(p, x)
         dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
         w_prev = w[-1]
-        ev = metrics.error_vector(state(k, x, y, g_prev), p)
+        ev = metrics.error_vector(x, y, p)
         rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
                               np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
         pending.clear()
 
-    def target_met(st):
-        eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(st, p)))
+    def target_met(x, y):
+        eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(x, y, p)))
         return eps <= stop.value
 
-    reason = "target_eps" if stop.kind == "target_eps" and target_met(st) else ""
+    reason = "target_eps" if stop.kind == "target_eps" and target_met(x, y) else ""
     diverged = None
     while not reason:
         if k >= end:
             reason = "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap"
             break
         # the block: the next cells (at x(k + 1) with tracking, else at x(k))
-        # that the budget pays for and whose random numbers fit the block
-        # bytes, the first one always
+        # that the budget pays for and whose random numbers fit
+        # RECORD_BLOCK_BYTES, the first one always
         ks, batches, size = [], [], 0
         for c in range(k + tracking, k + tracking + min(per_block, end - k)):
             b = batch_size(schedule, c)
             size += paths * oracle.draw_bytes(p, b)
             count = samples[-1] + p.n * b
-            if count > budget or ks and size > block_bytes:
+            if count > budget or ks and size > RECORD_BLOCK_BYTES:
                 break
             ks.append(c)
             batches.append(b)
@@ -336,20 +332,14 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         if not ks:
             reason = "budget_samples"
             break
-        if paths * oracle.draw_bytes(p, batches[0]) <= oracle.MAX_DRAW_BLOCK_BYTES:
-            cells = oracle.draw_cells(p, paths, batches, ks, streams)
-            gradient = functools.partial(oracle.apply_cell, p)
-        else:   # one iteration's cells alone exceed the bound: its paths in chunks
-            cells = [None]
-            gradient = lambda at, _: oracle.sample_gradients(p, at, batches[0], streams, ks[0])
         try:
-            for cell in cells:
+            for cell in oracle.draw_cells(p, paths, batches, ks, streams):
                 x, y, g_prev = _advance(x, y, g_prev, mix.A, alpha, tracking, k + 1, gradient, cell)
                 if len(pending) == per_block:
                     flush()
                 k += 1
                 pending.append((x, y, g_prev))
-                if stop.kind == "target_eps" and target_met(state(k, x, y, g_prev)):
+                if stop.kind == "target_eps" and target_met(x, y):
                     reason = "target_eps"
                     break
         except DivergenceError as exc:

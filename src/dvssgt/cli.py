@@ -269,9 +269,10 @@ def _svg(series, title, xlabel):
 
 
 def cmd_run(cfg, out):
-    result = run_experiment(cfg)
-    ks = np.arange(len(result.mean_combined))
+    problem, g, mix = build_instance(cfg)
     out = _out_dir(cfg, out)
+    result = run_experiment(cfg, problem, g, mix)
+    ks = np.arange(len(result.mean_combined))
     metrics.write_csv(result, out / f"run_{result.algorithm}.csv")
     (out / f"run_{result.algorithm}.svg").write_text(_svg(
         [(result.algorithm, ks, result.mean_combined)], "Mean error vs iteration", "k"))
@@ -324,7 +325,8 @@ def theory_report(cfg):
     sched = algo.BatchSchedule(**cfg["schedule"])
     streams = oracle.StreamFactory(cfg["seed"])
     x0s = algo.default_x0(problem, streams, cfg["paths"])
-    ev = metrics.error_vector(algo.start(problem, x0s, sched, streams), problem)
+    st = algo.start(problem, x0s, sched, streams)
+    ev = metrics.error_vector(st.x, st.y, problem)
     z0 = np.stack([ev.opt_err, ev.cons_x, ev.cons_y], axis=-1)   # one row per path
     z0_norm = float(np.linalg.norm(np.mean(z0, axis=0)))
     emp_nu = oracle.noise_level(problem, x0s[0])

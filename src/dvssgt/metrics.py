@@ -33,14 +33,15 @@ def _agent_sum(v):
     return np.moveaxis(v, -2, 0).copy().sum(axis=0)
 
 
-def error_vector(st, p) -> ErrorVector:
-    n = st.x.shape[-2]
-    xbar = _agent_sum(st.x) / n
-    ybar = _agent_sum(st.y) / n
+def error_vector(x, y, p) -> ErrorVector:
+    """Of iterates x and trackers y, (n, d) for one path or stacked (..., n, d)."""
+    n = x.shape[-2]
+    xbar = _agent_sum(x) / n
+    ybar = _agent_sum(y) / n
     return ErrorVector(
         _norm(xbar - p.x_star, 1),
-        _norm(st.x - xbar[..., None, :], 2),
-        _norm(st.y - ybar[..., None, :], 2),
+        _norm(x - xbar[..., None, :], 2),
+        _norm(y - ybar[..., None, :], 2),
     )
 
 
@@ -53,26 +54,23 @@ def combined_error(ev: ErrorVector):
 class RateFit:
     rate: float
     r_squared: float
-    window: tuple
 
 
-def fit_geometric_rate(trace, window=None) -> RateFit:
-    """Least-squares slope of ln(error) vs k over the window; returns e^slope."""
+def fit_geometric_rate(trace) -> RateFit:
+    """Least-squares slope of ln(error) vs k past the first TRANSIENT_FRACTION
+    of the trace; returns e^slope."""
     trace = np.asarray(trace, dtype=float)
-    if window is None:
-        start = int(len(trace) * TRANSIENT_FRACTION)
-        window = (start, len(trace))
-    k0, k1 = window
-    seg = trace[k0:k1]
+    k0 = int(len(trace) * TRANSIENT_FRACTION)
+    seg = trace[k0:]
     if np.any(seg <= 0.0):
         raise ValueError("trace must be positive over the fit window")
-    ks = np.arange(k0, k1, dtype=float)
+    ks = np.arange(k0, len(trace), dtype=float)
     logs = np.log(seg)
     slope, intercept = np.polyfit(ks, logs, 1)
     resid = logs - (slope * ks + intercept)
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateFit(float(np.exp(slope)), r2, (k0, k1))
+    return RateFit(float(np.exp(slope)), r2)
 
 
 def mean_over_paths(stacked):

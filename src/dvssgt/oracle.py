@@ -30,8 +30,9 @@ _KEY_MASK = (1 << 64) - 1
 # smallest batch the Bartlett draw takes at any d; see bartlett_crossover
 BARTLETT_FLOOR = 12
 
-# bytes of random numbers per chunk of stacked paths (or one path's, if more):
-# 6,355 paths of the largest direct draw, N = 11, at n = 10 and d = 5
+# bytes of random numbers a block of cells draws ahead; a larger block is drawn
+# as it is applied, in chunks of stacked paths of at most these bytes (or one
+# path's, if more): 6,355 paths of the largest direct draw, N = 11, at n = 10, d = 5
 MAX_DRAW_BLOCK_BYTES = 32 << 20
 
 
@@ -168,7 +169,8 @@ class Cell(NamedTuple):
     """The state-independent part of P stacked paths' sampled gradients at
     one iteration, which apply_cell turns into gradients at any point: below
     bartlett_crossover(d) M = U' (P, n, d, batch), the transposed regressors,
-    and s = sigma xi; from it Bartlett's M = L B (P, n, d, d) and s = sigma nu."""
+    and s = sigma xi; from it Bartlett's M = L B (P, n, d, d) and s = sigma nu.
+    An undrawn cell has M None and s (k, streams), its iteration and streams."""
 
     batch: int
     M: np.ndarray
@@ -176,20 +178,22 @@ class Cell(NamedTuple):
 
 
 def draw_bytes(p: Problem, batch):
-    """Bytes of random numbers in one path's cell at `batch` (see _drawer);
-    none for an exact oracle."""
+    """Bytes of random numbers in one path's cell at `batch`, the arrays
+    _drawer draws, elementwise for an array of batches (draw_cells sizes a
+    block by their sum); none for an exact oracle."""
     if p.exact_oracle:
         return 0
     bartlett = batch >= bartlett_crossover(p.d)
-    return 8 * p.n * (p.d * (p.d + 2) if bartlett else batch * (p.d + 1))
+    return 8 * p.n * (bartlett * p.d * (p.d + 2) + (1 - bartlett) * batch * (p.d + 1))
 
 
 def _drawer(p: Problem, batch, k, streams: StreamFactory):
-    """draw(P): the next P paths' numbers of the cell at iteration k. Below
-    bartlett_crossover(d), (P, n, batch, d + 1) normals: d regressor normals
-    and a noise per sample. From it, Bartlett's (P, n, d, d + 1) normals and,
-    from slot 1, (P, n, d) chi-squares with batch - d + 1 degrees of freedom
-    (see apply_cell). Chunks continue the same generators."""
+    """draw(P): the next P paths' numbers of the cell at iteration k, from its
+    streams keyed now. Below bartlett_crossover(d), (P, n, batch, d + 1)
+    normals: d regressor normals and a noise per sample. From it, Bartlett's
+    (P, n, d, d + 1) normals and, from slot 1, (P, n, d) chi-squares with
+    batch - d + 1 degrees of freedom (see apply_cell). Calls continue the same
+    generators."""
     n, d, rng = p.n, p.d, streams.generator(k)
     if batch < bartlett_crossover(d):
         return lambda P: (rng.standard_normal((P, n, batch, d + 1)), None)
@@ -200,10 +204,14 @@ def _drawer(p: Problem, batch, k, streams: StreamFactory):
 def draw_cells(p: Problem, paths, batches, ks, streams: StreamFactory):
     """One Cell of `paths` stacked paths per row of a block: row j has batch
     batches[j] and draws from the streams of iteration ks[j], one generator
-    call per slot. Rows of one draw shape are stacked for the arithmetic. An
-    exact oracle draws nothing: None per row."""
+    call per slot. Rows of one draw shape are stacked for the arithmetic. A
+    block whose random numbers exceed MAX_DRAW_BLOCK_BYTES comes back undrawn,
+    for apply_cell to draw as it applies each row. An exact oracle draws
+    nothing: None per row."""
     if p.exact_oracle:
         return [None] * len(batches)
+    if paths * draw_bytes(p, np.array(batches)).sum() > MAX_DRAW_BLOCK_BYTES:
+        return [Cell(b, None, (k, streams)) for b, k in zip(batches, ks)]
     return _cells(p, batches, [_drawer(p, b, k, streams)(paths) for b, k in zip(batches, ks)])
 
 
@@ -237,7 +245,9 @@ def _cells(p: Problem, batches, raw):
 def apply_cell(p: Problem, X, cell):
     """Mini-batch averaged sampled gradients at the rows of X, a float
     (P, n, d) array taken as it is, from the cell drawn for them; exact
-    gradients for an exact oracle's None.
+    gradients for an exact oracle's None. An undrawn cell's paths are drawn
+    and applied in chunks whose random numbers fill at most max(one path's,
+    MAX_DRAW_BLOCK_BYTES) bytes.
 
     A sampled gradient at x is u (u'e - sigma xi) with e = x - x_star, so below
     the crossover agent i's average is M (M'e_i - s_i)/batch with M = U_i' and
@@ -249,33 +259,31 @@ def apply_cell(p: Problem, X, cell):
     lower triangle, nu its last column, and the d - 1 - j normals right of Z's
     diagonal in row j, squared, raise row j's chi-square to chi^2_{batch-j}. So
     the average is again M (M'e_i - s_i)/batch, with M = L B."""
-    E = X - p.x_star
     if cell is None:
-        return _per_agent(E, p.R.swapaxes(-1, -2))
+        return _per_agent(X - p.x_star, p.R.swapaxes(-1, -2))
     batch, M, s = cell
-    r = (M.swapaxes(-1, -2) @ E[..., None])[..., 0] - s
+    if M is None:
+        draw = _drawer(p, batch, *s)
+        chunk = max(1, MAX_DRAW_BLOCK_BYTES // draw_bytes(p, batch))
+        out = np.empty_like(X)
+        for lo in range(0, len(X), chunk):
+            x = X[lo:lo + chunk]
+            out[lo:lo + chunk] = apply_cell(p, x, _cells(p, [batch], [draw(len(x))])[0])
+        return out
+    r = (M.swapaxes(-1, -2) @ (X - p.x_star)[..., None])[..., 0] - s
     return (M @ r[..., None])[..., 0] / batch
 
 
 def sample_gradients(p: Problem, X, batch, streams: StreamFactory, k):
     """Mini-batch averaged sampled gradients of all n agents at the rows of X,
     (n, d) for path 0 or (P, n, d) for paths 0..P-1: the cell of iteration k
-    drawn and applied. Paths are drawn and applied in chunks whose random
-    numbers fill at most max(one path's, MAX_DRAW_BLOCK_BYTES) bytes. An
-    exact oracle draws nothing."""
+    drawn (draw_cells) and applied (apply_cell)."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if p.exact_oracle:
-        return exact_gradients(p, X)
     X = _checked(p, X)
-    draw = _drawer(p, batch, k, streams)
     stacked = X.reshape(-1, p.n, p.d)
-    chunk = max(1, MAX_DRAW_BLOCK_BYTES // draw_bytes(p, batch))
-    out = np.empty_like(stacked)
-    for lo in range(0, len(stacked), chunk):
-        x = stacked[lo:lo + chunk]
-        out[lo:lo + chunk] = apply_cell(p, x, _cells(p, [batch], [draw(len(x))])[0])
-    return out.reshape(X.shape)
+    [cell] = draw_cells(p, len(stacked), [batch], [k], streams)
+    return apply_cell(p, stacked, cell).reshape(X.shape)
 
 
 def noise_level(p: Problem, x0):

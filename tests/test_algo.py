@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import oracles
-from dvssgt import algo, graph, metrics, oracle, theory
+from dvssgt import algo, cli, graph, metrics, oracle, theory
 
 
 def scalar_problem(noise_spec=0.0):
@@ -207,7 +208,7 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
     for k in range(26):
         if k:
             st = algo.step(st, mix, p, 0.05, sched, streams)
-        ev = metrics.error_vector(st, p)
+        ev = metrics.error_vector(st.x, st.y, p)
         z.append([ev.opt_err, ev.cons_x, ev.cons_y])
     assert np.array_equal(run.z, np.array([z]))
     assert np.array_equal(run.per_agent_samples, st.oracle_count)
@@ -413,12 +414,15 @@ def test_one_stream_per_slot_and_iteration(monkeypatch):
 def test_a_run_keys_one_stream_for_x0_and_at_most_two_per_iteration(monkeypatch, fig1_instance,
                                                                    paths):
     p, g, mix = fig1_instance
-    sched = algo.geometric_schedule(0.9)
-    # a cell of more than 2 paths at N(k) = 11 draws its paths in chunks
+    sched, stop = algo.geometric_schedule(0.9), algo.StopRule("max_iters", 30)
+    ref = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
+    # a block over the bytes of two one-path cells at N(k) = 11 is drawn as it
+    # is applied, each cell's streams keyed then, and a cell of more than 2
+    # paths at N(k) = 11 in chunks; the run is the same
     monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", 2 * oracle.draw_bytes(p, 11))
     calls = _count_streams(monkeypatch)
-    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched,
-                         algo.StopRule("max_iters", 30), seed=5, paths=paths)
+    run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
+    _assert_same_run(run, ref)
     # Bartlett cells (k >= 23) key the chi-square slot too, whatever P is
     cross = oracle.bartlett_crossover(p.d)
     assert algo.batch_size(sched, 22) < cross == algo.batch_size(sched, 23)
@@ -624,7 +628,7 @@ def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=
         w = st.g_prev - oracle.exact_gradients(p, st.x)
         dw = np.zeros_like(w) if w_prev is None else w - w_prev
         w_prev = w
-        ev = metrics.error_vector(st, p)
+        ev = metrics.error_vector(st.x, st.y, p)
         rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
                               np.sqrt((w * w).sum(-1)).sum(-1),
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
@@ -671,9 +675,9 @@ def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algori
     _block_of(monkeypatch, 4, p, paths)
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
-                        lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
+                        lambda x, y, p, real=metrics.error_vector: blocks.append(x) or real(x, y, p))
     run = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
-    assert max(len(st.x) for st in blocks) == 4
+    assert max(len(x) for x in blocks) == 4
     if stop.kind == "max_iters":   # one error-vector pass per block
         assert len(blocks) == -(-(stop.value + 1) // 4)
     assert run.stop_reason == stop.kind
@@ -691,11 +695,11 @@ def test_states_over_half_a_record_block_are_stacked_one_at_a_time(
     monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", record_bytes)
     blocks = []
     monkeypatch.setattr(metrics, "error_vector",
-                        lambda st, p, real=metrics.error_vector: blocks.append(st) or real(st, p))
+                        lambda x, y, p, real=metrics.error_vector: blocks.append(x) or real(x, y, p))
     run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
                          stop, seed=5, paths=paths)
     # one stacked error-vector pass per recorded state, never two states at once
-    assert [len(st.x) for st in blocks] == [1] * (stop.value + 1)
+    assert [len(x) for x in blocks] == [1] * (stop.value + 1)
     _assert_same_run(run, _hand_stepped_run(
         p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98), stop, seed=5, paths=2))
 
@@ -704,15 +708,12 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
     _block_of(monkeypatch, 16, p, 6)
-    calls = []   # [k, a flush's stacked block?, the mean combined error a decision read]
-    counts = {}   # the oracle_count of each state a decision read, by k
+    calls = []   # [a flush's stacked block?, the mean combined error a decision read]
     error_vector, mean_over_paths = metrics.error_vector, metrics.mean_over_paths
 
-    def spy(st, p):
-        calls.append([st.k, st.x.ndim == 4])
-        if st.x.ndim == 3:
-            counts[st.k] = st.oracle_count
-        return error_vector(st, p)
+    def spy(x, y, p):
+        calls.append([x.ndim == 4])
+        return error_vector(x, y, p)
     monkeypatch.setattr(metrics, "error_vector", spy)
     monkeypatch.setattr(metrics, "mean_over_paths",
                         lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
@@ -720,16 +721,11 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     monkeypatch.undo()
     k = run.iterations
     assert (k, run.stop_reason) == (271, "target_eps")
-    # each decision reads the newest state, bit for bit the run's mean row at its k
-    mean = run.mean_combined
-    decisions = [(kd, eps) for kd, stacked, *eps in calls if not stacked]
-    assert [kd for kd, _ in decisions] == list(range(k + 1))
-    for kd, [eps] in decisions:
-        assert eps == mean[kd]
-        # and carries its per-agent sample count
-        assert np.array_equal(counts[kd], np.full(p.n, run.cum_samples[kd] // p.n))
+    # one decision per state, each bit for bit the run's mean row at its k
+    decisions = [eps for stacked, *eps in calls if not stacked]
+    assert decisions == [[eps] for eps in run.mean_combined]
     # rows wait for a full block or the end; a flush for each decision would make 272
-    assert sum(stacked for _, stacked, *_ in calls) <= 20
+    assert sum(stacked for stacked, *_ in calls) <= 20
     ref = _hand_stepped_run(p, mix, g, "dvss-sgt", 0.01, sched,
                             algo.StopRule("max_iters", k), seed=2024, paths=6)
     _assert_same_run(run, dataclasses.replace(ref, stop_reason="target_eps"))
@@ -833,14 +829,49 @@ def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
 
 
 def _draw_spy(monkeypatch, calls):
-    """Record the rows of each stacked draw (a draw_cells call, or a chunk of
-    sample_gradients) as a list of (batch, paths drawn)."""
+    """Record the rows of each stacked draw (a block drawn ahead by
+    draw_cells, or a chunk of an undrawn cell that apply_cell draws) as a
+    list of (batch, paths drawn)."""
     real = oracle._cells
 
     def spy(p, batches, raw):
         calls.append([[b, len(r[0] if isinstance(r, tuple) else r)] for b, r in zip(batches, raw)])
         return real(p, batches, raw)
     monkeypatch.setattr(oracle, "_cells", spy)
+
+
+# one path's cell at N = 250 and d = 200 (direct, below the crossover of 266)
+# holds 804,000 bytes, so 50 paths' (40.2 MB) exceed MAX_DRAW_BLOCK_BYTES (32 MiB)
+OVERSIZED = {"problem": {"n": 2, "d": 200, "noise_sigmas": 1.0, "seed": 3},
+             "graph": {"n": 2, "p": 1.0, "seed": 1}, "algorithm": "dvss-sgt", "alpha": 0.01,
+             "schedule": {"kind": "constant", "size": 250}, "paths": 50, "seed": 5,
+             "stop": {"max_iters": 3}}
+
+
+@pytest.mark.parametrize("extra", [{}, {"algorithm": "d-sgd", "baseline_batch": 250}],
+                         ids=["dvss-sgt", "d-sgd"])
+def test_cells_over_the_draw_bound_are_drawn_as_they_are_applied(monkeypatch, tmp_path, extra):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**OVERSIZED, **extra}))
+    name = f"run_{extra.get('algorithm', 'dvss-sgt')}"
+    per_path = 8 * 2 * 250 * 201
+    assert 50 * per_path > oracle.MAX_DRAW_BLOCK_BYTES
+    calls = []
+    _draw_spy(monkeypatch, calls)
+    outputs = []
+    for limit in (oracle.MAX_DRAW_BLOCK_BYTES, 2**40):
+        monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
+        calls.clear()
+        out = tmp_path / str(limit)
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append([(out / f"{name}.{ext}").read_bytes() for ext in ("csv", "svg")])
+        for rows in calls:
+            assert sum(n_paths * per_path for _b, n_paths in rows) <= max(per_path, limit)
+        # every cell of the run at the real bound is drawn 41 and 9 paths at a time
+        assert calls == ([[[250, 41]], [[250, 9]]] * (len(calls) // 2) if limit < 2**40
+                         else [[[250, 50]]] * len(calls))
+        assert len(calls) >= 3
+    assert outputs[0] == outputs[1]
 
 
 def _blocks(p, sched, n_paths, states, first, last):
@@ -930,6 +961,7 @@ def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
     limit = 2 * oracle.draw_bytes(p, 11)
     assert 3 * oracle.draw_bytes(p, 12) <= limit < 3 * oracle.draw_bytes(p, 11)
     monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
+    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", limit)   # blocks of small cells fit the limit
     calls = []
     _draw_spy(monkeypatch, calls)
     _assert_same_run(algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5,

@@ -219,6 +219,8 @@ def test_unbuildable_graph_exits_2(tmp_path, capsys, graph_cfg, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    # the instance is built before the config echo is written
+    assert not (tmp_path / "o" / "config.json").exists()
 
 
 def test_divergence_exit_and_partial_trace(tmp_path):
@@ -227,6 +229,17 @@ def test_divergence_exit_and_partial_trace(tmp_path):
     assert cli.main(["run", "--preset", "fig1", "--config", path,
                      "--out", str(out)]) == cli.EXIT_DIVERGENCE
     assert (out / "partial_trace.csv").exists()
+
+
+def test_a_diverging_run_echoes_the_config_that_reproduces_it(tmp_path):
+    path = small_cfg(tmp_path, alpha=1.0, paths=3, stop={"max_iters": 220})
+    out, echo = tmp_path / "div", tmp_path / "div-echo"
+    assert cli.main(["run", "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == cli.EXIT_DIVERGENCE
+    assert cli.main(["run", "--config", str(out / "config.json"),
+                     "--out", str(echo)]) == cli.EXIT_DIVERGENCE
+    assert ((out / "partial_trace.csv").read_bytes()
+            == (echo / "partial_trace.csv").read_bytes())
 
 
 def test_target_eps_run_stops_at_its_target(tmp_path, capsys):

@@ -3,9 +3,11 @@ given, it runs (exit 0), is refused with a `config error:` line (exit 2) or
 diverges (exit 3), and never ends in an uncaught exception.
 
 Each example makes up to three type-valid edits to a small valid config
-(odd but legal values: tiny ratios, huge caps, seeds and batches) and at
-most one junk edit, which sets any schema key, an unknown key, a whole
-section or the whole config to a random JSON value. Values that would make
+(odd values: tiny ratios, huge caps, seeds and batches; the seed pool, -3
+to 2**70, also holds seeds that are refused with exit 2: a negative one, or
+a sampling seed of 2**64 or more) and at most one junk edit, which sets any
+schema key, an unknown key, a whole section or the whole config to a random
+JSON value. Values that would make
 a run long or large are kept out of both pools: n is at most 6, d and the
 junk integers at most 6, paths at most 3, max_iters at most 6, a budget at
 most 500 samples and a sweep grid at most 3 points; junk floats are at most
