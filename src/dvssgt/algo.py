@@ -110,32 +110,6 @@ def batch_total(s: BatchSchedule, K):
     return total
 
 
-@dataclass
-class NetworkState:
-    """Iterates of one path, (n, d) arrays, or of P stacked paths, (P, n, d)."""
-
-    k: int
-    x: np.ndarray        # solution estimates
-    y: np.ndarray        # gradient trackers; zero without tracking
-    g_prev: np.ndarray   # sampled gradients of the last draw
-    oracle_count: np.ndarray  # (n,) cumulative samples per agent, equal on every path
-
-
-def start(p: Problem, x0, s: BatchSchedule, streams: StreamFactory,
-          tracking=True) -> NetworkState:
-    """k = 0 state of path 0 (x0 is (n, d)) or paths 0..P-1 (x0 is (P, n,
-    d)); with tracking y(0) = g(0) drawn at x0 with batch N(0), else zeros."""
-    x0 = np.array(x0, dtype=float)
-    if x0.shape[-2:] != (p.n, p.d) or x0.ndim > 3:
-        raise ValueError(f"x0 has shape {x0.shape}, expected ([P,] {p.n}, {p.d})")
-    if not tracking:
-        zero = np.zeros_like(x0)
-        return NetworkState(0, x0, zero, zero, np.zeros(p.n, dtype=np.int64))
-    n0 = batch_size(s, 0)
-    g = oracle.sample_gradients(p, x0, n0, streams, 0)
-    return NetworkState(0, x0, g.copy(), g, np.full(p.n, n0, dtype=np.int64))
-
-
 def _guard(x, k):
     if np.abs(x).max() <= DIVERGENCE_THRESHOLD:   # False on NaN
         return
@@ -151,32 +125,59 @@ def _check_alpha(alpha, tracking):
         raise ValueError(f"step size must be nonnegative, got {alpha}")
 
 
-def _advance(x, y, g_prev, A, alpha, tracking, k1, gradient, cell):
-    """The iteration itself: (x, y, g) at k1 from those at k1 - 1, the sampled
-    gradients g = gradient(at, cell) at x(k1) with tracking, else at x(k1 - 1)."""
-    at = A @ x - alpha * y if tracking else x
-    if tracking:
-        _guard(at, k1)
-    g = gradient(at, cell)
-    if tracking:
-        return at, A @ y + g - g_prev, g
-    x = A @ x - alpha * g
-    _guard(x, k1)
-    return x, y, g
+def iterate(p: Problem, mix: MixingMatrix, alpha, schedule: BatchSchedule,
+            streams: StreamFactory, x0, tracking, end, budget):
+    """The states (x, y, g, samples) at k = 0, 1, ..., end of the paths that
+    start at x0, a float (P, n, d) array: iterates, trackers (zero without
+    tracking) and the sampled gradients of the last draw, and the network's
+    samples so far. D-VSS-SGT (D-SGT: a constant schedule) draws y(0) = g(0)
+    at x0 with batch N(0), then g(k+1) at x(k+1) = A x - alpha y, and y(k+1)
+    = A y + g(k+1) - g(k). D-SGD draws g(k) at x(k), then x(k+1) = A x -
+    alpha g(k), so alpha = 0 is pure mixing. The states stop before the first
+    draw the budget does not pay for; a budget below n N(0) leaves y(0) zero.
+    Raises DivergenceError naming the first path whose iterate exceeds the guard.
 
-
-def step(st: NetworkState, mix: MixingMatrix, p: Problem, alpha, s: BatchSchedule,
-         streams: StreamFactory, tracking=True) -> NetworkState:
-    """One iteration of D-VSS-SGT (D-SGT: a constant schedule) or, without
-    tracking, D-SGD: g(k) is drawn at x(k), then x(k+1) = A x - alpha g(k),
-    so alpha = 0 is pure mixing. Raises DivergenceError naming the first
-    stacked path whose iterate exceeds the guard."""
-    _check_alpha(alpha, tracking)
-    k = st.k + tracking   # the cell drawn: at x(k + 1) with tracking, else at x(k)
-    nb = batch_size(s, k)
-    x, y, g = _advance(st.x, st.y, st.g_prev, mix.A, alpha, tracking, st.k + 1,
-                       lambda at, _: oracle.sample_gradients(p, at, nb, streams, k), None)
-    return NetworkState(st.k + 1, x, y, g, st.oracle_count + nb)
+    k = 0 comes before any draw block: the next cells whose random numbers
+    fit RECORD_BLOCK_BYTES (at least one, at most as many as the states a
+    record block holds) and that the budget pays for, drawn by
+    oracle.draw_cells and applied by oracle.apply_cell. A consumer that stops
+    has drawn at most the rest of the current block.
+    """
+    A, paths, k, n0 = mix.A, len(x0), 0, batch_size(schedule, 0)
+    x, y, samples = x0, np.zeros_like(x0), 0
+    if tracking and p.n * n0 <= budget:
+        [cell] = oracle.draw_cells(p, paths, [n0], [0], streams)
+        y = oracle.apply_cell(p, x0, cell)
+        samples = p.n * n0
+    g = y
+    yield x, y, g, samples
+    per_block = max(1, RECORD_BLOCK_BYTES // x0.nbytes)
+    while k < end:
+        # the block: the next cells, at x(k + 1) with tracking, else at x(k)
+        ks, batches, size, total = [], [], 0, samples
+        for c in range(k + tracking, k + tracking + min(per_block, end - k)):
+            b = batch_size(schedule, c)
+            size += paths * oracle.draw_bytes(p, b)
+            total += p.n * b
+            if total > budget or ks and size > RECORD_BLOCK_BYTES:
+                break
+            ks.append(c)
+            batches.append(b)
+        if not ks:
+            return
+        for b, cell in zip(batches, oracle.draw_cells(p, paths, batches, ks, streams)):
+            k += 1
+            if tracking:
+                x = A @ x - alpha * y
+                _guard(x, k)
+                g_prev, g = g, oracle.apply_cell(p, x, cell)
+                y = A @ y + g - g_prev
+            else:
+                g = oracle.apply_cell(p, x, cell)
+                x = A @ x - alpha * g
+                _guard(x, k)
+            samples += p.n * b
+            yield x, y, g, samples
 
 
 @dataclass(frozen=True)
@@ -264,12 +265,8 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     the lowest diverging path's partial run is attached to the raised error
     as `exc.trace`.
 
-    The run goes a block of iterations at a time: the next ones whose cells'
-    random numbers fit RECORD_BLOCK_BYTES (at least one, at most as many as
-    the recorded states a block holds) and, under budget_samples, that the
-    budget pays for, drawn by oracle.draw_cells and applied by
-    oracle.apply_cell. The trace rows are computed once per block of
-    recorded states.
+    The states come from iterate, a block of draws at a time; run_paths
+    records them, computing the trace rows once per block of recorded states.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -281,20 +278,16 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     _check_alpha(alpha, tracking)
     msg_per_iter = (2 if tracking else 1) * g.degrees()
     budget = stop.value if stop.kind == "budget_samples" else math.inf
-    # a budget below the first draw leaves the trackers at zero
-    st = start(p, x0, schedule, streams, tracking and p.n * batch_size(schedule, 0) <= budget)
     # the last iteration the run may reach; a budget run's follows from its batches
     end = (int(stop.value) if stop.kind == "max_iters"
            else target_eps_iter_cap(paths) if stop.kind == "target_eps" else math.inf)
-    per_block = max(1, RECORD_BLOCK_BYTES // st.x.nbytes)
-    k, x, y, g_prev = st.k, st.x, st.y, st.g_prev
-    rows, samples, pending = [], [int(st.oracle_count.sum())], [(x, y, g_prev)]
+    per_block = max(1, RECORD_BLOCK_BYTES // x0.nbytes)
+    rows, samples, pending = [], [], []
     w_prev = None   # the noise w = g - grad f at the last flushed record
-    gradient = functools.partial(oracle.apply_cell, p)
 
     def flush():
-        """Trace rows of the pending states, the last at iteration k, from one
-        (B, P, n, d) stack per array; w_step is 0 at k = 0."""
+        """Trace rows of the pending states, in order, from one (B, P, n, d)
+        stack per array; w_step is 0 at k = 0."""
         nonlocal w_prev
         x, y, g_prev = map(np.array, zip(*pending))
         w = g_prev - oracle.exact_gradients(p, x)
@@ -310,41 +303,23 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(x, y, p)))
         return eps <= stop.value
 
-    reason = "target_eps" if stop.kind == "target_eps" and target_met(x, y) else ""
-    diverged = None
-    while not reason:
-        if k >= end:
-            reason = "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap"
-            break
-        # the block: the next cells (at x(k + 1) with tracking, else at x(k))
-        # that the budget pays for and whose random numbers fit
-        # RECORD_BLOCK_BYTES, the first one always
-        ks, batches, size = [], [], 0
-        for c in range(k + tracking, k + tracking + min(per_block, end - k)):
-            b = batch_size(schedule, c)
-            size += paths * oracle.draw_bytes(p, b)
-            count = samples[-1] + p.n * b
-            if count > budget or ks and size > RECORD_BLOCK_BYTES:
-                break
-            ks.append(c)
-            batches.append(b)
+    reason, diverged = "", None
+    try:
+        for x, y, g_k, count in iterate(p, mix, alpha, schedule, streams, x0, tracking,
+                                        end, budget):
+            if len(pending) == per_block:
+                flush()
+            pending.append((x, y, g_k))
             samples.append(count)
-        if not ks:
-            reason = "budget_samples"
-            break
-        try:
-            for cell in oracle.draw_cells(p, paths, batches, ks, streams):
-                x, y, g_prev = _advance(x, y, g_prev, mix.A, alpha, tracking, k + 1, gradient, cell)
-                if len(pending) == per_block:
-                    flush()
-                k += 1
-                pending.append((x, y, g_prev))
-                if stop.kind == "target_eps" and target_met(x, y):
-                    reason = "target_eps"
-                    break
-        except DivergenceError as exc:
-            diverged, reason = exc, "diverged"
-    del samples[k + 1:]   # the counts of the cells a stop inside a block did not apply
+            if stop.kind == "target_eps" and target_met(x, y):
+                reason = "target_eps"
+                break
+    except DivergenceError as exc:
+        diverged, reason = exc, "diverged"
+    k = len(samples) - 1
+    if not reason:
+        reason = ("budget_samples" if k < end else
+                  "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap")
     flush()
 
     table = np.concatenate(rows).transpose(1, 0, 2)   # (P, T+1, 6)

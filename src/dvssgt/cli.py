@@ -325,8 +325,9 @@ def theory_report(cfg):
     sched = algo.BatchSchedule(**cfg["schedule"])
     streams = oracle.StreamFactory(cfg["seed"])
     x0s = algo.default_x0(problem, streams, cfg["paths"])
-    st = algo.start(problem, x0s, sched, streams)
-    ev = metrics.error_vector(st.x, st.y, problem)
+    x, y, _g, _samples = next(algo.iterate(problem, mix, alpha, sched, streams, x0s, True, 0,
+                                           math.inf))
+    ev = metrics.error_vector(x, y, problem)
     z0 = np.stack([ev.opt_err, ev.cons_x, ev.cons_y], axis=-1)   # one row per path
     z0_norm = float(np.linalg.norm(np.mean(z0, axis=0)))
     emp_nu = oracle.noise_level(problem, x0s[0])
@@ -358,7 +359,7 @@ def theory_report(cfg):
     # zero-noise self-check of the per-step error recursion
     det = oracle.deterministic(problem)
     trace = algo.run_path(det, mix, g, "dvss-sgt", cm_eta.alpha, sched,
-                          algo.StopRule("max_iters", 200), cfg["seed"])
+                          algo.StopRule("max_iters", 200), cfg["seed"], x0s[0])
     worst = theory.check_error_recursion(trace, cm_eta)
 
     return {

@@ -109,16 +109,6 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     for i, j in g.edges:
         A[i, j] = A[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(A, 1.0 - A.sum(axis=1))
-    return MixingMatrix(A, spectral_radius_deviation(A), spectral_norm_A_minus_I(A))
+    return MixingMatrix(A, spectral.spectral_radius_sym(A - 1.0 / g.n),
+                        spectral.spectral_radius_sym(A - np.eye(g.n)))
 
-
-def spectral_radius_deviation(A):
-    """Spectral radius of A - 11^T/n for symmetric doubly stochastic A."""
-    A = np.asarray(A, dtype=float)
-    return spectral.spectral_radius_sym(A - 1.0 / len(A))
-
-
-def spectral_norm_A_minus_I(A):
-    """Spectral norm of A - I for symmetric A."""
-    A = np.asarray(A, dtype=float)
-    return spectral.spectral_radius_sym(A - np.eye(A.shape[0]))

@@ -179,12 +179,12 @@ class Cell(NamedTuple):
 
 def draw_bytes(p: Problem, batch):
     """Bytes of random numbers in one path's cell at `batch`, the arrays
-    _drawer draws, elementwise for an array of batches (draw_cells sizes a
-    block by their sum); none for an exact oracle."""
+    _drawer draws; none for an exact oracle."""
     if p.exact_oracle:
         return 0
-    bartlett = batch >= bartlett_crossover(p.d)
-    return 8 * p.n * (bartlett * p.d * (p.d + 2) + (1 - bartlett) * batch * (p.d + 1))
+    if batch >= bartlett_crossover(p.d):
+        return 8 * p.n * p.d * (p.d + 2)
+    return 8 * p.n * batch * (p.d + 1)
 
 
 def _drawer(p: Problem, batch, k, streams: StreamFactory):
@@ -210,7 +210,7 @@ def draw_cells(p: Problem, paths, batches, ks, streams: StreamFactory):
     nothing: None per row."""
     if p.exact_oracle:
         return [None] * len(batches)
-    if paths * draw_bytes(p, np.array(batches)).sum() > MAX_DRAW_BLOCK_BYTES:
+    if paths * sum(draw_bytes(p, b) for b in batches) > MAX_DRAW_BLOCK_BYTES:
         return [Cell(b, None, (k, streams)) for b, k in zip(batches, ks)]
     return _cells(p, batches, [_drawer(p, b, k, streams)(paths) for b, k in zip(batches, ks)])
 
@@ -272,18 +272,6 @@ def apply_cell(p: Problem, X, cell):
         return out
     r = (M.swapaxes(-1, -2) @ (X - p.x_star)[..., None])[..., 0] - s
     return (M @ r[..., None])[..., 0] / batch
-
-
-def sample_gradients(p: Problem, X, batch, streams: StreamFactory, k):
-    """Mini-batch averaged sampled gradients of all n agents at the rows of X,
-    (n, d) for path 0 or (P, n, d) for paths 0..P-1: the cell of iteration k
-    drawn (draw_cells) and applied (apply_cell)."""
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    X = _checked(p, X)
-    stacked = X.reshape(-1, p.n, p.d)
-    [cell] = draw_cells(p, len(stacked), [batch], [k], streams)
-    return apply_cell(p, stacked, cell).reshape(X.shape)
 
 
 def noise_level(p: Problem, x0):

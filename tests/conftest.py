@@ -3,6 +3,7 @@
 The expensive runs (the three preset experiments and a 500-step invariant
 trace) are executed once per session and reused everywhere.
 """
+import math
 import time
 
 import numpy as np
@@ -71,20 +72,17 @@ def zero_noise_trace(fig1_instance, fig1_alpha_star):
 
 @pytest.fixture(scope="session")
 def long_invariant_run(fig1_instance):
-    """500 hand-stepped engine iterations recording per-step identity deviations."""
+    """500 engine iterations from algo.iterate: the network's samples at k =
+    500 and the per-step identity deviations."""
     problem, _g, mix = fig1_instance
-    sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(2024)
-    x0 = algo.default_x0(problem, streams, 1)[0]
-    st = algo.start(problem, x0, sched, streams)
+    x0 = algo.default_x0(problem, streams, 1)
     alpha = 0.01
-    track_dev = [float(np.linalg.norm(st.y.mean(axis=0) - st.g_prev.mean(axis=0)))]
-    avg_dev = []
-    for _ in range(500):
-        prev = st
-        st = algo.step(st, mix, problem, alpha, sched, streams)
-        track_dev.append(float(np.linalg.norm(
-            st.y.mean(axis=0) - st.g_prev.mean(axis=0))))
-        avg_dev.append(float(np.linalg.norm(
-            st.x.mean(axis=0) - (prev.x.mean(axis=0) - alpha * prev.y.mean(axis=0)))))
-    return st, np.array(track_dev), np.array(avg_dev)
+    states = [(x[0], y[0], g[0], samples) for x, y, g, samples in algo.iterate(
+        problem, mix, alpha, algo.geometric_schedule(0.98), streams, x0, True, 500, math.inf)]
+    track_dev = [float(np.linalg.norm(y.mean(axis=0) - g.mean(axis=0)))
+                 for _x, y, g, _n in states]
+    avg_dev = [float(np.linalg.norm(x.mean(axis=0) - (px.mean(axis=0) - alpha * py.mean(axis=0))))
+               for (px, py, _pg, _pn), (x, _y, _g, _n) in zip(states, states[1:])]
+    assert len(states) == 501
+    return states[-1][3], np.array(track_dev), np.array(avg_dev)

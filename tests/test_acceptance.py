@@ -71,14 +71,14 @@ def test_criterion_4_recursion_checker(fig1_instance, fig1_run):
 
 
 def test_criterion_5_tracking_identity(long_invariant_run):
-    _st, track_dev, _avg_dev = long_invariant_run
+    _samples, track_dev, _avg_dev = long_invariant_run
     worst = float(track_dev.max())
     report(5, "tracking identity over 500 iterations", worst <= 1e-9,
            f"max deviation {worst:.2e}")
 
 
 def test_criterion_6_average_recursion(long_invariant_run):
-    _st, _track_dev, avg_dev = long_invariant_run
+    _samples, _track_dev, avg_dev = long_invariant_run
     worst = float(avg_dev.max())
     report(6, "average-iterate recursion", worst <= 1e-12,
            f"max deviation {worst:.2e}")
@@ -100,15 +100,15 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     det = oracle.deterministic(problem)
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(2024)
-    x0 = algo.default_x0(det, streams, 1)[0]
-    st0 = algo.start(det, x0, sched, streams)
-    ev0 = metrics.error_vector(st0.x, st0.y, det)
+    x0 = algo.default_x0(det, streams, 1)
+    x, y, _g, _samples = next(algo.iterate(det, mix, alpha, sched, streams, x0, True, 0, math.inf))
+    ev0 = metrics.error_vector(x[0], y[0], det)
     z0 = float(np.linalg.norm([ev0.opt_err, ev0.cons_x, ev0.cons_y]))
     rb = theory.RateBound(rho, math.sqrt(0.98), 0.0, z0)
     eps = 1e-3
     K = theory.iteration_complexity(rb, eps)
     trace = algo.run_path(det, mix, g, "dvss-sgt", alpha, sched,
-                          algo.StopRule("max_iters", K), seed=2024, x0=x0)
+                          algo.StopRule("max_iters", K), seed=2024, x0=x0[0])
     err_at_K = float(np.linalg.norm(trace.z[0, -1]))
     ok = rho_ok and err_at_K <= eps
     report(7, "theory consistency", ok,
@@ -117,11 +117,11 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
 
 
 def test_criterion_8_accounting(fig1_instance, fig1_run, long_invariant_run):
-    _problem, g, _mix = fig1_instance
-    st, _track, _avg = long_invariant_run
+    problem, g, _mix = fig1_instance
+    samples_500, _track, _avg = long_invariant_run
     expect_500 = sum(oracles.exact_geometric_batch(98, 100, k)
                      for k in range(501))
-    counts_ok = bool(np.all(st.oracle_count == expect_500))
+    counts_ok = samples_500 == problem.n * expect_500
 
     result, _elapsed = fig1_run
     expect_220 = sum(oracles.exact_geometric_batch(98, 100, k)
@@ -131,7 +131,7 @@ def test_criterion_8_accounting(fig1_instance, fig1_run, long_invariant_run):
                                       2 * g.degrees() * 220))
     ok = counts_ok and samples_ok and messages_ok
     report(8, "oracle/communication accounting", ok,
-           f"500-iter samples/agent={int(st.oracle_count[0])} "
+           f"500-iter samples/agent={samples_500 // problem.n} "
            f"(expected {expect_500}); messages 2|N_i|K exact={messages_ok}")
 
 
@@ -140,10 +140,15 @@ def test_criterion_9_statistical_oracle(fig1_instance):
     x = problem.x_star + np.linspace(0.5, -0.5, problem.d)
     X = np.tile(x, (problem.n, 1))
     true = oracle.exact_gradients(problem, X)[0]
+
+    def sampled(batch, streams, k):   # agent 0's gradient from the cell of iteration k
+        [cell] = oracle.draw_cells(problem, 1, [batch], [k], streams)
+        return oracle.apply_cell(problem, X[None], cell)[0, 0]
+
     draws = 100_000
     streams = oracle.StreamFactory(101)
-    s = oracle.sample_gradients(problem, X, draws, streams, 0)[0]
-    singles = np.stack([oracle.sample_gradients(problem, X, 1, streams, t)[0]
+    s = sampled(draws, streams, 0)
+    singles = np.stack([sampled(1, streams, t)
                         for t in range(1, 5001)])
     se = singles.std(axis=0) / math.sqrt(draws)
     unbiased_ok = bool(np.all(np.abs(s - true) <= 3.0 * se))
@@ -151,9 +156,9 @@ def test_criterion_9_statistical_oracle(fig1_instance):
     reps = 10_000
     N = 10
     streams = oracle.StreamFactory(102)
-    n1 = np.mean([np.sum((oracle.sample_gradients(problem, X, 1, streams, t)[0] - true) ** 2)
+    n1 = np.mean([np.sum((sampled(1, streams, t) - true) ** 2)
                   for t in range(reps)])
-    nN = np.mean([np.sum((oracle.sample_gradients(problem, X, N, streams, t)[0] - true) ** 2)
+    nN = np.mean([np.sum((sampled(N, streams, t) - true) ** 2)
                   for t in range(reps, 2 * reps)])
     ratio = float(nN / n1)
     variance_ok = abs(ratio * N - 1.0) <= 0.10

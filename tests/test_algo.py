@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ def path3_instance(covariance_spec="identity"):
                                        covariance_spec=covariance_spec,
                                        noise_spec=0.0, seed=1)
     return oracle.deterministic(p), g, graph.metropolis_weights(g)
+
+
+def _states(p, mix, alpha, sched, x0, steps, tracking=True, seed=0):
+    """States 0..steps of the one path that starts at x0 (n, d), each (x, y,
+    g, samples) as algo.iterate yields it, less the path axis."""
+    states = algo.iterate(p, mix, alpha, sched, oracle.StreamFactory(seed),
+                          np.array([x0], dtype=float), tracking, steps, math.inf)
+    return [(x[0], y[0], g[0], samples) for x, y, g, samples in states]
 
 
 def test_batch_schedule_validation():
@@ -85,63 +94,57 @@ def test_batch_size_constant():
 
 
 def test_start_zero_noise():
-    p, _g, _mix = path3_instance()
+    p, g, mix = path3_instance()
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(1)
-    x0 = algo.default_x0(p, streams, 1)[0]
-    st = algo.start(p, x0, sched, streams)
-    for i in range(p.n):
-        assert np.allclose(st.y[i], oracle.exact_gradients(p, x0)[i])
-    assert np.array_equal(st.y, st.g_prev)
-    assert np.all(st.oracle_count == 1)  # N(0) = 1 for a geometric schedule
+    x0 = algo.default_x0(p, streams, 2)
+    states = algo.iterate(p, mix, 0.1, sched, streams, x0, True, 10, math.inf)
+    x, y, g0, samples = next(states)
+    assert x is x0 and np.allclose(y, oracle.exact_gradients(p, x0))
+    assert np.array_equal(y, g0)
+    assert samples == p.n  # N(0) = 1 for a geometric schedule
+    # without tracking, or under a budget below the first draw, y(0) = g(0) = 0
+    for tracking, budget in ((False, math.inf), (True, p.n - 1)):
+        x, y, g0, samples = next(algo.iterate(p, mix, 0.1, sched, streams, x0, tracking,
+                                              10, budget))
+        assert not y.any() and not g0.any() and samples == 0
     with pytest.raises(ValueError):
-        algo.start(p, np.zeros((p.n + 1, p.d)), sched, streams)
+        algo.run_path(p, mix, g, "dvss-sgt", 0.1, sched, algo.StopRule("max_iters", 3),
+                      seed=1, x0=np.zeros((p.n + 1, p.d)))
 
 
 def test_hand_stepped_two_agent_example():
     p = scalar_problem()
-    mix = k2_mix()
-    sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0)
     alpha = 0.3
-    st = algo.start(p, np.array([[0.0], [2.0]]), sched, streams)
-    st = algo.step(st, mix, p, alpha, sched, streams)
-    assert np.allclose(st.x[:, 0], [1.0 + alpha, 1.0 - alpha], atol=1e-14)
-    assert np.allclose(st.y[:, 0], [1.0 + alpha, -(1.0 + alpha)], atol=1e-14)
-    assert st.y.mean() == pytest.approx(0.0, abs=1e-14)
+    _first, (x, y, _g, _n) = _states(p, k2_mix(), alpha, algo.constant_schedule(1),
+                                     [[0.0], [2.0]], 1)
+    assert np.allclose(x[:, 0], [1.0 + alpha, 1.0 - alpha], atol=1e-14)
+    assert np.allclose(y[:, 0], [1.0 + alpha, -(1.0 + alpha)], atol=1e-14)
+    assert y.mean() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fixed_point_at_consensus_optimum():
     p, _g, mix = path3_instance()
-    sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0)
     x0 = np.tile(p.x_star, (p.n, 1))
-    st = algo.start(p, x0, sched, streams)
-    for _ in range(10):
-        st = algo.step(st, mix, p, 0.2, sched, streams)
-    assert np.allclose(st.x, x0, atol=1e-14)
-    assert np.allclose(st.y, 0.0, atol=1e-14)
+    x, y, _g, _n = _states(p, mix, 0.2, algo.constant_schedule(1), x0, 10)[-1]
+    assert np.allclose(x, x0, atol=1e-14)
+    assert np.allclose(y, 0.0, atol=1e-14)
 
 
 def test_step_rejects_nonpositive_alpha():
-    p, _g, mix = path3_instance()
-    sched = algo.constant_schedule(1)
-    streams = oracle.StreamFactory(0)
-    st = algo.start(p, np.zeros((p.n, p.d)), sched, streams)
+    p, g, mix = path3_instance()
+    sched, stop = algo.constant_schedule(1), algo.StopRule("max_iters", 3)
     with pytest.raises(ValueError):
-        algo.step(st, mix, p, 0.0, sched, streams)
+        algo.run_path(p, mix, g, "dvss-sgt", 0.0, sched, stop, seed=0)
     with pytest.raises(ValueError):
-        algo.step(st, mix, p, -0.1, sched, streams, tracking=False)
+        algo.run_path(p, mix, g, "d-sgd", -0.1, sched, stop, seed=0)
 
 
 def test_dsgd_alpha_zero_is_pure_mixing():
     p, _g, mix = path3_instance()
-    streams = oracle.StreamFactory(0)
-    sched = algo.constant_schedule(1)
     x0 = np.arange(6, dtype=float).reshape(3, 2)
-    st = algo.start(p, x0, sched, streams, tracking=False)
-    st = algo.step(st, mix, p, 0.0, sched, streams, tracking=False)
-    assert np.allclose(st.x, mix.A @ x0, atol=1e-14)
+    x, _y, _g, _n = _states(p, mix, 0.0, algo.constant_schedule(1), x0, 1, tracking=False)[-1]
+    assert np.allclose(x, mix.A @ x0, atol=1e-14)
 
 
 def test_dsgd_alpha_zero_run_is_pure_mixing_under_noise():
@@ -165,15 +168,11 @@ def test_dsgd_alpha_zero_run_is_pure_mixing_under_noise():
 def test_dsgd_contracts_like_scalar_recursion():
     # identical quadratic objectives, consensus start: factor |1 - alpha L|
     p, _g, mix = path3_instance()
-    streams = oracle.StreamFactory(0)
     alpha = 0.25
     x0 = np.tile(p.x_star + np.array([2.0, -1.0]), (p.n, 1))
-    sched = algo.constant_schedule(1)
-    st = algo.start(p, x0, sched, streams, tracking=False)
-    err = [np.linalg.norm(st.x - p.x_star)]
-    for _ in range(5):
-        st = algo.step(st, mix, p, alpha, sched, streams, tracking=False)
-        err.append(np.linalg.norm(st.x - p.x_star))
+    err = [np.linalg.norm(x - p.x_star) for x, *_ in
+           _states(p, mix, alpha, algo.constant_schedule(1), x0, 5, tracking=False)]
+    assert len(err) == 6
     factor = abs(1.0 - alpha * p.lips)
     for a, b in zip(err, err[1:]):
         assert b == pytest.approx(factor * a, rel=1e-10)
@@ -201,17 +200,13 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
     mix = graph.metropolis_weights(g)
     run = algo.run_path(p, mix, g, "d-sgt", 0.05, algo.constant_schedule(2),
                         algo.StopRule("max_iters", 25), seed=9)
-    sched = algo.constant_schedule(2)
-    streams = oracle.StreamFactory(9)
-    st = algo.start(p, algo.default_x0(p, streams, 1)[0], sched, streams)
+    x0 = algo.default_x0(p, oracle.StreamFactory(9), 1)[0]
     z = []
-    for k in range(26):
-        if k:
-            st = algo.step(st, mix, p, 0.05, sched, streams)
-        ev = metrics.error_vector(st.x, st.y, p)
+    for x, y, _g, _n in _states(p, mix, 0.05, algo.constant_schedule(2), x0, 25, seed=9):
+        ev = metrics.error_vector(x, y, p)
         z.append([ev.opt_err, ev.cons_x, ev.cons_y])
     assert np.array_equal(run.z, np.array([z]))
-    assert np.array_equal(run.per_agent_samples, st.oracle_count)
+    assert np.all(run.per_agent_samples == 2 * 26)
 
 
 def test_dsgt_zero_noise_converges_to_optimum():
@@ -226,16 +221,12 @@ def test_tracking_identity_and_average_recursion_short_run():
     p = oracle.make_regression_problem(4, 3, np.zeros(3), noise_spec=2.0, seed=6)
     g = graph.erdos_renyi(4, 0.9, seed=1)
     mix = graph.metropolis_weights(g)
-    sched = algo.geometric_schedule(0.98)
-    streams = oracle.StreamFactory(17)
-    st = algo.start(p, algo.default_x0(p, streams, 1)[0], sched, streams)
-    for _ in range(60):
-        prev = st
-        st = algo.step(st, mix, p, 0.02, sched, streams)
-        assert np.linalg.norm(st.y.mean(axis=0) - st.g_prev.mean(axis=0)) <= 1e-9
-        assert np.linalg.norm(
-            st.x.mean(axis=0)
-            - (prev.x.mean(axis=0) - 0.02 * prev.y.mean(axis=0))) <= 1e-12
+    x0 = algo.default_x0(p, oracle.StreamFactory(17), 1)[0]
+    states = _states(p, mix, 0.02, algo.geometric_schedule(0.98), x0, 60, seed=17)
+    assert len(states) == 61
+    for (px, py, _pg, _pn), (x, y, g_k, _n) in zip(states, states[1:]):
+        assert np.linalg.norm(y.mean(axis=0) - g_k.mean(axis=0)) <= 1e-9
+        assert np.linalg.norm(x.mean(axis=0) - (px.mean(axis=0) - 0.02 * py.mean(axis=0))) <= 1e-12
 
 
 def test_zero_noise_contraction_below_rho_plus_margin(fig1_instance,
@@ -489,11 +480,10 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
                          seed=5, paths=paths)
     streams = oracle.StreamFactory(5)
-    st = algo.start(p, algo.default_x0(p, streams, paths), sched, streams)
-    noise = [st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star)]
-    for _ in range(T):
-        st = algo.step(st, mix, p, 0.01, sched, streams)
-        noise.append(st.g_prev - np.einsum("ijk,qik->qij", p.R, st.x - p.x_star))
+    states = algo.iterate(p, mix, 0.01, sched, streams, algo.default_x0(p, streams, paths),
+                          True, T, math.inf)
+    noise = [g - np.einsum("ijk,qik->qij", p.R, x - p.x_star) for x, _y, g, _n in states]
+    assert len(noise) == T + 1
     assert run.w_step.shape == (paths, T + 1)
     for q in range(paths):
         expect = [0.0] + [np.linalg.norm(w1[q] - w0[q]) for w0, w1 in zip(noise, noise[1:])]
@@ -616,42 +606,51 @@ def test_paths_diverging_at_one_iteration_raise_the_lowest():
 
 
 def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=None):
-    """Paths 0..paths-1 stepped with algo.start/algo.step, their trace rows
-    computed from each state as it is reached: the unblocked reference for
-    run_paths."""
+    """Paths 0..paths-1 stepped one state at a time: algo.iterate with one
+    cell a block, which draws each cell as its state is asked for, its own
+    stop rules and sample counts, and the trace rows computed from each state
+    as it is reached. The unblocked reference for run_paths."""
     tracking = algorithm != "d-sgd"
     streams = oracle.StreamFactory(seed)
-    x0 = algo.default_x0(p, streams, paths) if x0 is None else np.array(x0)
-    st = algo.start(p, x0, sched, streams, tracking)
+    x0 = algo.default_x0(p, streams, paths) if x0 is None else np.array(x0, dtype=float)
     rows, samples, w_prev = [], [], None
-    while True:
-        w = st.g_prev - oracle.exact_gradients(p, st.x)
-        dw = np.zeros_like(w) if w_prev is None else w - w_prev
-        w_prev = w
-        ev = metrics.error_vector(st.x, st.y, p)
-        rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                              np.sqrt((w * w).sum(-1)).sum(-1),
-                              np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
-        samples.append(int(st.oracle_count.sum()))
-        if stop.kind == "max_iters" and st.k >= stop.value:
-            reason = "max_iters"
-        elif stop.kind == "budget_samples" and samples[-1] + p.n * algo.batch_size(
-                sched, st.k + 1 if tracking else st.k) > stop.value:
-            reason = "budget_samples"
-        elif stop.kind == "target_eps" and metrics.mean_over_paths(rows[-1][:, 3]) <= stop.value:
-            reason = "target_eps"
-        else:
+    drawn = algo.batch_size(sched, 0) if tracking else 0   # per agent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algo, "RECORD_BLOCK_BYTES", 1)
+        states = algo.iterate(p, mix, alpha, sched, streams, x0, tracking, math.inf, math.inf)
+        while True:
             try:
-                st = algo.step(st, mix, p, alpha, sched, streams, tracking)
-                continue
+                x, y, g_k, _count = next(states)
             except algo.DivergenceError:
                 reason = "diverged"
-        break
-    rows, k = np.array(rows).transpose(1, 0, 2), st.k
+                break
+            k = len(rows)
+            if k:
+                drawn += algo.batch_size(sched, k - 1 + tracking)
+            w = g_k - oracle.exact_gradients(p, x)
+            dw = np.zeros_like(w) if w_prev is None else w - w_prev
+            w_prev = w
+            ev = metrics.error_vector(x, y, p)
+            rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
+                                  np.sqrt((w * w).sum(-1)).sum(-1),
+                                  np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
+            samples.append(p.n * drawn)
+            if stop.kind == "max_iters" and k >= stop.value:
+                reason = "max_iters"
+            elif stop.kind == "budget_samples" and samples[-1] + p.n * algo.batch_size(
+                    sched, k + tracking) > stop.value:
+                reason = "budget_samples"
+            elif (stop.kind == "target_eps"
+                  and metrics.mean_over_paths(rows[-1][:, 3]) <= stop.value):
+                reason = "target_eps"
+            else:
+                continue
+            break
+    rows, k = np.array(rows).transpose(1, 0, 2), len(rows) - 1
     msg_per_iter = (2 if tracking else 1) * g.degrees()
     return algo.Run(algorithm, rows[..., :3], rows[..., 3], rows[..., 4], rows[..., 5], x0,
-                    np.array(samples), np.arange(k + 1) * msg_per_iter.sum(), st.oracle_count,
-                    k * msg_per_iter, reason)
+                    np.array(samples), np.arange(k + 1) * msg_per_iter.sum(),
+                    np.full(p.n, drawn), k * msg_per_iter, reason)
 
 
 def _block_of(monkeypatch, states, p, paths):
@@ -805,7 +804,11 @@ def test_budget_run_stops_by_the_rule_that_bounds_its_trace(fig1_instance, algor
 def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=2)
     X = np.random.default_rng(0).standard_normal((7, p.n, p.d))
-    whole = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9), 4)
+
+    def draw():
+        [cell] = oracle.draw_cells(p, 7, [batch], [4], oracle.StreamFactory(9))
+        return oracle.apply_cell(p, X, cell)
+    whole = draw()
     # the random numbers of one path at this batch: regressors and noise, or
     # the Bartlett normals, noise included, and chi-squares
     direct = batch < oracle.bartlett_crossover(p.d)
@@ -815,7 +818,7 @@ def test_chunked_draw_respects_its_block_limit(monkeypatch, batch):
     for limit in (1, 2 * per_path + 1, 10**9):
         calls.clear()
         monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
-        chunked = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(9), 4)
+        chunked = draw()
         # the chunks continue the same streams, so they draw what one call does
         assert np.array_equal(chunked, whole)
         sizes = [n_paths for [[_batch, n_paths]] in calls]
@@ -928,9 +931,9 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
     sched, paths = algo.geometric_schedule(0.9), 3
     _block_of(monkeypatch, 20, p, paths)
-    calls, counts = [], {"batch_size": 0, "sample_gradients": 0}
+    calls, counts = [], {"batch_size": 0, "draw_cells": 0}
     _draw_spy(monkeypatch, calls)
-    for module, name in ((algo, "batch_size"), (oracle, "sample_gradients")):
+    for module, name in ((algo, "batch_size"), (oracle, "draw_cells")):
         def counting(*args, real=getattr(module, name), name=name):
             counts[name] += 1
             return real(*args)
@@ -943,13 +946,14 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     # one a block at N = 8 to 11, two Bartlett cells a block from k = 23
     expect = [len(block) for block in _blocks(p, sched, paths, 20, 1, 30)]
     assert expect == [7, 4, 3, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]
-    # start draws cell 0; then one call per block, every path of every cell
+    # cell 0 is drawn alone for the k = 0 state; then one call per block,
+    # every path of every cell
     assert [len(rows) for rows in calls] == [1] + expect
     assert all(n_paths == 3 for rows in calls for _b, n_paths in rows)
-    # only start samples through sample_gradients; batch sizes are taken per
-    # block: each cell's, the next one's for every block it does not fit,
-    # and two for start
-    assert counts == {"batch_size": 2 + 30 + len(expect) - 1, "sample_gradients": 1}
+    assert counts["draw_cells"] == 1 + len(expect)
+    # batch sizes are taken per block: each cell's, the next one's for every
+    # block it does not fit, and cell 0's
+    assert counts["batch_size"] == 1 + 30 + len(expect) - 1
 
 
 def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):

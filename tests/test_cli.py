@@ -349,6 +349,30 @@ def test_theory_report(tmp_path):
     assert report["empirical_nu"] == pytest.approx(math.sqrt(nu_sq.max()), rel=1e-12)
 
 
+def test_theory_draws_only_the_x0_and_z0_of_its_paths(monkeypatch, tmp_path):
+    path = small_cfg(tmp_path)
+    keyed, cells = [], []
+    generator, draw = oracle.StreamFactory.generator, oracle._cells
+
+    def keying(self, iteration, slot=0):
+        keyed.append((slot, iteration))
+        return generator(self, iteration, slot)
+    monkeypatch.setattr(oracle.StreamFactory, "generator", keying)
+    monkeypatch.setattr(oracle, "_cells", lambda p, batches, raw: cells.append(
+        (batches, [z.shape for z, _chi in raw])) or draw(p, batches, raw))
+    out = tmp_path / "th"
+    assert cli.main(["theory", "--preset", "fig1", "--config", path, "--out", str(out)]) == 0
+    # the x0 of both paths and their gradients at k = 0, N(0) = 1; the
+    # recursion check's zero-noise path starts from path 0's x0 and draws nothing
+    assert keyed == [(oracle.INIT_STREAM_AGENT, 0), (0, 0)]
+    assert cells == [([1], [(2, 10, 1, 6)])]
+    monkeypatch.undo()
+    report = json.loads((out / "theory.json").read_text())
+    run = cli.run_experiment(cli.resolve_config(cli.load_config("fig1", path))[0])
+    z0 = np.linalg.norm(run.z[:, 0].mean(axis=0))
+    assert report["z0_norm"] == pytest.approx(z0, rel=1e-12)
+
+
 def test_theory_oracle_counts_follow_the_schedule_cap(tmp_path):
     path = small_cfg(tmp_path, schedule={"cap": 100})
     out = tmp_path / "th"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dvssgt import graph
+from dvssgt import graph, spectral
 
 
 def test_er_n2_p1_single_edge():
@@ -135,13 +135,15 @@ def test_mixing_structure_and_sigma_on_100_random_graphs():
 
 
 def test_deviation_and_norm_special_matrices():
+    # metropolis_weights' sigma_A = rho(A - J/n) and ||A - I|| at A = I and J/n
     n = 5
-    assert graph.spectral_radius_deviation(np.eye(n)) == pytest.approx(1.0, abs=1e-9)
-    assert graph.spectral_radius_deviation(np.full((n, n), 1 / n)) == pytest.approx(
-        0.0, abs=1e-9)
-    assert graph.spectral_norm_A_minus_I(np.eye(n)) == 0.0
+    for A, sigma, norm in ((np.eye(n), 1.0, 0.0), (np.full((n, n), 1 / n), 0.0, 1.0)):
+        assert spectral.spectral_radius_sym(A - 1.0 / n) == pytest.approx(sigma, abs=1e-9)
+        assert spectral.spectral_radius_sym(A - np.eye(n)) == pytest.approx(norm, abs=1e-9)
+    assert spectral.spectral_radius_sym(np.eye(n) - np.eye(n)) == 0.0
 
 
 def test_deviation_rejects_nonsymmetric():
+    A = np.array([[0.9, 0.2], [0.1, 0.8]])
     with pytest.raises(ValueError):
-        graph.spectral_radius_deviation(np.array([[0.9, 0.2], [0.1, 0.8]]))
+        spectral.spectral_radius_sym(A - 1.0 / len(A))

@@ -21,6 +21,13 @@ def rows(p, x):
     return np.tile(x, (p.n, 1))
 
 
+def sampled(p, X, batch, streams, k):
+    """The agents' mini-batch gradients at the (n, d) point X from the cell of
+    iteration k, drawn and applied as one path."""
+    [cell] = oracle.draw_cells(p, 1, [batch], [k], streams)
+    return oracle.apply_cell(p, np.asarray(X, dtype=float)[None], cell)[0]
+
+
 def test_identity_covariance_constants():
     p = make_small(covariance_spec="identity")
     assert p.eta == pytest.approx(1.0, abs=1e-9)
@@ -107,42 +114,30 @@ def test_mean_gradient_vanishes_at_x_star():
 
 def test_sample_gradient_exact_zero_at_x_star_with_clean_observations():
     p = make_small(noise_spec=0.0)
-    s = oracle.sample_gradients(p, rows(p, p.x_star), 7, oracle.StreamFactory(1), 0)
+    s = sampled(p, rows(p, p.x_star), 7, oracle.StreamFactory(1), 0)
     # u u^T x* - (u^T x*) u = 0 for every draw, so the average is exactly 0
     assert np.all(s == 0.0)
     assert s.shape == (p.n, p.d)
 
 
-def test_sample_gradients_input_checks():
-    p = make_small()
-    X = rows(p, p.x_star + 0.5)
-    streams = oracle.StreamFactory(1)
-    s = oracle.sample_gradients(p, X, 4, streams, 3)
-    assert s.shape == (p.n, p.d)
-    # each agent draws its own regressors, so no two rows coincide
-    assert len({tuple(row) for row in s}) == p.n
-    with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X, 0, streams, 3)
-    with pytest.raises(ValueError):
-        oracle.sample_gradients(p, X[1:], 4, streams, 3)
-
-
 def test_stream_reproducibility_and_independence():
     p = make_small()
     X = rows(p, p.x_star + 1.0)
-    a = oracle.sample_gradients(p, X, 5, oracle.StreamFactory(42), 9)
-    b = oracle.sample_gradients(p, X, 5, oracle.StreamFactory(42), 9)
+    a = sampled(p, X, 5, oracle.StreamFactory(42), 9)
+    b = sampled(p, X, 5, oracle.StreamFactory(42), 9)
     assert np.array_equal(a, b)
+    # each agent draws its own regressors, so no two rows coincide
+    assert len({tuple(row) for row in a}) == p.n
     # draws at one iteration do not depend on how much was drawn at another
     f1 = oracle.StreamFactory(42)
-    oracle.sample_gradients(p, X, 2, f1, 8)
-    c = oracle.sample_gradients(p, X, 5, f1, 9)
+    sampled(p, X, 2, f1, 8)
+    c = sampled(p, X, 5, f1, 9)
     f2 = oracle.StreamFactory(42)
-    oracle.sample_gradients(p, X, 50, f2, 8)
-    d = oracle.sample_gradients(p, X, 5, f2, 9)
+    sampled(p, X, 50, f2, 8)
+    d = sampled(p, X, 5, f2, 9)
     assert np.array_equal(c, d)
     # distinct labels give distinct draws
-    e = oracle.sample_gradients(p, X, 5, f2, 10)
+    e = sampled(p, X, 5, f2, 10)
     assert not np.array_equal(c, e)
     assert np.array_equal(c, _direct_draw(p, X, 5, oracles.philox_stream(42, 0, 9)))
 
@@ -153,7 +148,7 @@ def test_changing_one_batch_leaves_other_iterations_bit_identical():
     streams = oracle.StreamFactory(11)
 
     def draws(sizes):
-        return [oracle.sample_gradients(p, X, nb, streams, k)
+        return [sampled(p, X, nb, streams, k)
                 for k, nb in enumerate(sizes)]
 
     base = draws([1, 2, 3, 4, 5, 6, 7, 8])
@@ -203,7 +198,7 @@ def _bartlett_draw(p, X, batch, rng, chi_rng):
 def test_direct_draw_below_crossover_is_bit_identical(d, batch):
     p = make_small(d=d, n=2)
     X = p.x_star + np.array([[0.5], [-0.25]])
-    s = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
+    s = sampled(p, X, batch, oracle.StreamFactory(8), 4)
     ref = _direct_draw(p, X, batch, oracles.philox_stream(8, 0, 4))
     assert np.array_equal(s, ref)
 
@@ -214,7 +209,7 @@ def test_crossover_switches_draws_on_the_same_stream(d):
     X = p.x_star + np.array([[0.5], [-0.25]])
     below, at = oracle.bartlett_crossover(d) - 1, oracle.bartlett_crossover(d)
     assert below >= 1 and at >= d
-    draw = [oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
+    draw = [sampled(p, X, batch, oracle.StreamFactory(8), 4)
             for batch in (below, at)]
     assert np.array_equal(draw[0], _direct_draw(p, X, below, oracles.philox_stream(8, 0, 4)))
     assert np.array_equal(draw[1], _bartlett_draw(p, X, at, oracles.philox_stream(8, 0, 4),
@@ -227,7 +222,7 @@ def test_bartlett_draw_from_crossover_uses_the_same_stream(monkeypatch):
     p = make_small()
     X = rows(p, p.x_star + 0.5)
     for batch in (oracle.bartlett_crossover(p.d), 10**6):
-        s = oracle.sample_gradients(p, X, batch, oracle.StreamFactory(8), 4)
+        s = sampled(p, X, batch, oracle.StreamFactory(8), 4)
         ref = _bartlett_draw(p, X, batch, oracles.philox_stream(8, 0, 4),
                              oracles.philox_stream(8, 1, 4))
         assert np.array_equal(s, ref)
@@ -269,7 +264,7 @@ def test_every_row_of_a_batched_draw_follows_the_agent_law(batch):
                   [0.25, 0.25, 0.25]])
     streams = oracle.StreamFactory(17)
     draws = 20_000
-    values = np.stack([oracle.sample_gradients(p, p.x_star + E, batch, streams, t)
+    values = np.stack([sampled(p, p.x_star + E, batch, streams, t)
                        for t in range(draws)])
     for i in range(p.n):
         R, sigma, e = p.R[i], p.sigmas[i], E[i]
@@ -286,7 +281,7 @@ def test_draw_at_default_cap_is_finite_and_fast():
     p = make_small()
     X = rows(p, p.x_star + 1.0)
     start = time.perf_counter()
-    s = oracle.sample_gradients(p, X, algo.DEFAULT_BATCH_CAP, oracle.StreamFactory(1), 1000)
+    s = sampled(p, X, algo.DEFAULT_BATCH_CAP, oracle.StreamFactory(1), 1000)
     assert time.perf_counter() - start < 0.5
     assert np.all(np.isfinite(s))
     # at 2^31 - 1 samples the batch mean sits on the exact gradient
@@ -298,10 +293,10 @@ def test_unbiasedness_quick():
     X = rows(p, p.x_star + np.array([1.0, -0.5, 0.25]))
     draws = 20_000
     streams = oracle.StreamFactory(3)
-    s = oracle.sample_gradients(p, X, draws, streams, 0)[0]
+    s = sampled(p, X, draws, streams, 0)[0]
     # a batch average over M draws is the empirical mean itself; bound each
     # coordinate by 4 standard errors of a fresh single-draw sample
-    singles = np.stack([oracle.sample_gradients(p, X, 1, streams, t)[0]
+    singles = np.stack([sampled(p, X, 1, streams, t)[0]
                         for t in range(1, 2001)])
     se = singles.std(axis=0) / np.sqrt(draws)
     true = oracle.exact_gradients(p, X)[0]
@@ -314,9 +309,9 @@ def test_variance_scaling_quick():
     true = oracle.exact_gradients(p, X)[0]
     reps = 2000
     streams = oracle.StreamFactory(5)
-    n1 = np.mean([np.sum((oracle.sample_gradients(p, X, 1, streams, t)[0] - true) ** 2)
+    n1 = np.mean([np.sum((sampled(p, X, 1, streams, t)[0] - true) ** 2)
                   for t in range(reps)])
-    n8 = np.mean([np.sum((oracle.sample_gradients(p, X, 8, streams, t)[0] - true) ** 2)
+    n8 = np.mean([np.sum((sampled(p, X, 8, streams, t)[0] - true) ** 2)
                   for t in range(reps, 2 * reps)])
     assert n8 / n1 == pytest.approx(1.0 / 8.0, rel=0.15)
 
@@ -339,11 +334,11 @@ def test_deterministic_copy():
     p = make_small()
     det = oracle.deterministic(p)
     X = rows(p, p.x_star + 0.3)
-    s = oracle.sample_gradients(det, X, 9, oracle.StreamFactory(0), 0)
+    s = sampled(det, X, 9, oracle.StreamFactory(0), 0)
     assert np.array_equal(s, oracle.exact_gradients(det, X))
     assert np.all(s - oracle.exact_gradients(det, X) == 0.0)
     # an exact oracle never touches its streams
-    assert np.array_equal(oracle.sample_gradients(det, X, 9, None, 0), s)
+    assert np.array_equal(sampled(det, X, 9, None, 0), s)
     assert oracle.noise_level(det, np.zeros((p.n, p.d))) == 0.0
     assert oracle.noise_level(det, p.x_star + 5.0) == 0.0
 
