@@ -252,21 +252,22 @@ def target_eps_iter_cap(paths):
 
 
 def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
-              schedule: BatchSchedule, stop: StopRule, seed, paths=1,
-              x0=None) -> Run:
+              schedule: BatchSchedule, stop: StopRule, seed, paths, x0=None) -> Run:
     """Execute sample paths 0..paths-1 of the chosen algorithm under a stop
     rule as one stacked (P, n, d) state; returns them as one Run. Path q's
     numbers do not depend on P, so under max_iters and budget_samples the
     first q paths of a run are those of a q-path run.
 
-    Every path ends at the same k, for the same reason: target_eps reads the
-    paths' mean combined error (metrics.mean_over_paths, as Run.mean_combined
-    does) and stops at the latest at target_eps_iter_cap(P). On divergence
-    the lowest diverging path's partial run is attached to the raised error
-    as `exc.trace`.
+    Every path ends at the same k, for the same reason: target_eps stops at
+    the first k whose mean combined error (metrics.mean_over_paths, as
+    Run.mean_combined) meets the target, at the latest at
+    target_eps_iter_cap(P). On divergence the lowest diverging path's partial
+    run is attached to the raised error as `exc.trace`, unless a state before
+    it met the target.
 
     The states come from iterate, a block of draws at a time; run_paths
-    records them, computing the trace rows once per block of recorded states.
+    computes their trace rows, and decides target_eps on them, once per block
+    of recorded states, so iterate may step up to one block past the stop.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -286,8 +287,8 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     w_prev = None   # the noise w = g - grad f at the last flushed record
 
     def flush():
-        """Trace rows of the pending states, in order, from one (B, P, n, d)
-        stack per array; w_step is 0 at k = 0."""
+        """Trace rows of the pending states, from one (B, P, n, d) stack per array
+        (w_step 0 at k = 0); True if one meets target_eps, the rows cut after it."""
         nonlocal w_prev
         x, y, g_prev = map(np.array, zip(*pending))
         w = g_prev - oracle.exact_gradients(p, x)
@@ -298,36 +299,35 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
                               np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
                               np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
         pending.clear()
+        if stop.kind != "target_eps":
+            return False
+        met = np.flatnonzero(metrics.mean_over_paths(rows[-1][..., 3].T) <= stop.value)
+        if len(met):
+            rows[-1] = rows[-1][:met[0] + 1]
+        return len(met) > 0
 
-    def target_met(x, y):
-        eps = metrics.mean_over_paths(metrics.combined_error(metrics.error_vector(x, y, p)))
-        return eps <= stop.value
-
-    reason, diverged = "", None
+    met, diverged = False, None
     try:
         for x, y, g_k, count in iterate(p, mix, alpha, schedule, streams, x0, tracking,
                                         end, budget):
-            if len(pending) == per_block:
-                flush()
             pending.append((x, y, g_k))
             samples.append(count)
-            if stop.kind == "target_eps" and target_met(x, y):
-                reason = "target_eps"
+            if len(pending) == per_block and (met := flush()):
                 break
     except DivergenceError as exc:
-        diverged, reason = exc, "diverged"
-    k = len(samples) - 1
-    if not reason:
-        reason = ("budget_samples" if k < end else
-                  "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap")
-    flush()
-
+        diverged = exc
+    if pending:
+        met = flush()
+    k = sum(map(len, rows)) - 1
+    reason = ("target_eps" if met else "diverged" if diverged else
+              "budget_samples" if k < end else
+              "max_iters" if stop.kind == "max_iters" else "target_eps_iter_cap")
     table = np.concatenate(rows).transpose(1, 0, 2)   # (P, T+1, 6)
     run = Run(algorithm, table[..., :3], table[..., 3], table[..., 4], table[..., 5], x0,
-              np.array(samples, dtype=np.int64),
+              np.array(samples[:k + 1], dtype=np.int64),
               np.arange(k + 1, dtype=np.int64) * int(msg_per_iter.sum()),
               np.full(p.n, samples[k] // p.n, dtype=np.int64), k * msg_per_iter, reason)
-    if diverged:
+    if diverged and not met:
         diverged.trace = run.path(diverged.slot)
         raise diverged
     return run

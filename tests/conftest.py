@@ -4,12 +4,41 @@ The expensive runs (the three preset experiments and a 500-step invariant
 trace) are executed once per session and reused everywhere.
 """
 import math
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from dvssgt import algo, cli, oracle, theory
+
+TEST_TIMEOUT_S = 60   # per test; the slowest takes a few seconds
+
+
+class TestTimeout(BaseException):
+    """A test ran past TEST_TIMEOUT_S. A BaseException, so that no `except
+    Exception` in the code under test swallows it and hypothesis does not
+    replay it as a failing example."""
+
+
+@pytest.fixture(autouse=True)
+def per_test_timeout():
+    """Fail a test that runs past TEST_TIMEOUT_S instead of hanging the
+    suite. Session fixtures are built before it is armed. Where SIGALRM is
+    missing (Windows) tests run unbounded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise TestTimeout(f"test ran past {TEST_TIMEOUT_S} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def preset(name, command="run"):

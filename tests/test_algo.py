@@ -108,6 +108,9 @@ def test_start_zero_noise():
         x, y, g0, samples = next(algo.iterate(p, mix, 0.1, sched, streams, x0, tracking,
                                               10, budget))
         assert not y.any() and not g0.any() and samples == 0
+    # a budget of exactly n N(0) pays for y(0)
+    x, y, g0, samples = next(algo.iterate(p, mix, 0.1, sched, streams, x0, True, 10, p.n))
+    assert samples == p.n and np.array_equal(y, oracle.exact_gradients(p, x0))
     with pytest.raises(ValueError):
         algo.run_path(p, mix, g, "dvss-sgt", 0.1, sched, algo.StopRule("max_iters", 3),
                       seed=1, x0=np.zeros((p.n + 1, p.d)))
@@ -658,28 +661,41 @@ def _block_of(monkeypatch, states, p, paths):
     monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", states * paths * p.n * p.d * 8)
 
 
-@pytest.mark.parametrize("algorithm,stop", [
+@pytest.mark.parametrize("algorithm,stop,paths,states,k", [
     # 4 states a block: 19, 20 and 21 recorded states
-    ("dvss-sgt", ("max_iters", 18)),
-    ("dvss-sgt", ("max_iters", 19)),
-    ("dvss-sgt", ("max_iters", 20)),
-    ("d-sgd", ("max_iters", 19)),
-    ("dvss-sgt", ("budget_samples", 3000)),
-    ("d-sgd", ("budget_samples", 3000)),
+    pytest.param("dvss-sgt", ("max_iters", 18), 3, 4, 18, id="dvss-sgt-stop0"),
+    pytest.param("dvss-sgt", ("max_iters", 19), 3, 4, 19, id="dvss-sgt-stop1"),
+    pytest.param("dvss-sgt", ("max_iters", 20), 3, 4, 20, id="dvss-sgt-stop2"),
+    pytest.param("d-sgd", ("max_iters", 19), 3, 4, 19, id="d-sgd-stop3"),
+    pytest.param("dvss-sgt", ("budget_samples", 3000), 3, 4, None, id="dvss-sgt-stop4"),
+    pytest.param("d-sgd", ("budget_samples", 3000), 3, 4, None, id="d-sgd-stop5"),
+    # target_eps, decided on the flushed rows, stops where the per-state
+    # decision does: on a block's first state, k = 0 included, on its last,
+    # inside one, and with one state a block
+    pytest.param("dvss-sgt", ("target_eps", 10.0), 3, 4, 0, id="target-at-k0"),
+    pytest.param("dvss-sgt", ("target_eps", 0.77), 1, 4, 20, id="target-first-of-block"),
+    pytest.param("dvss-sgt", ("target_eps", 0.69), 3, 7, 41, id="target-last-of-block"),
+    pytest.param("dvss-sgt", ("target_eps", 0.41), 6, 16, 79, id="target-last-of-block-6"),
+    pytest.param("d-sgd", ("target_eps", 1.05), 3, 5, 18, id="target-inside-block"),
+    pytest.param("d-sgt", ("target_eps", 0.9), 6, 3, 31, id="target-inside-block-6"),
+    pytest.param("dvss-sgt", ("target_eps", 1.0), 3, 1, 17, id="target-one-state-blocks"),
 ])
-def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algorithm, stop):
+def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algorithm, stop,
+                                              paths, states, k):
     p, g, mix = fig1_instance
     sched = algo.geometric_schedule(0.98) if algorithm == "dvss-sgt" else algo.constant_schedule(1)
-    stop, paths = algo.StopRule(*stop), 3
-    _block_of(monkeypatch, 4, p, paths)
+    stop = algo.StopRule(*stop)
+    _block_of(monkeypatch, states, p, paths)
     blocks = []
-    monkeypatch.setattr(metrics, "error_vector",
-                        lambda x, y, p, real=metrics.error_vector: blocks.append(x) or real(x, y, p))
+    monkeypatch.setattr(metrics, "error_vector", lambda x, y, p, real=metrics.error_vector:
+                        blocks.append(x.shape) or real(x, y, p))
     run = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
-    assert max(len(x) for x in blocks) == 4
-    if stop.kind == "max_iters":   # one error-vector pass per block
-        assert len(blocks) == -(-(stop.value + 1) // 4)
-    assert run.stop_reason == stop.kind
+    assert run.stop_reason == stop.kind and (k is None or run.iterations == k)
+    # one error-vector pass per record block of stacked states, the block
+    # that holds the stop included
+    assert len(blocks) == -(-(run.iterations + 1) // states)
+    assert all(shape[1:] == (paths, p.n, p.d) for shape in blocks)
+    assert max(shape[0] for shape in blocks) == states
     _assert_same_run(run, _hand_stepped_run(p, mix, g, algorithm, 0.01, sched, stop,
                                             seed=5, paths=paths))
 
@@ -707,24 +723,18 @@ def test_blocked_target_eps_paths_stop_inside_a_block(monkeypatch, fig1_instance
     p, g, mix = fig1_instance
     sched, stop = algo.geometric_schedule(0.98), algo.StopRule("target_eps", 0.05)
     _block_of(monkeypatch, 16, p, 6)
-    calls = []   # [a flush's stacked block?, the mean combined error a decision read]
-    error_vector, mean_over_paths = metrics.error_vector, metrics.mean_over_paths
-
-    def spy(x, y, p):
-        calls.append([x.ndim == 4])
-        return error_vector(x, y, p)
-    monkeypatch.setattr(metrics, "error_vector", spy)
-    monkeypatch.setattr(metrics, "mean_over_paths",
-                        lambda a: calls[-1].append(mean_over_paths(a)) or calls[-1][-1])
+    blocks = []
+    monkeypatch.setattr(metrics, "error_vector", lambda x, y, p, real=metrics.error_vector:
+                        blocks.append(x.shape) or real(x, y, p))
     run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=2024, paths=6)
     monkeypatch.undo()
     k = run.iterations
     assert (k, run.stop_reason) == (271, "target_eps")
-    # one decision per state, each bit for bit the run's mean row at its k
-    decisions = [eps for stacked, *eps in calls if not stacked]
-    assert decisions == [[eps] for eps in run.mean_combined]
-    # rows wait for a full block or the end; a flush for each decision would make 272
-    assert sum(stacked for stacked, *_ in calls) <= 20
+    # the stop is decided on the flushed rows: every error vector is of a
+    # stacked (B, P, n, d) record block, never of a single state
+    assert all(len(shape) == 4 and shape[1:] == (6, p.n, p.d) for shape in blocks)
+    # rows wait for a full block or the end; a flush for each state would make 272
+    assert len(blocks) <= 20
     ref = _hand_stepped_run(p, mix, g, "dvss-sgt", 0.01, sched,
                             algo.StopRule("max_iters", k), seed=2024, paths=6)
     _assert_same_run(run, dataclasses.replace(ref, stop_reason="target_eps"))
@@ -764,6 +774,22 @@ def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
     assert (exc.k, exc.slot, str(exc)) == (ref.k, ref.slot, str(ref))
     _assert_same_run(exc.trace, ref.trace)
     _assert_same_run(exc.trace, _hand_stepped_run(*args, seed=0, paths=2, x0=x0).path(1))
+
+
+def test_a_target_met_before_a_divergence_in_its_record_block_stops_the_run():
+    p, g, mix = path3_instance()
+    # path 0 sits at the fixed point; path 1 starts a hair from it and diverges
+    x0 = [np.tile(p.x_star + off, (p.n, 1)) for off in (0.0, 1e-6)]
+    args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1))
+    with pytest.raises(algo.DivergenceError) as err:
+        algo.run_paths(*args, algo.StopRule("max_iters", 400), seed=0, paths=2, x0=x0)
+    # it diverges inside the first record block, after the k = 0 state met the target
+    assert (err.value.k, err.value.slot) == (49, 1)
+    assert err.value.k < algo.RECORD_BLOCK_BYTES // (2 * p.n * p.d * 8)
+    stop = algo.StopRule("target_eps", 1e-2)
+    run = algo.run_paths(*args, stop, seed=0, paths=2, x0=x0)
+    assert (run.iterations, run.stop_reason) == (0, "target_eps")
+    _assert_same_run(run, _hand_stepped_run(*args, stop, seed=0, paths=2, x0=x0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -954,6 +980,20 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     # batch sizes are taken per block: each cell's, the next one's for every
     # block it does not fit, and cell 0's
     assert counts["batch_size"] == 1 + 30 + len(expect) - 1
+
+
+def test_a_state_over_the_record_block_is_drawn_one_at_a_time(monkeypatch):
+    # an exact oracle draws no random numbers, so only the record block's
+    # count of states bounds a draw block: one, where a state exceeds it
+    p, g, mix = path3_instance()
+    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", p.n * p.d * 8 - 1)
+    rows = []
+    monkeypatch.setattr(oracle, "draw_cells", lambda p, paths, batches, ks, streams,
+                        real=oracle.draw_cells: rows.append(len(batches)) or
+                        real(p, paths, batches, ks, streams))
+    algo.run_path(p, mix, g, "dvss-sgt", 0.1, algo.constant_schedule(1),
+                  algo.StopRule("max_iters", 12), seed=0)
+    assert rows == [1] * 13   # y(0), then one cell a block
 
 
 def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):

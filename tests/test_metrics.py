@@ -116,9 +116,13 @@ def test_oracle_vs_epsilon_trivial_and_unreached():
                         algo.constant_schedule(1),
                         algo.StopRule("max_iters", 200), seed=6)
     initial = res.mean_combined[0]
-    table = metrics.oracle_vs_epsilon(res, [2.0 * initial, 1e-30])
+    table = metrics.oracle_vs_epsilon(res, [2.0 * initial, 1e-30, initial / 2.0, initial / 8.0])
     assert table.samples[0] == 0          # already below the loose target
     assert table.samples[1] == -1         # never reached
+    # the slope is fitted through the targets reached after k = 0, here two
+    first, second = table.samples[2:]
+    assert 0 < first < second
+    assert math.isclose(table.slope, math.log(second / first) / math.log(4.0), rel_tol=1e-9)
 
 
 def test_oracle_vs_epsilon_noiseless_far_below_quadratic():
