@@ -294,10 +294,12 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         w = g_prev - oracle.exact_gradients(p, x)
         dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
         w_prev = w[-1]
-        ev = metrics.error_vector(x, y, p)
-        rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                              np.sqrt((w * w).sum(-1)).sum(-1),   # sum_i ||w_i||
-                              np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
+        with np.errstate(over="ignore"):   # ||w_i|| and ||dw||_F; hypot's where a square overflows
+            w_i, dw_f = np.sqrt((w * w).sum(-1)), np.sqrt((dw * dw).sum((-2, -1)))
+        if np.isinf(w_i).any() or np.isinf(dw_f).any():
+            w_i, dw_f = np.hypot.reduce(w, -1), np.hypot.reduce(dw.reshape(len(dw), paths, -1), -1)
+        z = metrics.error_vector(x, y, p)   # combined: the stacked norm of its first two
+        rows.append(np.dstack([z, np.hypot(z[..., 0], z[..., 1]), w_i.sum(-1), dw_f]))
         pending.clear()
         if stop.kind != "target_eps":
             return False

@@ -39,11 +39,7 @@ def line_chart_svg(series, title="", xlabel="", ylabel=""):
     Returns the SVG document as a string. A series of more than twice the
     plot's pixel width in points is thinned to its first and last point and
     each pixel column's extremes."""
-    pts = []
-    for _label, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if y > 0:
-                pts.append((float(x), math.log10(y)))
+    pts = [(float(x), math.log10(y)) for _label, xs, ys in series for x, y in zip(xs, ys) if y > 0]
     if not pts:
         raise ValueError("nothing to plot")
     x_lo = min(p[0] for p in pts)

@@ -1,4 +1,4 @@
-"""Error vectors, means over paths, rate fitting, and cost accounting."""
+"""Error vectors z as (..., 3) arrays, means over paths, rate fitting, and cost accounting."""
 from __future__ import annotations
 
 import math
@@ -10,19 +10,14 @@ import numpy as np
 TRANSIENT_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class ErrorVector:
-    """Scalars for one path's state, (P,) arrays for P stacked paths."""
-
-    opt_err: float   # ||xbar - x*||
-    cons_x: float    # ||x - 1 (x) xbar||
-    cons_y: float    # ||y - 1 (x) ybar||
-
-
 def _norm(v, axes):
-    """sqrt(v . v) over the trailing `axes` axes of v, one value per leading index."""
+    """sqrt(v . v) over the trailing `axes` axes of v, one value per leading index;
+    numpy's hypot folded over v where v . v leaves the float range."""
     lead = v.shape[:v.ndim - axes]
-    return np.sqrt(v.reshape(lead + (1, -1)) @ v.reshape(lead + (-1, 1)))[..., 0, 0]
+    with np.errstate(over="ignore"):
+        out = np.sqrt(v.reshape(lead + (1, -1)) @ v.reshape(lead + (-1, 1)))[..., 0, 0]
+    over = np.isinf(out)
+    return np.where(over, np.hypot.reduce(v.reshape(lead + (-1,)), -1), out) if over.any() else out
 
 
 def _agent_sum(v):
@@ -33,21 +28,14 @@ def _agent_sum(v):
     return np.moveaxis(v, -2, 0).copy().sum(axis=0)
 
 
-def error_vector(x, y, p) -> ErrorVector:
-    """Of iterates x and trackers y, (n, d) for one path or stacked (..., n, d)."""
+def error_vector(x, y, p):
+    """z = (||xbar - x*||, ||x - 1 (x) xbar||, ||y - 1 (x) ybar||) of iterates x
+    and trackers y, (n, d) for one path or stacked (..., n, d): a float array
+    of shape x.shape[:-2] + (3,)."""
     n = x.shape[-2]
-    xbar = _agent_sum(x) / n
-    ybar = _agent_sum(y) / n
-    return ErrorVector(
-        _norm(xbar - p.x_star, 1),
-        _norm(x - xbar[..., None, :], 2),
-        _norm(y - ybar[..., None, :], 2),
-    )
-
-
-def combined_error(ev: ErrorVector):
-    """Stacked norm of (xbar - x*, x - 1 xbar): the quantity the figures plot."""
-    return np.hypot(ev.opt_err, ev.cons_x)
+    xbar, ybar = _agent_sum(x) / n, _agent_sum(y) / n
+    return np.stack([_norm(xbar - p.x_star, 1), _norm(x - xbar[..., None, :], 2),
+                     _norm(y - ybar[..., None, :], 2)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ def build_J(alpha, eta, lips, sigma_A, n, norm_AI, convention="eta") -> Contract
         raise ValueError(f"sigma_A must be in [0,1), got {sigma_A}")
     if convention not in ("eta", "L"):
         raise ValueError(f"unknown theta convention {convention!r}")
+    if lips * lips == math.inf:   # J holds L^2
+        raise ValueError(f"L^2 leaves the float range at L = {lips:.6g}")
     return ContractionMatrix(_coupling(alpha, eta, lips, sigma_A, n, norm_AI, convention),
                              alpha, {"eta": eta, "lips": lips, "sigma_A": sigma_A,
                                      "n": n, "norm_AI": norm_AI})
@@ -105,6 +107,8 @@ def find_alpha(eta, lips, sigma_A, n, norm_AI):
 
 def noise_constant(nu, alpha, q, lips, n):
     """C = nu * sqrt(alpha^2 + n (1 + q + alpha L)^2)."""
+    if alpha * alpha == math.inf:
+        raise ValueError(f"alpha^2 leaves the float range at alpha = {alpha:.6g}")
     return nu * math.sqrt(alpha**2 + n * (1.0 + q + alpha * lips) ** 2)
 
 
@@ -116,8 +120,8 @@ class RateBound:
     z0_norm: float
 
     def __post_init__(self):
-        if self.C < 0.0:
-            raise ValueError("noise constant must be nonnegative")
+        if not (0.0 <= self.C < math.inf and self.z0_norm < math.inf):
+            raise ValueError(f"C = {self.C:.3g}, z0 = {self.z0_norm:.3g}: must be finite, C >= 0")
 
     @property
     def degenerate(self):
@@ -157,7 +161,10 @@ def iteration_complexity(rb: RateBound, eps):
     base = rb.envelope_base
     if base >= 1.0:
         raise ValueError(f"no geometric decay: max(rho, q) = {base} >= 1")
-    return int(math.ceil(math.log(B / eps) / math.log(1.0 / base)))
+    K = math.log(B / eps) / math.log(1.0 / base)
+    if K == math.inf:
+        raise ValueError(f"K({eps:g}) leaves the float range: B/eps = {B:.6g}/{eps:g} overflows")
+    return int(math.ceil(K))
 
 
 def communication_complexity(g, rb: RateBound, eps):

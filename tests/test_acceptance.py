@@ -102,8 +102,7 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     streams = oracle.StreamFactory(2024)
     x0 = algo.default_x0(det, streams, 1)
     x, y, _g, _samples = next(algo.iterate(det, mix, alpha, sched, streams, x0, True, 0, math.inf))
-    ev0 = metrics.error_vector(x[0], y[0], det)
-    z0 = float(np.linalg.norm([ev0.opt_err, ev0.cons_x, ev0.cons_y]))
+    z0 = float(np.linalg.norm(metrics.error_vector(x[0], y[0], det)))
     rb = theory.RateBound(rho, math.sqrt(0.98), 0.0, z0)
     eps = 1e-3
     K = theory.iteration_complexity(rb, eps)

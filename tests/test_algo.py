@@ -206,8 +206,7 @@ def test_dsgt_equals_hand_stepped_engine_with_constant_schedule():
     x0 = algo.default_x0(p, oracle.StreamFactory(9), 1)[0]
     z = []
     for x, y, _g, _n in _states(p, mix, 0.05, algo.constant_schedule(2), x0, 25, seed=9):
-        ev = metrics.error_vector(x, y, p)
-        z.append([ev.opt_err, ev.cons_x, ev.cons_y])
+        z.append(metrics.error_vector(x, y, p))
     assert np.array_equal(run.z, np.array([z]))
     assert np.all(run.per_agent_samples == 2 * 26)
 
@@ -608,6 +607,21 @@ def test_paths_diverging_at_one_iteration_raise_the_lowest():
     assert not np.array_equal(err.value.trace.z, alone[1].trace.z)
 
 
+def test_noise_norms_past_the_square_range_are_finite(fig1_instance):
+    # sampled gradients of noise 1e160: ||w_i||^2 overflows, ||w_i|| does not;
+    # a step size of 1e-170 keeps the iterates from diverging
+    p, g, mix = fig1_instance
+    loud = dataclasses.replace(p, sigmas=np.full(p.n, 1e160))
+    run = algo.run_paths(loud, mix, g, "dvss-sgt", 1e-170, algo.geometric_schedule(0.98),
+                         algo.StopRule("max_iters", 5), seed=1, paths=2)
+    for rows in (run.z, run.combined, run.sum_w_norms, run.w_step):
+        assert np.all(np.isfinite(rows))
+    assert np.all((1e159 < run.z[..., 2]) & (run.z[..., 2] < 1e163))
+    assert np.all((1e159 < run.sum_w_norms) & (run.sum_w_norms < 1e163))
+    assert np.all(run.w_step[:, 0] == 0.0)
+    assert np.all((1e159 < run.w_step[:, 1:]) & (run.w_step[:, 1:] < 1e163))
+
+
 def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=None):
     """Paths 0..paths-1 stepped one state at a time: algo.iterate with one
     cell a block, which draws each cell as its state is asked for, its own
@@ -633,10 +647,10 @@ def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=
             w = g_k - oracle.exact_gradients(p, x)
             dw = np.zeros_like(w) if w_prev is None else w - w_prev
             w_prev = w
-            ev = metrics.error_vector(x, y, p)
-            rows.append(np.stack([ev.opt_err, ev.cons_x, ev.cons_y, metrics.combined_error(ev),
-                                  np.sqrt((w * w).sum(-1)).sum(-1),
-                                  np.sqrt((dw * dw).sum((-2, -1)))], axis=-1))
+            z = metrics.error_vector(x, y, p)
+            rows.append(np.column_stack([z, np.hypot(z[:, 0], z[:, 1]),
+                                         np.sqrt((w * w).sum(-1)).sum(-1),
+                                         np.sqrt((dw * dw).sum((-2, -1)))]))
             samples.append(p.n * drawn)
             if stop.kind == "max_iters" and k >= stop.value:
                 reason = "max_iters"
@@ -994,6 +1008,33 @@ def test_a_state_over_the_record_block_is_drawn_one_at_a_time(monkeypatch):
     algo.run_path(p, mix, g, "dvss-sgt", 0.1, algo.constant_schedule(1),
                   algo.StopRule("max_iters", 12), seed=0)
     assert rows == [1] * 13   # y(0), then one cell a block
+
+
+def test_draw_cells_sizes_a_block_without_summing_its_rows_again(monkeypatch, fig1_instance):
+    p, g, mix = fig1_instance
+    args = (p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
+            algo.StopRule("max_iters", 150))
+    ref = algo.run_paths(*args, seed=5, paths=2)
+    calls, blocks = [0], []
+    real_bytes, real_cells = oracle.draw_bytes, oracle.draw_cells
+
+    def draw_bytes(p, batch):
+        calls[0] += 1
+        return real_bytes(p, batch)
+
+    def draw_cells(p, paths, batches, ks, streams):
+        before = calls[0]
+        cells = real_cells(p, paths, batches, ks, streams)
+        blocks.append((len(batches), calls[0] - before))
+        return cells
+    monkeypatch.setattr(oracle, "draw_bytes", draw_bytes)
+    monkeypatch.setattr(oracle, "draw_cells", draw_cells)
+    _assert_same_run(algo.run_paths(*args, seed=5, paths=2), ref)
+    # y(0), then blocks of 4 to 34 rows, direct and Bartlett ones, each sized
+    # from the two largest cells a batch can draw, however many rows it holds
+    assert [rows for rows, _n in blocks] == [1, 34, 22, 16, 12, 10, 8, 7, 6, 9, 11, 11, 4]
+    assert algo.batch_size(args[5], 150) >= oracle.bartlett_crossover(p.d)
+    assert [n for _rows, n in blocks] == [2] * len(blocks)
 
 
 def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):

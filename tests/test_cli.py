@@ -442,6 +442,47 @@ def test_theory_noiseless_C_zero(tmp_path):
         level, report["table_alpha"], report["q"], report["lips"], p.n), rel=1e-12)
 
 
+# fig1 problems whose squares leave the float range, and what theory says of them:
+# L^2 in J, alpha^2 at the huge step size of a tiny L, and nu^2 and ||z(0)||^2
+# in C and the prefactor
+PAST_THE_FLOAT_RANGE = {
+    "cov-1e160": ({"covariance_spec": "diag-uniform[1e160,1e160]"}, "L^2 leaves the float range"),
+    "cov-1e200": ({"covariance_spec": "diag-uniform[1e200,1e200]"}, "L^2 leaves the float range"),
+    "cov-1e-160": ({"covariance_spec": "diag-uniform[1e-160,1e-160]"},
+                   "alpha^2 leaves the float range"),
+    "cov-1e-300": ({"covariance_spec": "diag-uniform[1e-300,1e-300]"},
+                   "alpha^2 leaves the float range"),
+    "sigma-1e160": ({"noise_sigmas": 1e160}, "C = inf, z0 = inf: must be finite"),
+    "x_star-1e200": ({"x_star": [1e200] * 5}, "z0 = inf"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_FLOAT_RANGE)
+def test_theory_past_the_float_range_exits_2_naming_the_quantity(tmp_path, capsys, case):
+    problem, quantity = PAST_THE_FLOAT_RANGE[case]
+    path = small_cfg(tmp_path, problem=problem)
+    out = tmp_path / "th"
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("config error: ") == 1 and quantity in err
+    assert not (out / "theory.json").exists()
+
+
+@pytest.mark.parametrize("case", PAST_THE_FLOAT_RANGE)
+def test_runs_past_the_float_range_record_finite_errors(tmp_path, case):
+    # the squares in the error vector and the noise norms overflow, their
+    # norms do not; the huge scales diverge at k = 1, the tiny ones run
+    path = small_cfg(tmp_path, problem=PAST_THE_FLOAT_RANGE[case][0])
+    out = tmp_path / "run"
+    code = cli.main(["run", "--preset", "fig1", "--config", path, "--out", str(out)])
+    assert code == (0 if "-1e-" in case else cli.EXIT_DIVERGENCE)
+    rows = read_rows(out / ("run_dvss-sgt.csv" if code == 0 else "partial_trace.csv"))
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+    if case == "x_star-1e200":
+        assert float(rows[0]["mean_opt_err"]) == pytest.approx(math.sqrt(5) * 1e200, rel=1e-3)
+
+
 def test_sweep_singleton_matches_run(tmp_path):
     path = small_cfg(tmp_path)
     out_sweep = tmp_path / "sw"

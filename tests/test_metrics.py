@@ -21,34 +21,41 @@ def two_agent_problem():
 
 def test_error_vector_trivials():
     p = two_agent_problem()
-    ev = metrics.error_vector(*state_of(np.tile(p.x_star, (2, 1)), np.zeros((2, 1))), p)
-    assert (ev.opt_err, ev.cons_x, ev.cons_y) == (0.0, 0.0, 0.0)
+    z = metrics.error_vector(*state_of(np.tile(p.x_star, (2, 1)), np.zeros((2, 1))), p)
+    assert z.shape == (3,) and z.dtype == float
+    assert z.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_error_vector_hand_values():
     p = two_agent_problem()
-    ev = metrics.error_vector(*state_of([[0.0], [2.0]], [[-1.0], [1.0]]), p)
-    assert ev.opt_err == pytest.approx(0.0, abs=1e-15)  # mean is exactly x*
-    assert ev.cons_x == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert ev.cons_y == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    opt_err, cons_x, cons_y = metrics.error_vector(*state_of([[0.0], [2.0]], [[-1.0], [1.0]]), p)
+    assert opt_err == pytest.approx(0.0, abs=1e-15)  # mean is exactly x*
+    assert cons_x == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert cons_y == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
-def test_combined_error_values_and_random_oracle():
-    assert metrics.combined_error(metrics.ErrorVector(0.0, 0.0, 5.0)) == 0.0
-    assert metrics.combined_error(metrics.ErrorVector(3.0, 4.0, 1.0)) == 5.0
+def test_combined_is_the_hypot_of_the_first_two_error_columns():
+    # a run's combined error is the stacked norm of the first two columns of
+    # its error vector, bit for bit, and lies between ||z|| - cons_y and ||z||
     p = oracle.make_regression_problem(4, 3, np.zeros(3), seed=1)
+    g = graph.erdos_renyi(4, 0.9, seed=1)
+    run = algo.run_paths(p, graph.metropolis_weights(g), g, "dvss-sgt", 0.02,
+                         algo.geometric_schedule(0.98), algo.StopRule("max_iters", 40),
+                         seed=2, paths=3)
+    z = run.z
+    assert z.shape == (3, 41, 3)
+    assert np.array_equal(run.combined, np.hypot(z[..., 0], z[..., 1]))
+    z3 = np.linalg.norm(z, axis=-1)
+    assert np.all(run.combined <= z3 * (1 + 1e-15))
+    assert np.all(z3 <= (run.combined + z[..., 2]) * (1 + 1e-15))
+    # and that of (xbar - x*, x - 1 xbar) at random states
     rng = np.random.default_rng(2)
     for _ in range(100):
         x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        ev = metrics.error_vector(x, y, p)
+        z = metrics.error_vector(x, y, p)
         stacked = np.concatenate([x.mean(axis=0) - p.x_star,
                                   (x - x.mean(axis=0)).ravel()])
-        assert metrics.combined_error(ev) == pytest.approx(
-            np.linalg.norm(stacked), rel=1e-12)
-        # norm ordering of the 2- vs 3-component error
-        z3 = np.linalg.norm([ev.opt_err, ev.cons_x, ev.cons_y])
-        assert metrics.combined_error(ev) <= z3 + 1e-15
-        assert z3 <= metrics.combined_error(ev) + ev.cons_y + 1e-15
+        assert np.hypot(z[0], z[1]) == pytest.approx(np.linalg.norm(stacked), rel=1e-12)
 
 
 def test_fit_geometric_rate_exact_sequence():
@@ -172,10 +179,25 @@ def test_error_vector_of_a_record_block_equals_its_states_one_by_one():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((2, 7, 3, 10, 5)) * np.exp(rng.uniform(-9, 9, (2, 7, 3, 10, 5)))
     block = metrics.error_vector(x, y, p)
+    assert block.shape == (7, 3, 3)
     for b in range(7):
-        one = metrics.error_vector(x[b], y[b], p)
-        for field in ("opt_err", "cons_x", "cons_y"):
-            assert np.array_equal(getattr(block, field)[b], getattr(one, field))
+        assert np.array_equal(block[b], metrics.error_vector(x[b], y[b], p))
+
+
+def test_error_vector_past_the_square_range_is_finite():
+    # ||v||^2 overflows from ||v|| ~ 1.3e154 on; ||v|| itself does not
+    p = two_agent_problem()
+    x, y = state_of([[3e200], [-1e200]], [[1e300], [-1e300]])
+    z = metrics.error_vector(x, y, p)
+    assert z == pytest.approx([1e200, math.sqrt(8) * 1e200, math.sqrt(2) * 1e300], rel=1e-15)
+    # a record block with one such state: the others are computed as alone
+    rng = np.random.default_rng(5)
+    xs, ys = rng.standard_normal((2, 4, 3, 2, 1))
+    xs[2, 1], ys[2, 1] = x, y
+    block = metrics.error_vector(xs, ys, p)
+    assert np.array_equal(block[2, 1], z)
+    for b, q in np.ndindex(4, 3):
+        assert np.array_equal(block[b, q], metrics.error_vector(xs[b, q], ys[b, q], p))
 
 
 def test_write_csv_bytes_equal_csv_writer(tmp_path):

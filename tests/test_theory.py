@@ -127,6 +127,20 @@ def test_noise_constant_formula():
     assert theory.noise_constant(0.0, 0.1, 0.9, 3.0, 4) == 0.0
 
 
+def test_quantities_past_the_float_range_raise_value_errors():
+    # not the OverflowError of a float's ** or of int(math.ceil(inf))
+    with pytest.raises(ValueError, match=r"L\^2 leaves the float range"):
+        theory.find_alpha(1e160, 1e160, 0.5, 4, 1.0)
+    with pytest.raises(ValueError, match=r"alpha\^2 leaves the float range"):
+        theory.noise_constant(1.0, 1e160, 0.9, 1e-160, 4)
+    for C, z0 in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            theory.RateBound(0.5, 0.9, C, z0)
+    # C and z0 finite, B = z0 + C/|q - rho| = 2.5e300, and B/eps past the float range
+    with pytest.raises(ValueError, match=r"K\(1e-10\) leaves the float range"):
+        theory.iteration_complexity(theory.RateBound(0.5, 0.9, 1e300, 1.0), 1e-10)
+
+
 def test_degenerate_regime_flagged():
     rb = theory.RateBound(0.95, 0.95, 1.0, 10.0)
     assert rb.degenerate
