@@ -1,7 +1,9 @@
 """One network-wide iteration engine for D-VSS-SGT and the D-SGT / D-SGD baselines."""
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,7 +22,7 @@ TARGET_EPS_ITER_CAP = 100_000
 # so n <= 2048
 MAX_DENSE_ELEMENTS = 1 << 22
 SUM_CHUNK = 1 << 20   # terms per numpy chunk of batch_total
-RECORD_BLOCK_BYTES = 64 << 10   # per stacked array of the states awaiting their trace rows
+RECORD_BLOCK_BYTES = 64 << 10   # per (B, P, n, d) stack of a block of states
 
 
 class DivergenceError(RuntimeError):
@@ -128,56 +130,58 @@ def _check_alpha(alpha, tracking):
 def iterate(p: Problem, mix: MixingMatrix, alpha, schedule: BatchSchedule,
             streams: StreamFactory, x0, tracking, end, budget):
     """The states (x, y, g, samples) at k = 0, 1, ..., end of the paths that
-    start at x0, a float (P, n, d) array: iterates, trackers (zero without
-    tracking) and the sampled gradients of the last draw, and the network's
-    samples so far. D-VSS-SGT (D-SGT: a constant schedule) draws y(0) = g(0)
-    at x0 with batch N(0), then g(k+1) at x(k+1) = A x - alpha y, and y(k+1)
-    = A y + g(k+1) - g(k). D-SGD draws g(k) at x(k), then x(k+1) = A x -
-    alpha g(k), so alpha = 0 is pure mixing. The states stop before the first
-    draw the budget does not pay for; a budget below n N(0) leaves y(0) zero.
-    Raises DivergenceError naming the first path whose iterate exceeds the guard.
+    start at x0, a float (P, n, d) array, a record block at a time: (B, P, n,
+    d) stacks of iterates, trackers (zero without tracking) and the sampled
+    gradients of the last draw, and a length-B list of the network's samples
+    so far. D-VSS-SGT (D-SGT: a constant schedule) draws y(0) = g(0) at x0
+    with batch N(0), then g(k+1) at x(k+1) = A x - alpha y, and y(k+1) = A y
+    + g(k+1) - g(k). D-SGD draws g(k) at x(k), then x(k+1) = A x - alpha
+    g(k), so alpha = 0 is pure mixing. The states stop before the first draw
+    the budget does not pay for; a budget below n N(0) leaves y(0) zero.
 
-    k = 0 comes before any draw block: the next cells whose random numbers
-    fit RECORD_BLOCK_BYTES (at least one, at most as many as the states a
-    record block holds) and that the budget pays for, drawn by
-    oracle.draw_cells and applied by oracle.apply_cell. A consumer that stops
-    has drawn at most the rest of the current block.
+    k = 0 is a block of its own. Each later block holds the next
+    max(1, RECORD_BLOCK_BYTES // x0.nbytes) states, fewer only where `end` or
+    the budget cuts it, and its cells (at x(k + 1) with tracking, else at
+    x(k)) are drawn by one oracle.draw_cells call and applied by
+    oracle.apply_cell. Where an iterate exceeds the guard, the states of the
+    block before it are yielded first, if there are any; then DivergenceError
+    is raised, naming the first diverging path.
     """
-    A, paths, k, n0 = mix.A, len(x0), 0, batch_size(schedule, 0)
+    A, paths, n0 = mix.A, len(x0), batch_size(schedule, 0)
     x, y, samples = x0, np.zeros_like(x0), 0
     if tracking and p.n * n0 <= budget:
         [cell] = oracle.draw_cells(p, paths, [n0], [0], streams)
         y = oracle.apply_cell(p, x0, cell)
         samples = p.n * n0
     g = y
-    yield x, y, g, samples
-    per_block = max(1, RECORD_BLOCK_BYTES // x0.nbytes)
+    yield x[None], y[None], g[None], [samples]
+    k, per_block = 0, max(1, RECORD_BLOCK_BYTES // x0.nbytes)
     while k < end:
-        # the block: the next cells, at x(k + 1) with tracking, else at x(k)
-        ks, batches, size, total = [], [], 0, samples
-        for c in range(k + tracking, k + tracking + min(per_block, end - k)):
-            b = batch_size(schedule, c)
-            size += paths * oracle.draw_bytes(p, b)
-            total += p.n * b
-            if total > budget or ks and size > RECORD_BLOCK_BYTES:
-                break
-            ks.append(c)
-            batches.append(b)
-        if not ks:
+        ks = range(k + tracking, k + tracking + min(per_block, end - k))
+        batches = [batch_size(schedule, c) for c in ks]
+        counts = list(itertools.accumulate([p.n * b for b in batches], initial=samples))[1:]
+        B = bisect.bisect_right(counts, budget)   # the states the budget pays for
+        if not B:
             return
-        for b, cell in zip(batches, oracle.draw_cells(p, paths, batches, ks, streams)):
-            k += 1
-            if tracking:
-                x = A @ x - alpha * y
-                _guard(x, k)
-                g_prev, g = g, oracle.apply_cell(p, x, cell)
-                y = A @ y + g - g_prev
-            else:
-                g = oracle.apply_cell(p, x, cell)
-                x = A @ x - alpha * g
-                _guard(x, k)
-            samples += p.n * b
-            yield x, y, g, samples
+        xs, ys, gs = (np.empty((B,) + x0.shape) for _ in range(3))
+        try:
+            for j, cell in enumerate(oracle.draw_cells(p, paths, batches[:B], ks[:B], streams)):
+                if tracking:
+                    x = A @ x - alpha * y
+                    _guard(x, k + j + 1)
+                    g_prev, g = g, oracle.apply_cell(p, x, cell)
+                    y = A @ y + g - g_prev
+                else:
+                    g = oracle.apply_cell(p, x, cell)
+                    x = A @ x - alpha * g
+                    _guard(x, k + j + 1)
+                xs[j], ys[j], gs[j] = x, y, g
+        except DivergenceError:
+            if j:
+                yield xs[:j], ys[:j], gs[:j], counts[:j]
+            raise
+        k, samples = k + B, counts[B - 1]
+        yield xs, ys, gs, counts[:B]
 
 
 @dataclass(frozen=True)
@@ -265,9 +269,10 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     run is attached to the raised error as `exc.trace`, unless a state before
     it met the target.
 
-    The states come from iterate, a block of draws at a time; run_paths
-    computes their trace rows, and decides target_eps on them, once per block
-    of recorded states, so iterate may step up to one block past the stop.
+    The states come from iterate a record block at a time; run_paths
+    computes their trace rows, and decides target_eps on them, once per
+    block, so iterate may step up to one block past the stop. An overflow in
+    the arithmetic ends in an inf or NaN iterate, which the guard reports.
     """
     if algorithm not in ("dvss-sgt", "d-sgt", "d-sgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -282,25 +287,19 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
     # the last iteration the run may reach; a budget run's follows from its batches
     end = (int(stop.value) if stop.kind == "max_iters"
            else target_eps_iter_cap(paths) if stop.kind == "target_eps" else math.inf)
-    per_block = max(1, RECORD_BLOCK_BYTES // x0.nbytes)
-    rows, samples, pending = [], [], []
+    rows, samples = [], []
     w_prev = None   # the noise w = g - grad f at the last flushed record
 
-    def flush():
-        """Trace rows of the pending states, from one (B, P, n, d) stack per array
-        (w_step 0 at k = 0); True if one meets target_eps, the rows cut after it."""
+    def flush(x, y, g_prev):
+        """Trace rows of a block of states, (B, P, n, d) stacks as iterate yields
+        them (w_step 0 at k = 0); True if one meets target_eps, the rows cut after it."""
         nonlocal w_prev
-        x, y, g_prev = map(np.array, zip(*pending))
         w = g_prev - oracle.exact_gradients(p, x)
         dw = w - np.concatenate([w[:1] if w_prev is None else w_prev[None], w[:-1]])
         w_prev = w[-1]
-        with np.errstate(over="ignore"):   # ||w_i|| and ||dw||_F; hypot's where a square overflows
-            w_i, dw_f = np.sqrt((w * w).sum(-1)), np.sqrt((dw * dw).sum((-2, -1)))
-        if np.isinf(w_i).any() or np.isinf(dw_f).any():
-            w_i, dw_f = np.hypot.reduce(w, -1), np.hypot.reduce(dw.reshape(len(dw), paths, -1), -1)
         z = metrics.error_vector(x, y, p)   # combined: the stacked norm of its first two
-        rows.append(np.dstack([z, np.hypot(z[..., 0], z[..., 1]), w_i.sum(-1), dw_f]))
-        pending.clear()
+        rows.append(np.dstack([z, np.hypot(z[..., 0], z[..., 1]),
+                               metrics._norm(w, 1).sum(-1), metrics._norm(dw, 2)]))
         if stop.kind != "target_eps":
             return False
         met = np.flatnonzero(metrics.mean_over_paths(rows[-1][..., 3].T) <= stop.value)
@@ -309,17 +308,15 @@ def run_paths(p: Problem, mix: MixingMatrix, g: Graph, algorithm, alpha,
         return len(met) > 0
 
     met, diverged = False, None
-    try:
-        for x, y, g_k, count in iterate(p, mix, alpha, schedule, streams, x0, tracking,
-                                        end, budget):
-            pending.append((x, y, g_k))
-            samples.append(count)
-            if len(pending) == per_block and (met := flush()):
-                break
-    except DivergenceError as exc:
-        diverged = exc
-    if pending:
-        met = flush()
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN iterates diverge
+        try:
+            for x, y, g_k, counts in iterate(p, mix, alpha, schedule, streams, x0, tracking,
+                                             end, budget):
+                samples += counts
+                if met := flush(x, y, g_k):
+                    break
+        except DivergenceError as exc:
+            diverged = exc
     k = sum(map(len, rows)) - 1
     reason = ("target_eps" if met else "diverged" if diverged else
               "budget_samples" if k < end else

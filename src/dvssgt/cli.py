@@ -325,9 +325,10 @@ def theory_report(cfg):
     sched = algo.BatchSchedule(**cfg["schedule"])
     streams = oracle.StreamFactory(cfg["seed"])
     x0s = algo.default_x0(problem, streams, cfg["paths"])
-    x, y, _g, _samples = next(algo.iterate(problem, mix, alpha, sched, streams, x0s, True, 0,
-                                           math.inf))
-    with np.errstate(over="ignore"):   # inf where a square overflows, refused by RateBound
+    # inf or NaN where a gradient or a square overflows, refused by RateBound
+    with np.errstate(over="ignore", invalid="ignore"):
+        (x,), (y,), _g, _s = next(algo.iterate(problem, mix, alpha, sched, streams, x0s, True, 0,
+                                               math.inf))
         z0_norm = float(np.linalg.norm(np.mean(metrics.error_vector(x, y, problem), axis=0)))
         emp_nu = oracle.noise_level(problem, x0s[0])
 

@@ -205,16 +205,12 @@ def draw_cells(p: Problem, paths, batches, ks, streams: StreamFactory):
     """One Cell of `paths` stacked paths per row of a block: row j has batch
     batches[j] and draws from the streams of iteration ks[j], one generator
     call per slot. Rows of one draw shape are stacked for the arithmetic. A
-    block whose random numbers exceed MAX_DRAW_BLOCK_BYTES comes back undrawn,
-    for apply_cell to draw as it applies each row; its rows are summed only if
-    as many of the largest cell any batch draws (the direct draw's just below
-    the crossover, or Bartlett's) would exceed it. An exact oracle draws
-    nothing: None per row."""
+    block whose random numbers, summed over its rows, exceed
+    MAX_DRAW_BLOCK_BYTES comes back undrawn, for apply_cell to draw as it
+    applies each row. An exact oracle draws nothing: None per row."""
     if p.exact_oracle:
         return [None] * len(batches)
-    most = max(draw_bytes(p, bartlett_crossover(p.d) - 1), draw_bytes(p, bartlett_crossover(p.d)))
-    if (paths * len(batches) * most > MAX_DRAW_BLOCK_BYTES
-            and paths * sum(draw_bytes(p, b) for b in batches) > MAX_DRAW_BLOCK_BYTES):
+    if paths * sum(draw_bytes(p, b) for b in batches) > MAX_DRAW_BLOCK_BYTES:
         return [Cell(b, None, (k, streams)) for b, k in zip(batches, ks)]
     return _cells(p, batches, [_drawer(p, b, k, streams)(paths) for b, k in zip(batches, ks)])
 

@@ -107,8 +107,9 @@ def long_invariant_run(fig1_instance):
     streams = oracle.StreamFactory(2024)
     x0 = algo.default_x0(problem, streams, 1)
     alpha = 0.01
-    states = [(x[0], y[0], g[0], samples) for x, y, g, samples in algo.iterate(
-        problem, mix, alpha, algo.geometric_schedule(0.98), streams, x0, True, 500, math.inf)]
+    states = [(x[0], y[0], g[0], samples) for block in algo.iterate(
+        problem, mix, alpha, algo.geometric_schedule(0.98), streams, x0, True, 500, math.inf)
+        for x, y, g, samples in zip(*block)]
     track_dev = [float(np.linalg.norm(y.mean(axis=0) - g.mean(axis=0)))
                  for _x, y, g, _n in states]
     avg_dev = [float(np.linalg.norm(x.mean(axis=0) - (px.mean(axis=0) - alpha * py.mean(axis=0))))

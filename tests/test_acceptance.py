@@ -101,7 +101,8 @@ def test_criterion_7_theory_consistency(fig1_instance, fig1_alpha_star):
     sched = algo.geometric_schedule(0.98)
     streams = oracle.StreamFactory(2024)
     x0 = algo.default_x0(det, streams, 1)
-    x, y, _g, _samples = next(algo.iterate(det, mix, alpha, sched, streams, x0, True, 0, math.inf))
+    (x,), (y,), _g, _samples = next(algo.iterate(det, mix, alpha, sched, streams, x0, True, 0,
+                                                 math.inf))
     z0 = float(np.linalg.norm(metrics.error_vector(x[0], y[0], det)))
     rb = theory.RateBound(rho, math.sqrt(0.98), 0.0, z0)
     eps = 1e-3

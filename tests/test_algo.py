@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ def path3_instance(covariance_spec="identity"):
 
 def _states(p, mix, alpha, sched, x0, steps, tracking=True, seed=0):
     """States 0..steps of the one path that starts at x0 (n, d), each (x, y,
-    g, samples) as algo.iterate yields it, less the path axis."""
-    states = algo.iterate(p, mix, alpha, sched, oracle.StreamFactory(seed),
+    g, samples) of a block algo.iterate yields, less the path axis."""
+    blocks = algo.iterate(p, mix, alpha, sched, oracle.StreamFactory(seed),
                           np.array([x0], dtype=float), tracking, steps, math.inf)
-    return [(x[0], y[0], g[0], samples) for x, y, g, samples in states]
+    return [(x[0], y[0], g[0], samples) for block in blocks for x, y, g, samples in zip(*block)]
 
 
 def test_batch_schedule_validation():
@@ -99,17 +100,18 @@ def test_start_zero_noise():
     streams = oracle.StreamFactory(1)
     x0 = algo.default_x0(p, streams, 2)
     states = algo.iterate(p, mix, 0.1, sched, streams, x0, True, 10, math.inf)
-    x, y, g0, samples = next(states)
-    assert x is x0 and np.allclose(y, oracle.exact_gradients(p, x0))
+    (x,), (y,), (g0,), (samples,) = next(states)
+    assert np.array_equal(x, x0) and np.allclose(y, oracle.exact_gradients(p, x0))
     assert np.array_equal(y, g0)
     assert samples == p.n  # N(0) = 1 for a geometric schedule
     # without tracking, or under a budget below the first draw, y(0) = g(0) = 0
     for tracking, budget in ((False, math.inf), (True, p.n - 1)):
-        x, y, g0, samples = next(algo.iterate(p, mix, 0.1, sched, streams, x0, tracking,
-                                              10, budget))
+        (x,), (y,), (g0,), (samples,) = next(algo.iterate(p, mix, 0.1, sched, streams, x0,
+                                                          tracking, 10, budget))
         assert not y.any() and not g0.any() and samples == 0
     # a budget of exactly n N(0) pays for y(0)
-    x, y, g0, samples = next(algo.iterate(p, mix, 0.1, sched, streams, x0, True, 10, p.n))
+    (x,), (y,), (g0,), (samples,) = next(algo.iterate(p, mix, 0.1, sched, streams, x0, True,
+                                                      10, p.n))
     assert samples == p.n and np.array_equal(y, oracle.exact_gradients(p, x0))
     with pytest.raises(ValueError):
         algo.run_path(p, mix, g, "dvss-sgt", 0.1, sched, algo.StopRule("max_iters", 3),
@@ -482,9 +484,10 @@ def test_w_step_is_the_norm_of_each_noise_step(fig1_instance):
     run = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", T),
                          seed=5, paths=paths)
     streams = oracle.StreamFactory(5)
-    states = algo.iterate(p, mix, 0.01, sched, streams, algo.default_x0(p, streams, paths),
+    blocks = algo.iterate(p, mix, 0.01, sched, streams, algo.default_x0(p, streams, paths),
                           True, T, math.inf)
-    noise = [g - np.einsum("ijk,qik->qij", p.R, x - p.x_star) for x, _y, g, _n in states]
+    noise = [g - np.einsum("ijk,qik->qij", p.R, x - p.x_star)
+             for xs, _ys, gs, _ns in blocks for x, g in zip(xs, gs)]
     assert len(noise) == T + 1
     assert run.w_step.shape == (paths, T + 1)
     for q in range(paths):
@@ -637,7 +640,7 @@ def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=
         states = algo.iterate(p, mix, alpha, sched, streams, x0, tracking, math.inf, math.inf)
         while True:
             try:
-                x, y, g_k, _count = next(states)
+                (x,), (y,), (g_k,), _count = next(states)
             except algo.DivergenceError:
                 reason = "diverged"
                 break
@@ -649,8 +652,7 @@ def _hand_stepped_run(p, mix, g, algorithm, alpha, sched, stop, seed, paths, x0=
             w_prev = w
             z = metrics.error_vector(x, y, p)
             rows.append(np.column_stack([z, np.hypot(z[:, 0], z[:, 1]),
-                                         np.sqrt((w * w).sum(-1)).sum(-1),
-                                         np.sqrt((dw * dw).sum((-2, -1)))]))
+                                         metrics._norm(w, 1).sum(-1), metrics._norm(dw, 2)]))
             samples.append(p.n * drawn)
             if stop.kind == "max_iters" and k >= stop.value:
                 reason = "max_iters"
@@ -676,7 +678,7 @@ def _block_of(monkeypatch, states, p, paths):
 
 
 @pytest.mark.parametrize("algorithm,stop,paths,states,k", [
-    # 4 states a block: 19, 20 and 21 recorded states
+    # k = 0, then 4 states a block: the last block holds 2, 3 and 4 states
     pytest.param("dvss-sgt", ("max_iters", 18), 3, 4, 18, id="dvss-sgt-stop0"),
     pytest.param("dvss-sgt", ("max_iters", 19), 3, 4, 19, id="dvss-sgt-stop1"),
     pytest.param("dvss-sgt", ("max_iters", 20), 3, 4, 20, id="dvss-sgt-stop2"),
@@ -684,14 +686,14 @@ def _block_of(monkeypatch, states, p, paths):
     pytest.param("dvss-sgt", ("budget_samples", 3000), 3, 4, None, id="dvss-sgt-stop4"),
     pytest.param("d-sgd", ("budget_samples", 3000), 3, 4, None, id="d-sgd-stop5"),
     # target_eps, decided on the flushed rows, stops where the per-state
-    # decision does: on a block's first state, k = 0 included, on its last,
-    # inside one, and with one state a block
+    # decision does: at k = 0, on a block's first state (k = 1 modulo the
+    # block), on its last (k = 0 modulo it), inside one, and with one state a block
     pytest.param("dvss-sgt", ("target_eps", 10.0), 3, 4, 0, id="target-at-k0"),
-    pytest.param("dvss-sgt", ("target_eps", 0.77), 1, 4, 20, id="target-first-of-block"),
-    pytest.param("dvss-sgt", ("target_eps", 0.69), 3, 7, 41, id="target-last-of-block"),
-    pytest.param("dvss-sgt", ("target_eps", 0.41), 6, 16, 79, id="target-last-of-block-6"),
+    pytest.param("dvss-sgt", ("target_eps", 0.74), 1, 4, 21, id="target-first-of-block"),
+    pytest.param("dvss-sgt", ("target_eps", 0.61), 3, 7, 49, id="target-last-of-block"),
+    pytest.param("dvss-sgt", ("target_eps", 0.63), 6, 16, 48, id="target-last-of-block-6"),
     pytest.param("d-sgd", ("target_eps", 1.05), 3, 5, 18, id="target-inside-block"),
-    pytest.param("d-sgt", ("target_eps", 0.9), 6, 3, 31, id="target-inside-block-6"),
+    pytest.param("d-sgt", ("target_eps", 0.88), 6, 3, 32, id="target-inside-block-6"),
     pytest.param("dvss-sgt", ("target_eps", 1.0), 3, 1, 17, id="target-one-state-blocks"),
 ])
 def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algorithm, stop,
@@ -705,11 +707,15 @@ def test_blocked_rows_equal_hand_stepped_rows(monkeypatch, fig1_instance, algori
                         blocks.append(x.shape) or real(x, y, p))
     run = algo.run_paths(p, mix, g, algorithm, 0.01, sched, stop, seed=5, paths=paths)
     assert run.stop_reason == stop.kind and (k is None or run.iterations == k)
-    # one error-vector pass per record block of stacked states, the block
-    # that holds the stop included
-    assert len(blocks) == -(-(run.iterations + 1) // states)
+    # one error-vector pass per record block of stacked states: k = 0 alone,
+    # then `states` a block; only the last iteration or the budget cuts the
+    # last block short, and a target_eps stop comes after its whole block
+    last = run.iterations
+    if stop.kind == "target_eps":
+        last = -(-last // states) * states
+    assert [shape[0] for shape in blocks] == [1] + [min(states, last - lo)
+                                                  for lo in range(0, last, states)]
     assert all(shape[1:] == (paths, p.n, p.d) for shape in blocks)
-    assert max(shape[0] for shape in blocks) == states
     _assert_same_run(run, _hand_stepped_run(p, mix, g, algorithm, 0.01, sched, stop,
                                             seed=5, paths=paths))
 
@@ -792,17 +798,20 @@ def test_blocked_divergence_of_a_later_slot_mid_block(monkeypatch):
 
 def test_a_target_met_before_a_divergence_in_its_record_block_stops_the_run():
     p, g, mix = path3_instance()
-    # path 0 sits at the fixed point; path 1 starts a hair from it and diverges
-    x0 = [np.tile(p.x_star + off, (p.n, 1)) for off in (0.0, 1e-6)]
-    args = (p, mix, g, "dvss-sgt", 3.0, algo.constant_schedule(1))
+    # at alpha 1.5, path 0 starts at consensus and its error halves each step;
+    # path 1 starts a hair from the fixed point, and its disagreement diverges
+    x0 = [np.tile(p.x_star + 1.0, (p.n, 1)), p.x_star + [[1e-6, 0.0], [0.0, 0.0], [-1e-6, 0.0]]]
+    args = (p, mix, g, "dvss-sgt", 1.5, algo.constant_schedule(1))
     with pytest.raises(algo.DivergenceError) as err:
         algo.run_paths(*args, algo.StopRule("max_iters", 400), seed=0, paths=2, x0=x0)
-    # it diverges inside the first record block, after the k = 0 state met the target
-    assert (err.value.k, err.value.slot) == (49, 1)
-    assert err.value.k < algo.RECORD_BLOCK_BYTES // (2 * p.n * p.d * 8)
+    # it diverges inside the record block after k = 0, which holds states 1 to 682
+    assert (err.value.k, err.value.slot) == (84, 1)
+    assert err.value.k <= algo.RECORD_BLOCK_BYTES // (2 * p.n * p.d * 8) == 682
+    # the mean error meets the target at k = 7 of that block: iterate yields
+    # the states before the divergence, and the target stops the run there
     stop = algo.StopRule("target_eps", 1e-2)
     run = algo.run_paths(*args, stop, seed=0, paths=2, x0=x0)
-    assert (run.iterations, run.stop_reason) == (0, "target_eps")
+    assert (run.iterations, run.stop_reason) == (7, "target_eps")
     _assert_same_run(run, _hand_stepped_run(*args, stop, seed=0, paths=2, x0=x0))
 
 
@@ -917,20 +926,10 @@ def test_cells_over_the_draw_bound_are_drawn_as_they_are_applied(monkeypatch, tm
     assert outputs[0] == outputs[1]
 
 
-def _blocks(p, sched, n_paths, states, first, last):
+def _blocks(states, first, last):
     """Cells first..last in the blocks run_paths takes them in under
-    _block_of(states): the next cells whose random numbers fit the bytes of
-    `states` recorded states, at most `states` of them."""
-    limit, blocks, total = states * n_paths * p.n * p.d * 8, [], 0
-    for c in range(first, last + 1):
-        size = n_paths * oracle.draw_bytes(p, algo.batch_size(sched, c))
-        if blocks and len(blocks[-1]) < states and total + size <= limit:
-            blocks[-1].append(c)
-            total += size
-        else:
-            blocks.append([c])
-            total = size
-    return blocks
+    _block_of(states), after the k = 0 state: `states` cells a block."""
+    return [list(range(c, min(c + states, last + 1))) for c in range(first, last + 1, states)]
 
 
 # N(k) = ceil(0.9^-k) changes at k = 1, 7, 11, 14, ... and reaches the Bartlett
@@ -950,7 +949,7 @@ def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_
     assert algo.batch_size(sched, 22) < switch == algo.batch_size(sched, 23)
     states = next(b for b in range(2, 100) if any(
         (block[0] == 23) if edge else (22 in block and 23 in block)
-        for block in _blocks(p, sched, paths, b, int(tracking), 30)))
+        for block in _blocks(b, int(tracking), 30)))
     _block_of(monkeypatch, states, p, paths)
     calls = []
     _draw_spy(monkeypatch, calls)
@@ -970,7 +969,7 @@ def test_blocks_across_batch_changes_equal_hand_stepped_cells(monkeypatch, fig1_
 def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
     sched, paths = algo.geometric_schedule(0.9), 3
-    _block_of(monkeypatch, 20, p, paths)
+    _block_of(monkeypatch, 7, p, paths)
     calls, counts = [], {"batch_size": 0, "draw_cells": 0}
     _draw_spy(monkeypatch, calls)
     for module, name in ((algo, "batch_size"), (oracle, "draw_cells")):
@@ -981,24 +980,22 @@ def test_the_drawer_is_entered_once_per_block(monkeypatch, fig1_instance):
     algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, algo.StopRule("max_iters", 30),
                    seed=5, paths=paths)
     monkeypatch.undo()
-    # a block takes the next cells while their random numbers fit the 20
-    # states' 24,000 bytes: 7 cells of N = 2 and 3, 4 of N = 3 and 4, ...,
-    # one a block at N = 8 to 11, two Bartlett cells a block from k = 23
-    expect = [len(block) for block in _blocks(p, sched, paths, 20, 1, 30)]
-    assert expect == [7, 4, 3, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]
+    # cells 1 to 30 in blocks of 7 states, the last cut at the 30th iteration;
+    # the block of cells 22 to 28 holds direct and Bartlett cells (k >= 23)
+    expect = [len(block) for block in _blocks(7, 1, 30)]
+    assert expect == [7, 7, 7, 7, 2]
     # cell 0 is drawn alone for the k = 0 state; then one call per block,
     # every path of every cell
     assert [len(rows) for rows in calls] == [1] + expect
     assert all(n_paths == 3 for rows in calls for _b, n_paths in rows)
     assert counts["draw_cells"] == 1 + len(expect)
-    # batch sizes are taken per block: each cell's, the next one's for every
-    # block it does not fit, and cell 0's
-    assert counts["batch_size"] == 1 + 30 + len(expect) - 1
+    # each cell's batch size is taken once
+    assert counts["batch_size"] == 1 + 30
 
 
 def test_a_state_over_the_record_block_is_drawn_one_at_a_time(monkeypatch):
-    # an exact oracle draws no random numbers, so only the record block's
-    # count of states bounds a draw block: one, where a state exceeds it
+    # an exact oracle draws no random numbers; the record block alone sizes
+    # a draw block: one state, where a state exceeds it
     p, g, mix = path3_instance()
     monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", p.n * p.d * 8 - 1)
     rows = []
@@ -1010,43 +1007,45 @@ def test_a_state_over_the_record_block_is_drawn_one_at_a_time(monkeypatch):
     assert rows == [1] * 13   # y(0), then one cell a block
 
 
-def test_draw_cells_sizes_a_block_without_summing_its_rows_again(monkeypatch, fig1_instance):
+def test_draw_bytes_is_called_once_per_drawn_row_and_only_by_the_oracle(monkeypatch,
+                                                                        fig1_instance):
     p, g, mix = fig1_instance
     args = (p, mix, g, "dvss-sgt", 0.01, algo.geometric_schedule(0.98),
             algo.StopRule("max_iters", 150))
     ref = algo.run_paths(*args, seed=5, paths=2)
-    calls, blocks = [0], []
+    callers, blocks = [], []
     real_bytes, real_cells = oracle.draw_bytes, oracle.draw_cells
 
     def draw_bytes(p, batch):
-        calls[0] += 1
+        callers.append(sys._getframe(1).f_globals["__name__"])
         return real_bytes(p, batch)
 
     def draw_cells(p, paths, batches, ks, streams):
-        before = calls[0]
-        cells = real_cells(p, paths, batches, ks, streams)
-        blocks.append((len(batches), calls[0] - before))
-        return cells
+        blocks.append(len(batches))
+        return real_cells(p, paths, batches, ks, streams)
     monkeypatch.setattr(oracle, "draw_bytes", draw_bytes)
     monkeypatch.setattr(oracle, "draw_cells", draw_cells)
     _assert_same_run(algo.run_paths(*args, seed=5, paths=2), ref)
-    # y(0), then blocks of 4 to 34 rows, direct and Bartlett ones, each sized
-    # from the two largest cells a batch can draw, however many rows it holds
-    assert [rows for rows, _n in blocks] == [1, 34, 22, 16, 12, 10, 8, 7, 6, 9, 11, 11, 4]
+    # y(0), then 65,536 // (2 x 10 x 5 x 8) = 81 states a block, and the 69 left
+    assert blocks == [1, 81, 69]
     assert algo.batch_size(args[5], 150) >= oracle.bartlett_crossover(p.d)
-    assert [n for _rows, n in blocks] == [2] * len(blocks)
+    # draw_cells sums each row's bytes once; nothing else asks for them
+    assert len(callers) == sum(blocks) == 151
+    assert set(callers) == {"dvssgt.oracle"}
 
 
 def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
     p, g, mix = fig1_instance
     sched, stop, paths = algo.geometric_schedule(0.9), algo.StopRule("max_iters", 30), 3
     ref = algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5, paths=paths)
-    # a few small cells of 3 paths fit together; a batch-11 cell of 3 paths
-    # alone does not, so its paths are drawn 2 and 1; a Bartlett cell fits alone
+    # 3 cells of N(k) = 2 and 3 paths fit the limit together; 3 of N(k) = 3 do
+    # not, so each is drawn as it is applied; a batch-11 cell of 3 paths alone
+    # does not either, so its paths are drawn 2 and 1; a Bartlett cell fits alone
     limit = 2 * oracle.draw_bytes(p, 11)
     assert 3 * oracle.draw_bytes(p, 12) <= limit < 3 * oracle.draw_bytes(p, 11)
+    assert 3 * 3 * oracle.draw_bytes(p, 2) <= limit < 3 * 3 * oracle.draw_bytes(p, 3)
     monkeypatch.setattr(oracle, "MAX_DRAW_BLOCK_BYTES", limit)
-    monkeypatch.setattr(algo, "RECORD_BLOCK_BYTES", limit)   # blocks of small cells fit the limit
+    _block_of(monkeypatch, 3, p, paths)
     calls = []
     _draw_spy(monkeypatch, calls)
     _assert_same_run(algo.run_paths(p, mix, g, "dvss-sgt", 0.01, sched, stop, seed=5,
@@ -1055,4 +1054,39 @@ def test_draw_blocks_keep_within_the_draw_limit(monkeypatch, fig1_instance):
         size = sum(n_paths * oracle.draw_bytes(p, b) for b, n_paths in rows)
         assert size <= max(limit, max(oracle.draw_bytes(p, b) for b, _n in rows))
     assert [[11, 2]] in calls and [[11, 1]] in calls and [[12, 3]] in calls
-    assert [[2, 3], [2, 3], [2, 3]] in calls
+    assert [[2, 3], [2, 3], [2, 3]] in calls and [[3, 3]] in calls
+
+
+# the fig1 instance diverges at k = 24 on path 1 (dvss-sgt, alpha 1.0) and at
+# k = 41 on path 0 (d-sgd, alpha 0.6); after the k = 0 block, a state k is
+# the first row of its block where k - 1 is a multiple of the block's states
+@pytest.mark.parametrize("algorithm,alpha,k,slot,states,yielded", [
+    pytest.param("dvss-sgt", 1.0, 24, 1, 23, [1, 23], id="dvss-sgt-first-row"),
+    pytest.param("dvss-sgt", 1.0, 24, 1, 5, [1, 5, 5, 5, 5, 3], id="dvss-sgt-middle-row"),
+    pytest.param("d-sgd", 0.6, 41, 0, 8, [1, 8, 8, 8, 8, 8], id="d-sgd-first-row"),
+    pytest.param("d-sgd", 0.6, 41, 0, 7, [1, 7, 7, 7, 7, 7, 5], id="d-sgd-middle-row"),
+])
+def test_a_divergence_yields_the_states_of_its_block_before_it(monkeypatch, fig1_instance,
+                                                                algorithm, alpha, k, slot,
+                                                                states, yielded):
+    p, g, mix = fig1_instance
+    sched = algo.geometric_schedule(0.98) if algorithm == "dvss-sgt" else algo.constant_schedule(1)
+    args = (p, mix, g, algorithm, alpha, sched, algo.StopRule("max_iters", 400))
+    _block_of(monkeypatch, states, p, 3)
+    blocks = []
+
+    def spy(*a, real=algo.iterate):
+        for block in real(*a):
+            blocks.append(len(block[0]))
+            yield block
+    monkeypatch.setattr(algo, "iterate", spy)
+    with pytest.raises(algo.DivergenceError) as err:
+        algo.run_paths(*args, seed=5, paths=3)
+    monkeypatch.undo()
+    # states 0 .. k - 1 are yielded, a block cut at the diverging state only
+    # if a state of it came before; then the error is raised
+    assert (err.value.k, err.value.slot) == (k, slot)
+    assert blocks == yielded and sum(blocks) == k
+    ref = _hand_stepped_run(*args, seed=5, paths=3)
+    assert ref.stop_reason == "diverged"
+    _assert_same_run(err.value.trace, ref.path(slot))

@@ -483,6 +483,35 @@ def test_runs_past_the_float_range_record_finite_errors(tmp_path, case):
         assert float(rows[0]["mean_opt_err"]) == pytest.approx(math.sqrt(5) * 1e200, rel=1e-3)
 
 
+# fig1 problems whose sampled and exact gradients overflow to inf at k = 0,
+# and what theory says of them
+OVERFLOWING_GRADIENTS = {
+    "cov-1e160-x_star-1e200": ({"covariance_spec": "diag-uniform[1e160,1e160]",
+                                "x_star": [1e200] * 5}, "L^2 leaves the float range"),
+    "x_star-1e308": ({"covariance_spec": "identity", "x_star": [1e308] * 5}, "z0 = nan"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("case", OVERFLOWING_GRADIENTS)
+def test_gradients_past_the_float_range_diverge_without_a_warning(tmp_path, capsys, case,
+                                                                  command):
+    # the tracker y(0) is infinite, so x(1) diverges; the overflow is no
+    # RuntimeWarning (an error under this suite) but the guard's exit 3
+    problem, quantity = OVERFLOWING_GRADIENTS[case]
+    path = small_cfg(tmp_path, problem=problem, stop={"max_iters": 220})
+    out = tmp_path / command
+    assert cli.main([command, "--preset", "fig1", "--config", path,
+                     "--out", str(out)]) == cli.EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "at iteration 1;" in err
+    [row] = read_rows(out / "partial_trace.csv")
+    assert math.isnan(float(row["mean_cons_y"]))   # the spread of an infinite tracker
+    assert cli.main(["theory", "--preset", "fig1", "--config", path,
+                     "--out", str(tmp_path / "th")]) == cli.EXIT_CONFIG_ERROR
+    assert quantity in capsys.readouterr().err
+
+
 def test_sweep_singleton_matches_run(tmp_path):
     path = small_cfg(tmp_path)
     out_sweep = tmp_path / "sw"

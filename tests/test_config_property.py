@@ -28,7 +28,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dvssgt import cli
 
@@ -117,11 +117,27 @@ def edit(cfg, key_path, value):
     return cfg
 
 
+def huge(cov):
+    """Edits to an x_star of 1e200 and covariances of `cov`: the gradients
+    overflow inside the engine. The 300 derandomized examples never draw a
+    covariance of 1e160 or 1e200, so explicit examples pair them."""
+    return [[("problem.d", 2), ("problem.x_star", [1e200] * 2),
+             ("problem.covariance_spec", f"diag-uniform[{cov},{cov}]")]]
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["run", "compare", "sweep", "theory"]),
        valid=st.lists(VALID, max_size=3),
        junk=st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=1))
+@example(command="run", valid=huge("1e160"), junk=[])
+@example(command="compare", valid=huge("1e160"), junk=[])
+@example(command="sweep", valid=huge("1e160"), junk=[])
+@example(command="theory", valid=huge("1e160"), junk=[])
+@example(command="run", valid=huge("1e200"), junk=[])
+@example(command="compare", valid=huge("1e200"), junk=[])
+@example(command="sweep", valid=huge("1e200"), junk=[])
+@example(command="theory", valid=huge("1e200"), junk=[])
 def test_any_config_runs_or_exits_with_a_message(command, valid, junk):
     cfg = copy.deepcopy(BASE)
     for key_path, value in [pair for pairs in valid for pair in pairs] + junk:
